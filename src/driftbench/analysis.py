@@ -9,10 +9,8 @@ here, not a published number).
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -161,58 +159,3 @@ def fixture_spearman(fixture: PaperFixture = PAPER_FIXTURE) -> float:
     result, _ = correlate_shift_accuracy(scores, fixture.table5_mlp_lite)
     return result.coefficient
 
-
-def emit_report(shift: ShiftReport, accuracies: dict[str, float] | None,
-                correlations: tuple[CorrelationResult, CorrelationResult] | None,
-                out_dir: str | Path) -> dict[str, Path]:
-    """Write report.csv, report.json, and a summary sorted by descending score.
-
-    accuracies and correlations are optional; with fewer than 3 matched
-    domains the summary carries a notice instead of a correlation section.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "report.csv"
-    json_path = out_dir / "report.json"
-    summary_path = out_dir / "summary.txt"
-
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "mu", "sigma", "score", "member_count"])
-        for g in shift.groups:
-            writer.writerow([g.key.label, f"{g.mu:.6f}", f"{g.sigma:.6f}",
-                             f"{g.score:.6f}", g.member_count])
-
-    payload: dict = {
-        "tau": shift.tau,
-        "k_clusters": shift.k_clusters,
-        "mode": shift.mode.value,
-        "groups": [
-            {"group": g.key.label, "mu": g.mu, "sigma": g.sigma,
-             "score": g.score, "member_count": g.member_count}
-            for g in shift.groups
-        ],
-    }
-    if accuracies is not None:
-        payload["accuracies"] = dict(sorted(accuracies.items()))
-    if correlations is not None:
-        payload["correlation"] = {
-            c.method: {"coefficient": c.coefficient, "n_points": c.n_points}
-            for c in correlations
-        }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
-
-    lines = [f"{'group':<20} {'mu':>8} {'sigma':>8} {'score':>8}"]
-    for g in shift.groups:
-        lines.append(f"{g.key.label:<20} {g.mu:8.2f} {g.sigma:8.2f} {g.score:8.2f}")
-    if correlations is not None:
-        lines.append("")
-        for c in correlations:
-            lines.append(f"{c.method} correlation (score vs accuracy, "
-                         f"n={c.n_points}): {c.coefficient:+.3f}")
-    else:
-        lines.append("")
-        lines.append("correlation omitted: fewer than 3 matched domains")
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"csv": csv_path, "json": json_path, "summary": summary_path}

@@ -35,7 +35,6 @@ COMMANDS = ("validate", "score", "splits", "train", "train-all", "eval",
 class GlobalOptions:
     seed: int
     threads: int
-    deterministic: bool
     verbosity: int
 
     def __post_init__(self) -> None:
@@ -64,11 +63,7 @@ def _resolve_options(args: argparse.Namespace) -> GlobalOptions:
         threads = _env_int("DRIFTBENCH_THREADS")
     if threads is None:
         threads = 1
-    return GlobalOptions(
-        seed=seed, threads=threads,
-        deterministic=getattr(args, "deterministic", True),
-        verbosity=getattr(args, "verbose", 0),
-    )
+    return GlobalOptions(seed=seed, threads=threads, verbosity=getattr(args, "verbose", 0))
 
 
 def _note(opts: GlobalOptions, msg: str) -> None:
@@ -76,23 +71,27 @@ def _note(opts: GlobalOptions, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _load_inputs(args: argparse.Namespace):
-    manifest = dataset.load_manifest(args.manifest)
+def _load_manifest(args: argparse.Namespace, n_rows: int | None = None):
+    """The manifest, remapped by --category-map if given; rows checked < n_rows."""
+    manifest = dataset.load_manifest(args.manifest, n_rows=n_rows)
     if getattr(args, "category_map", None):
         mapping = dataset.load_category_mapping(args.category_map)
         manifest = dataset.apply_category_mapping(manifest, mapping)
+    return manifest
+
+
+def _load_inputs(args: argparse.Namespace):
     features = dataset.load_feature_pack(args.features)
-    dataset.attach_clip_ids(features, manifest)
-    return manifest, features
+    return _load_manifest(args, n_rows=features.n_clips), features
 
 
 # ---------------------------------------------------------------- handlers
 
 def _cmd_validate(args, opts: GlobalOptions) -> str:
-    manifest = dataset.load_manifest(args.manifest)
-    if args.category_map:
-        mapping = dataset.load_category_mapping(args.category_map)
-        manifest = dataset.apply_category_mapping(manifest, mapping)
+    if args.features:
+        manifest, features = _load_inputs(args)
+    else:
+        manifest, features = _load_manifest(args), None
     parts = [f"{len(manifest)} clips", f"{len(manifest.domains)} domains",
              f"{len(manifest.categories)} categories"]
     summary: dict = {
@@ -100,9 +99,7 @@ def _cmd_validate(args, opts: GlobalOptions) -> str:
         "domains": list(manifest.domains),
         "categories": list(manifest.categories),
     }
-    if args.features:
-        features = dataset.load_feature_pack(args.features)
-        dataset.attach_clip_ids(features, manifest)
+    if features is not None:
         parts.append(f"features {features.n_clips}x{features.temporal_count}"
                      f"x{features.feature_dim} ok")
         summary["feature_shape"] = [features.n_clips, features.temporal_count,
@@ -303,7 +300,7 @@ def _cmd_train_all(args, opts: GlobalOptions) -> str:
         return domain, report.overall_top1
 
     jobs = list(enumerate(manifest.domains))
-    if opts.deterministic or opts.threads == 1:
+    if opts.threads == 1:
         results = [run_one(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=opts.threads) as pool:
@@ -395,10 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: DRIFTBENCH_THREADS or 1)")
-    p.add_argument("--no-deterministic", dest="deterministic",
-                   action="store_false", default=True,
-                   help="allow threaded hold-out scheduling")
+                   help="hold-outs trained concurrently (default: "
+                   "DRIFTBENCH_THREADS or 1); outputs do not depend on it")
     _add_common(p)
     p.set_defaults(func=_cmd_train_all)
 

@@ -6,13 +6,12 @@ bitwise run-to-run determinism are all pinned down by this file alone.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-CLUSTER_MODEL_MAGIC = b"EKM1"
+MAX_ITER = 300
+REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,13 @@ def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
     return labels
 
 
-def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0,
-               max_iter: int = 300, rel_tol: float = 1e-6) -> ClusterModel:
+def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     """Lloyd's algorithm from a seeded k-means++ start.
 
-    Stops when the relative inertia improvement falls below rel_tol or
-    after max_iter iterations. The returned assignments are consistent
-    with the returned centroids (final E-step), and no cluster is empty.
+    Stops when the labels stop changing, when the relative inertia
+    improvement falls below REL_TOL, or after MAX_ITER iterations. The
+    returned assignments are consistent with the returned centroids (final
+    E-step), and no cluster is empty.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -112,7 +111,7 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0,
 
     prev_inertia = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         # M-step: centroid = mean of members (repair guarantees none empty).
         new_centroids = np.empty_like(centroids)
         for j in range(k_clusters):
@@ -122,11 +121,12 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0,
         new_labels = assign_nearest(X, centroids)
         new_labels = _repair_empty(X, new_labels, centroids, k_clusters)
         inertia = float(((X - centroids[new_labels]) ** 2).sum())
-        assert inertia <= prev_inertia * (1 + 1e-12) + 1e-12, \
-            f"inertia rose {prev_inertia} -> {inertia} at iteration {iterations}"
+        if not inertia <= prev_inertia * (1 + 1e-12) + 1e-12:
+            raise RuntimeError(
+                f"inertia rose {prev_inertia} -> {inertia} at iteration {iterations}")
         converged = np.array_equal(new_labels, labels) or (
             np.isfinite(prev_inertia)
-            and prev_inertia - inertia <= rel_tol * max(prev_inertia, 1e-300)
+            and prev_inertia - inertia <= REL_TOL * max(prev_inertia, 1e-300)
         )
         labels = new_labels
         prev_inertia = inertia
@@ -142,20 +142,3 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0,
         iterations_run=iterations,
     )
 
-
-def write_cluster_model(model: ClusterModel, path: str | Path) -> None:
-    header = CLUSTER_MODEL_MAGIC + struct.pack(
-        "<II", model.k_clusters, model.centroids.shape[1]
-    )
-    payload = np.ascontiguousarray(model.centroids, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_centroids(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != CLUSTER_MODEL_MAGIC:
-        raise ValueError(f"{path}: bad cluster model magic")
-    k, d = struct.unpack("<II", raw[4:12])
-    if len(raw) != 12 + k * d * 4:
-        raise ValueError(f"{path}: size mismatch for K={k} D={d}")
-    return np.frombuffer(raw[12:], dtype="<f4").astype(np.float64).reshape(k, d)

@@ -49,15 +49,14 @@ class Manifest:
 class FeatureSet:
     """Packed clip features: values has shape (n_clips, temporal_count, feature_dim).
 
-    clip_ids is optional; it is only known once a manifest has been joined
-    against the pack (the binary format itself carries no identities).
+    The binary format carries no clip identities; a manifest's row_index
+    addresses rows of values.
     """
 
     n_clips: int
     temporal_count: int
     feature_dim: int
     values: np.ndarray
-    clip_ids: list[str] | None = None
 
 
 def _make_manifest(records: list[ClipRecord]) -> Manifest:
@@ -69,13 +68,15 @@ def _make_manifest(records: list[ClipRecord]) -> Manifest:
 def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
     """Parse and validate a line-delimited JSON manifest.
 
-    Records come back in file order. clip_ids must be unique and every
+    Records come back in file order. clip_ids must be unique, every
     row_index must be a nonnegative integer (and < n_rows when the pack
-    size is known). Raises ValueError naming the offending line or id.
+    size is known), and no two clips may share a row_index. Raises
+    ValueError naming the offending line or id.
     """
     path = Path(path)
     records: list[ClipRecord] = []
     seen: set[str] = set()
+    owner_of_row: dict[int, str] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -105,6 +106,12 @@ def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
                     f"{path}:{lineno}: row_index {row_index} out of range {bound} "
                     f"for clip {clip_id!r}"
                 )
+            if row_index in owner_of_row:
+                raise ValueError(
+                    f"{path}:{lineno}: clip {clip_id!r} shares row_index {row_index} "
+                    f"with clip {owner_of_row[row_index]!r}"
+                )
+            owner_of_row[row_index] = clip_id
             seen.add(clip_id)
             records.append(ClipRecord(clip_id, obj["domain"], obj["category"], row_index))
     return _make_manifest(records)
@@ -158,20 +165,6 @@ def write_feature_pack(features: FeatureSet, path: str | Path) -> None:
         "<III", features.n_clips, features.temporal_count, features.feature_dim
     )
     Path(path).write_bytes(header + values.tobytes())
-
-
-def attach_clip_ids(features: FeatureSet, manifest: Manifest) -> FeatureSet:
-    """Fill clip_ids from manifest row indices; rows a manifest never names stay None."""
-    ids: list[str | None] = [None] * features.n_clips
-    for r in manifest.records:
-        if r.row_index >= features.n_clips:
-            raise ValueError(
-                f"clip {r.clip_id!r} row_index {r.row_index} exceeds pack rows "
-                f"{features.n_clips}"
-            )
-        ids[r.row_index] = r.clip_id
-    features.clip_ids = ids  # type: ignore[assignment]
-    return features
 
 
 def pool_temporal(features: FeatureSet, mode: str = "mean") -> np.ndarray:

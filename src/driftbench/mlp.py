@@ -247,7 +247,8 @@ def ova_bce_loss(logits: np.ndarray, targets: np.ndarray):
         raise ValueError(f"shape mismatch: logits {logits.shape} vs targets {targets.shape}")
     elementwise = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     loss = float(elementwise.mean())
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    with np.errstate(over="ignore"):  # exp(-z) -> inf for z < ~-709; 1/(1+inf) is exactly 0
+        probs = 1.0 / (1.0 + np.exp(-logits))
     grad = (probs - targets) / logits.size
     return loss, grad
 

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterModel, kmeans_fit
-from .dataset import ClipRecord
+from .clustering import kmeans_fit
 
 DEFAULT_TAU = 2.0
 DEFAULT_K_CLUSTERS = 64
@@ -52,22 +51,6 @@ class GroupKey:
 
 
 @dataclass(frozen=True)
-class GroupPrototype:
-    key: GroupKey
-    prototype: np.ndarray  # (D,)
-    member_count: int
-
-
-@dataclass(frozen=True)
-class GroupDistances:
-    """Distances from one group's prototype to all other prototypes."""
-
-    key: GroupKey
-    member_count: int
-    deltas: np.ndarray  # (n_groups - 1,)
-
-
-@dataclass(frozen=True)
 class GroupScore:
     key: GroupKey
     member_count: int
@@ -99,66 +82,33 @@ def _group_label_fn(mode: GroupingMode):
     return lambda r: GroupKey(mode, domain=r.domain, category=r.category)
 
 
-def group_prototypes(X: np.ndarray, records: list[ClipRecord] | tuple[ClipRecord, ...],
-                     model: ClusterModel, mode: GroupingMode) -> list[GroupPrototype]:
-    """Mean assigned centroid per group, one prototype per nonempty group.
-
-    Rows of X align with records; model.assignments gives each row's
-    nearest centroid. Prototype order follows sorted group labels so
-    downstream output is stable.
-    """
-    X = np.asarray(X)
-    if len(records) == 0:
-        raise ValueError("empty dataset: no records to group")
-    if X.shape[0] != len(records) or len(model.assignments) != len(records):
-        raise ValueError(
-            f"alignment mismatch: {X.shape[0]} feature rows, {len(records)} records, "
-            f"{len(model.assignments)} assignments"
-        )
-    key_of = _group_label_fn(mode)
-    members: dict[GroupKey, list[int]] = {}
-    for i, rec in enumerate(records):
-        members.setdefault(key_of(rec), []).append(i)
-    prototypes = []
-    for key in sorted(members, key=lambda k: k.label):
-        idx = members[key]
-        assigned = model.centroids[model.assignments[idx]]
-        prototypes.append(GroupPrototype(
-            key=key, prototype=assigned.mean(axis=0), member_count=len(idx),
-        ))
-    return prototypes
-
-
-def prototype_distances(prototypes: list[GroupPrototype]) -> list[GroupDistances]:
-    """Euclidean distance from each prototype to every other one."""
-    if len(prototypes) < 2:
-        raise ValueError(f"need >= 2 groups to compare, got {len(prototypes)}")
-    P = np.stack([p.prototype for p in prototypes])
-    full = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
-    out = []
-    for i, p in enumerate(prototypes):
-        deltas = np.delete(full[i], i)
-        out.append(GroupDistances(key=p.key, member_count=p.member_count, deltas=deltas))
-    return out
-
-
-def shift_scores(distances: list[GroupDistances], tau: float = DEFAULT_TAU, *,
+def shift_scores(keys: list[GroupKey], member_counts: list[int],
+                 prototypes: np.ndarray, tau: float = DEFAULT_TAU, *,
                  k_clusters: int = 0,
                  mode: GroupingMode = GroupingMode.DOMAIN) -> ShiftReport:
     """Per-group mu, population sigma, and score = mu + tau * sigma.
 
+    Row i of prototypes (G, D) belongs to keys[i]. Each group's deltas are
+    its Euclidean distances to the other G - 1 prototypes, in key order.
     Groups come back sorted by descending score (score ties broken by label).
     """
-    groups = []
-    for gd in distances:
-        if gd.deltas.size == 0:
-            raise ValueError(f"group {gd.key.label!r} has an empty distance set")
-        mu = float(gd.deltas.mean())
-        sigma = float(np.sqrt(((gd.deltas - mu) ** 2).mean()))  # population divisor
-        groups.append(GroupScore(
-            key=gd.key, member_count=gd.member_count, deltas=gd.deltas,
-            mu=mu, sigma=sigma, score=mu + tau * sigma,
-        ))
+    P = np.asarray(prototypes, dtype=np.float64)
+    n_groups = len(keys)
+    if len(member_counts) != n_groups or P.shape[0] != n_groups:
+        raise ValueError(f"{n_groups} keys, {len(member_counts)} member counts, "
+                         f"{P.shape[0]} prototypes")
+    if n_groups < 2:
+        raise ValueError(f"need >= 2 groups to compare, got {n_groups}")
+    full = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
+    deltas = full[~np.eye(n_groups, dtype=bool)].reshape(n_groups, n_groups - 1)
+    mu = deltas.mean(axis=1)
+    sigma = np.sqrt(((deltas - mu[:, None]) ** 2).mean(axis=1))  # population divisor
+    groups = [
+        GroupScore(key=key, member_count=count, deltas=deltas[i],
+                   mu=float(mu[i]), sigma=float(sigma[i]),
+                   score=float(mu[i]) + tau * float(sigma[i]))
+        for i, (key, count) in enumerate(zip(keys, member_counts))
+    ]
     groups.sort(key=lambda g: (-g.score, g.key.label))
     return ShiftReport(tau=tau, k_clusters=k_clusters, mode=mode, groups=tuple(groups))
 
@@ -166,11 +116,27 @@ def shift_scores(distances: list[GroupDistances], tau: float = DEFAULT_TAU, *,
 def score_dataset(X: np.ndarray, records, k_clusters: int = DEFAULT_K_CLUSTERS,
                   seed: int = 0, mode: GroupingMode = GroupingMode.DOMAIN,
                   tau: float = DEFAULT_TAU) -> ShiftReport:
-    """End-to-end pipeline: kmeans -> prototypes -> distances -> scores."""
+    """End-to-end pipeline: kmeans -> per-group prototypes -> scores.
+
+    Row i of X belongs to records[i]. A group's prototype is the mean of
+    the centroids its members are assigned to; groups are ordered by label.
+    """
+    X = np.asarray(X)
+    if len(records) == 0:
+        raise ValueError("empty dataset: no records to group")
+    if X.shape[0] != len(records):
+        raise ValueError(
+            f"alignment mismatch: {X.shape[0]} feature rows, {len(records)} records")
     model = kmeans_fit(X, k_clusters=k_clusters, seed=seed)
-    prototypes = group_prototypes(X, records, model, mode)
-    distances = prototype_distances(prototypes)
-    return shift_scores(distances, tau, k_clusters=k_clusters, mode=mode)
+    key_of = _group_label_fn(mode)
+    members: dict[GroupKey, list[int]] = {}
+    for i, rec in enumerate(records):
+        members.setdefault(key_of(rec), []).append(i)
+    keys = sorted(members, key=lambda k: k.label)
+    prototypes = [model.centroids[model.assignments[members[key]]].mean(axis=0)
+                  for key in keys]
+    return shift_scores(keys, [len(members[key]) for key in keys], np.stack(prototypes),
+                        tau, k_clusters=k_clusters, mode=mode)
 
 
 def write_shift_report_csv(report: ShiftReport, path: str | Path) -> None:

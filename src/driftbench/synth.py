@@ -116,8 +116,7 @@ def generate(spec: SyntheticSpec, seed: int = 0) -> tuple[Manifest, FeatureSet]:
         categories=tuple(sorted({r.category for r in records})),
     )
     features = FeatureSet(
-        n_clips=row, temporal_count=1, feature_dim=spec.feature_dim,
-        values=values, clip_ids=[r.clip_id for r in records],
+        n_clips=row, temporal_count=1, feature_dim=spec.feature_dim, values=values,
     )
     return manifest, features
 

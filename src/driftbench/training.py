@@ -21,6 +21,9 @@ from .mlp import MlpParams
 from .splits import SplitSpec
 
 EVAL_BATCH = 512
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -29,11 +32,7 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 100
     drop_prob: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
@@ -67,11 +66,11 @@ def adam_step(params: MlpParams, grads: dict[str, np.ndarray], state: AdamState,
             raise ValueError(f"gradient shape {g.shape} != param {name} {tensor.shape}")
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
-        state.m[name] = config.beta1 * state.m[name] + (1 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1 - config.beta2) * g * g
-        m_hat = state.m[name] / (1 - config.beta1 ** t)
-        v_hat = state.v[name] / (1 - config.beta2 ** t)
-        tensor -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
+        tensor -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -144,8 +143,7 @@ def _top1(params: MlpParams, X: np.ndarray, labels: np.ndarray) -> float:
 
 
 def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
-          hidden1: int = mlp.DEFAULT_HIDDEN1, hidden2: int = mlp.DEFAULT_HIDDEN2,
-          init: MlpParams | None = None):
+          hidden1: int = mlp.DEFAULT_HIDDEN1, hidden2: int = mlp.DEFAULT_HIDDEN2):
     """Train on split.train_ids, select by best val top-1.
 
     Returns (best_params, history) where history holds one EpochStats per
@@ -162,9 +160,8 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
     X_train, y_train = data.X[train_rows], data.labels[train_rows]
     X_val, y_val = data.X[val_rows], data.labels[val_rows]
 
-    params = init.copy() if init is not None else mlp.init_params(
-        data.X.shape[1], data.n_classes, seed=config.seed,
-        hidden1=hidden1, hidden2=hidden2)
+    params = mlp.init_params(data.X.shape[1], data.n_classes, seed=config.seed,
+                             hidden1=hidden1, hidden2=hidden2)
     state = AdamState.zeros_like(params)
     shuffle_rng = np.random.default_rng([config.seed, 0])
     dropout_rng = np.random.default_rng([config.seed, 1])
@@ -174,7 +171,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
     best_top1 = -np.inf
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
@@ -214,7 +211,9 @@ def evaluate(params: MlpParams, data: TrainingData, ids) -> EvalReport:
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     overall = float(np.trace(confusion) / len(ids) * 100.0)
-    assert abs(overall - float((preds == labels).mean() * 100.0)) < 1e-9
+    direct = float((preds == labels).mean() * 100.0)
+    if not abs(overall - direct) < 1e-9:
+        raise RuntimeError(f"confusion top-1 {overall} disagrees with direct top-1 {direct}")
 
     per_domain: dict[str, float] = {}
     row_domains = np.array([data.row_domains[i] for i in rows])
@@ -225,13 +224,6 @@ def evaluate(params: MlpParams, data: TrainingData, ids) -> EvalReport:
         split_id="", overall_top1=overall, per_domain=per_domain,
         confusion=confusion, n_evaluated=len(ids), classes=data.categories,
     )
-
-
-def uniform_random_baseline(n_classes: int, ids=None) -> float:
-    """Expected top-1 (%) of a uniform random predictor: 100 / n_classes."""
-    if n_classes < 1:
-        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
-    return 100.0 / n_classes
 
 
 def write_history_csv(history: list[EpochStats], path: str | Path) -> None:

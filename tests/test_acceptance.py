@@ -20,7 +20,6 @@ from driftbench.analysis import (
 from driftbench.clustering import kmeans_fit
 from driftbench.dataset import load_manifest, pool_temporal
 from driftbench.shift_metric import (
-    GroupDistances,
     GroupKey,
     GroupingMode,
     score_dataset,
@@ -114,12 +113,11 @@ def test_criterion_04_shift_score_hand_cases():
     assert report.score_of("a") == 5.0
     assert report.score_of("b") == 5.0
 
-    # deltas [1, 3] at tau 2: mu 2, population sigma 1, score exactly 4
-    key = GroupKey(GroupingMode.DOMAIN, domain="g")
-    other = GroupKey(GroupingMode.DOMAIN, domain="h")
+    # prototypes at 0, 1 and 3 give g the deltas [1, 3]; at tau 2: mu 2,
+    # population sigma 1, score exactly 4
+    keys = [GroupKey(GroupingMode.DOMAIN, domain=d) for d in ("g", "h", "i")]
     report = shift_scores(
-        [GroupDistances(key, 1, np.array([1.0, 3.0])),
-         GroupDistances(other, 1, np.array([1.0, 2.0]))],
+        keys, [1, 1, 1], np.array([[0.0], [1.0], [3.0]]),
         tau=2.0, k_clusters=2, mode=GroupingMode.DOMAIN)
     assert report.score_of("g") == 4.0
 

@@ -1,6 +1,5 @@
-"""Rank correlation, published-table fixtures, and report emission."""
+"""Rank correlation, published-table fixtures, and shift-score ordering."""
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -12,14 +11,12 @@ from driftbench.analysis import (
     TABLE5_MLP_LITE_ACCURACY,
     check_table3_consistency,
     correlate_shift_accuracy,
-    emit_report,
     fixture_spearman,
     pearson,
     spearman,
 )
 from driftbench.dataset import pool_temporal
 from driftbench.shift_metric import (
-    GroupDistances,
     GroupKey,
     GroupingMode,
     score_dataset,
@@ -175,52 +172,11 @@ def test_growing_shift_drives_accuracy_down():
 
 
 def tiny_report():
+    # 1-D prototypes at 0, 1 and 3: deltas near [1, 3], mid [1, 2], far [3, 2]
     mode = GroupingMode.DOMAIN
-    distances = [
-        GroupDistances(GroupKey(mode, domain="near"), 10, np.array([1.0, 3.0])),
-        GroupDistances(GroupKey(mode, domain="mid"), 20, np.array([1.0, 2.0])),
-        GroupDistances(GroupKey(mode, domain="far"), 30, np.array([3.0, 2.0])),
-    ]
-    return shift_scores(distances, tau=2.0, k_clusters=4, mode=mode)
-
-
-def test_emit_report_files(tmp_path):
-    report = tiny_report()
-    acc = {"near": 80.0, "mid": 60.0, "far": 40.0}
-    corr = correlate_shift_accuracy(report, acc)
-    paths = emit_report(report, acc, corr, tmp_path)
-    assert sorted(p.name for p in paths.values()) == [
-        "report.csv", "report.json", "summary.txt"]
-
-    lines = (tmp_path / "report.csv").read_text().strip().splitlines()
-    assert lines[0] == "group,mu,sigma,score,member_count"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == report.groups[0].key.label
-    assert first[4] == str(report.groups[0].member_count)
-
-    obj = json.loads((tmp_path / "report.json").read_text())
-    assert obj["tau"] == 2.0 and obj["k_clusters"] == 4
-    assert obj["mode"] == "domain"
-    assert [g["group"] for g in obj["groups"]] == \
-        [g.key.label for g in report.groups]
-    assert obj["accuracies"] == acc
-    assert set(obj["correlation"]) == {"spearman", "pearson"}
-
-    summary = (tmp_path / "summary.txt").read_text()
-    body = summary.strip().splitlines()
-    assert body[1].split()[0] == report.groups[0].key.label
-    assert "spearman correlation" in summary
-    assert "pearson correlation" in summary
-
-
-def test_emit_report_without_correlation(tmp_path):
-    report = tiny_report()
-    emit_report(report, None, None, tmp_path)
-    summary = (tmp_path / "summary.txt").read_text()
-    assert "correlation omitted: fewer than 3 matched domains" in summary
-    obj = json.loads((tmp_path / "report.json").read_text())
-    assert "correlation" not in obj and "accuracies" not in obj
+    keys = [GroupKey(mode, domain=d) for d in ("near", "mid", "far")]
+    return shift_scores(keys, [10, 20, 30], np.array([[0.0], [1.0], [3.0]]),
+                        tau=2.0, k_clusters=4, mode=mode)
 
 
 def test_report_groups_sorted_by_score():

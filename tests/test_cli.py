@@ -177,6 +177,62 @@ def test_correlate_merges_eval_reports(workdir, capsys):
     assert len(obj["pairs"]) == 3
 
 
+def test_train_all_output_does_not_depend_on_threads(workdir, capsys):
+    args = data_args(workdir)
+    files = {}
+    for threads in ("1", "2", "3"):
+        out_dir = workdir / f"trainall_threads{threads}"
+        assert cli.main(["train-all", *args, "--epochs", "2", "--batch", "16",
+                         "--drop-prob", "0.5", "--hidden1", "8", "--hidden2", "4",
+                         "--seed", "3", "--threads", threads,
+                         "--out-dir", str(out_dir)]) == 0
+        files[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(files["1"]) == 3 * 4 + 1  # split, ckpt, history, eval per domain
+    assert files["1"] == files["2"] == files["3"]
+
+    score_dir = workdir / "score_threads"
+    assert cli.main(["score", *args, "--k-clusters", "6", "--seed", "0",
+                     "--out-dir", str(score_dir)]) == 0
+    correlations = []
+    for threads in ("1", "2"):
+        out_dir = workdir / f"trainall_threads{threads}"
+        corr_out = workdir / f"correlation_threads{threads}.json"
+        assert cli.main(["correlate",
+                         "--shift-report", str(score_dir / "shift_report.json"),
+                         *[arg for dom in ("dom00", "dom01", "dom02")
+                           for arg in ("--eval-report", str(out_dir / f"eval_{dom}.json"))],
+                         "--out", str(corr_out)]) == 0
+        correlations.append(corr_out.read_bytes())
+    capsys.readouterr()
+    assert correlations[0] == correlations[1]
+
+
+@pytest.mark.parametrize("command", ["score", "train", "train-all", "eval", "validate"])
+def test_manifest_row_past_pack_is_one_line_error(workdir, tmp_path, command, capsys):
+    data = workdir / "data"
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    n_rows = load_feature_pack(data / "features.egf").n_clips
+    for row in (n_rows, n_rows + 100):
+        last = json.loads(lines[-1])
+        last["row_index"] = row
+        manifest = tmp_path / f"manifest_{row}.jsonl"
+        manifest.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+        inputs = ["--manifest", str(manifest), "--features", str(data / "features.egf")]
+        argv = {
+            "score": ["score", *inputs, "--out-dir", str(tmp_path / "s")],
+            "train": ["train", *inputs, "--split", "x.tsv", "--out", "x.emlp"],
+            "train-all": ["train-all", *inputs, "--out-dir", str(tmp_path / "t")],
+            "eval": ["eval", *inputs, "--checkpoint", "x.emlp", "--ids", "x.txt",
+                     "--out", "x.json"],
+            "validate": ["validate", *inputs],
+        }[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"driftbench: error: {command}: {manifest}:{len(lines)}: "
+                              f"row_index {row} out of range [0, {n_rows})")
+
+
 def test_correlate_domain_mismatch(workdir, capsys):
     args = data_args(workdir)
     score_dir = workdir / "score"

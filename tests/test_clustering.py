@@ -3,12 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from driftbench.clustering import (
-    assign_nearest,
-    kmeans_fit,
-    load_centroids,
-    write_cluster_model,
-)
+from driftbench import clustering
+from driftbench.clustering import assign_nearest, kmeans_fit
 
 
 def brute_force_inertia(X, k):
@@ -60,6 +56,24 @@ class TestKmeansFit:
             kmeans_fit(X, 0)
         with pytest.raises(ValueError, match="non-finite"):
             kmeans_fit(np.array([[np.nan, 0.0]]), 1)
+
+    def test_rising_inertia_raises(self, monkeypatch):
+        # a poor start, one true Lloyd E-step, then every point sent to the
+        # other blob's centroid: iteration 2 raises the inertia of iteration 1
+        real = clustering.assign_nearest
+        calls = []
+
+        def rigged(X, centroids):
+            calls.append(1)
+            if len(calls) == 1:
+                return np.array([0, 0, 0, 1])
+            labels = real(X, centroids)
+            return labels if len(calls) == 2 else 1 - labels
+
+        monkeypatch.setattr(clustering, "assign_nearest", rigged)
+        X = np.array([[0.0], [0.1], [10.0], [10.1]])
+        with pytest.raises(RuntimeError, match="inertia rose"):
+            kmeans_fit(X, 2, seed=0)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(2)
@@ -122,22 +136,3 @@ class TestAssignNearest:
         with pytest.raises(ValueError, match="mismatch"):
             assign_nearest(np.zeros((2, 3)), np.zeros((2, 4)))
 
-
-def test_model_file_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((20, 3))
-    model = kmeans_fit(X, 4, seed=0)
-    p = tmp_path / "model.ekm"
-    write_cluster_model(model, p)
-    loaded = load_centroids(p)
-    assert loaded.shape == (4, 3)
-    # storage is float32, so compare at that precision
-    assert np.allclose(loaded, model.centroids, atol=1e-6)
-    assert np.array_equal(assign_nearest(X, loaded), model.assignments)
-
-
-def test_model_file_bad_magic(tmp_path):
-    p = tmp_path / "junk.ekm"
-    p.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        load_centroids(p)

@@ -7,7 +7,6 @@ from driftbench import dataset
 from driftbench.dataset import (
     FeatureSet,
     apply_category_mapping,
-    attach_clip_ids,
     load_category_mapping,
     load_feature_pack,
     load_manifest,
@@ -69,6 +68,20 @@ class TestLoadManifest:
         with pytest.raises(ValueError, match="row_index"):
             load_manifest(p, n_rows=3)
 
+    def test_shared_row_index_names_both_clips(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        write_lines(p, [
+            '{"clip_id": "x", "domain": "a", "category": "c", "row_index": 0}',
+            '{"clip_id": "y", "domain": "a", "category": "c", "row_index": 1}',
+            '{"clip_id": "z", "domain": "b", "category": "c", "row_index": 0}',
+        ])
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        msg = str(info.value)
+        assert msg.startswith(f"{p}:3: ")
+        assert "'z'" in msg and "'x'" in msg and "row_index 0" in msg
+        assert "\n" not in msg
+
     def test_round_trip(self, tmp_path, tiny_manifest):
         p = tmp_path / "m.jsonl"
         write_manifest(tiny_manifest, p)
@@ -117,11 +130,6 @@ class TestFeaturePack:
         write_feature_pack(fs, a)
         write_feature_pack(load_feature_pack(a), b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_attach_clip_ids_row_out_of_pack(self, tiny_features):
-        m = make_manifest([("x", "d", "c", 9)])
-        with pytest.raises(ValueError, match="row_index 9"):
-            attach_clip_ids(tiny_features, m)
 
 
 class TestPoolTemporal:

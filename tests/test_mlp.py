@@ -1,4 +1,6 @@
 """Network forward/backward math, loss, and checkpoint format."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,17 @@ def test_bce_loss_matches_clamped_probability_form():
     want_grad = (1.0 / (1.0 + np.exp(-logits)) - targets) / logits.size
     assert np.allclose(grad, want_grad, atol=1e-12)
     assert loss >= 0.0
+
+
+def test_bce_loss_extreme_logits_are_exact_and_warning_free():
+    logits = np.array([[800.0, -800.0], [-800.0, 800.0]])
+    targets = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, grad = ova_bce_loss(logits, targets)
+    # row 0 is right at full confidence, row 1 wrong by 800 on both classes
+    assert loss == 400.0
+    assert grad.tolist() == [[0.0, 0.0], [-0.25, 0.25]]
 
 
 def test_bce_loss_shape_mismatch():

@@ -3,16 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from driftbench import synth
+from driftbench import shift_metric, synth
 from driftbench.clustering import ClusterModel, kmeans_fit
 from driftbench.dataset import ClipRecord, pool_temporal
 from driftbench.shift_metric import (
-    GroupDistances,
     GroupKey,
-    GroupPrototype,
     GroupingMode,
-    group_prototypes,
-    prototype_distances,
     score_dataset,
     shift_scores,
     write_shift_report_csv,
@@ -34,6 +30,15 @@ def model_with(centroids, assignments):
     )
 
 
+@pytest.fixture
+def fixed_model(monkeypatch):
+    """Make score_dataset use the given cluster model instead of fitting one."""
+    def use(model):
+        monkeypatch.setattr(shift_metric, "kmeans_fit",
+                            lambda X, k_clusters, seed: model)
+    return use
+
+
 class TestGroupKey:
     def test_labels(self):
         assert GroupKey(GroupingMode.DOMAIN, domain="uk").label == "uk"
@@ -50,21 +55,26 @@ class TestGroupKey:
             GroupKey(GroupingMode.CLASS, domain="uk", category="pour")
 
 
-class TestGroupPrototypes:
-    def test_all_members_on_one_centroid(self):
-        recs = records_for([("a", "c")] * 3 + [("b", "c")])
-        model = model_with([[0.0, 0.0], [4.0, 0.0]], [1, 1, 1, 0])
-        X = np.zeros((4, 2))
-        protos = group_prototypes(X, recs, model, GroupingMode.DOMAIN)
-        by_label = {p.key.label: p for p in protos}
-        assert np.array_equal(by_label["a"].prototype, [4.0, 0.0])
-        assert by_label["a"].member_count == 3
+def group(report, label):
+    return next(g for g in report.groups if g.key.label == label)
 
-    def test_mean_of_assigned_centroids(self):
-        recs = records_for([("a", "c")] * 3)
-        model = model_with([[0.0, 0.0], [3.0, 0.0]], [0, 0, 1])
-        protos = group_prototypes(np.zeros((3, 2)), recs, model, GroupingMode.DOMAIN)
-        assert np.array_equal(protos[0].prototype, [1.0, 0.0])
+
+class TestGroupPrototypes:
+    def test_all_members_on_one_centroid(self, fixed_model):
+        recs = records_for([("a", "c")] * 3 + [("b", "c")])
+        fixed_model(model_with([[0.0, 0.0], [4.0, 0.0]], [1, 1, 1, 0]))
+        report = score_dataset(np.zeros((4, 2)), recs, k_clusters=2)
+        # prototype a = (4, 0), prototype b = (0, 0)
+        g = group(report, "a")
+        assert g.deltas.tolist() == [4.0]
+        assert g.member_count == 3
+
+    def test_mean_of_assigned_centroids(self, fixed_model):
+        recs = records_for([("a", "c")] * 3 + [("b", "c")])
+        fixed_model(model_with([[0.0, 0.0], [3.0, 0.0]], [0, 0, 1, 0]))
+        report = score_dataset(np.zeros((4, 2)), recs, k_clusters=2)
+        # prototype a = mean of (0,0), (0,0), (3,0) = (1, 0); b = (0, 0)
+        assert report.score_of("a") == 1.0
 
     def test_domain_class_matches_regrouping_oracle(self):
         rng = np.random.default_rng(6)
@@ -72,101 +82,117 @@ class TestGroupPrototypes:
         recs = records_for(pairs)
         X = rng.standard_normal((len(recs), 3))
         model = kmeans_fit(X, 4, seed=0)
-        protos = group_prototypes(X, recs, model, GroupingMode.DOMAIN_CLASS)
-        assert len(protos) == 6
-        for p in protos:
+        report = score_dataset(X, recs, k_clusters=4, seed=0,
+                               mode=GroupingMode.DOMAIN_CLASS)
+        assert len(report.groups) == 6
+        keys = sorted((g.key for g in report.groups), key=lambda k: k.label)
+        expected = {}
+        for key in keys:
             rows = [i for i, r in enumerate(recs)
-                    if r.domain == p.key.domain and r.category == p.key.category]
-            expected = model.centroids[model.assignments[rows]].mean(axis=0)
-            assert np.allclose(p.prototype, expected)
-            assert p.member_count == len(rows)
+                    if r.domain == key.domain and r.category == key.category]
+            expected[key] = model.centroids[model.assignments[rows]].mean(axis=0)
+            assert group(report, key.label).member_count == len(rows)
+        for g in report.groups:
+            want = [np.linalg.norm(expected[g.key] - expected[k])
+                    for k in keys if k != g.key]
+            assert np.allclose(g.deltas, want)
 
     def test_empty_dataset(self):
-        model = model_with([[0.0]], [])
         with pytest.raises(ValueError, match="empty"):
-            group_prototypes(np.zeros((0, 1)), [], model, GroupingMode.DOMAIN)
+            score_dataset(np.zeros((0, 1)), [], k_clusters=1)
 
     def test_alignment_mismatch(self):
         recs = records_for([("a", "c"), ("b", "c")])
-        model = model_with([[0.0]], [0, 0])
         with pytest.raises(ValueError, match="alignment"):
-            group_prototypes(np.zeros((3, 1)), recs, model, GroupingMode.DOMAIN)
+            score_dataset(np.zeros((3, 1)), recs, k_clusters=1)
 
 
-def proto(label, vec):
-    return GroupPrototype(
-        key=GroupKey(GroupingMode.DOMAIN, domain=label),
-        prototype=np.asarray(vec, dtype=np.float64), member_count=1,
-    )
+def scores_for(points, tau=2.0, counts=None):
+    """shift_scores over named prototypes, in the given order."""
+    keys = [GroupKey(GroupingMode.DOMAIN, domain=label) for label in points]
+    P = np.array([np.atleast_1d(v) for v in points.values()], dtype=np.float64)
+    return shift_scores(keys, counts or [1] * len(keys), P, tau)
+
+
+def deltas_of(report):
+    return {g.key.label: g.deltas.tolist() for g in report.groups}
 
 
 class TestPrototypeDistances:
     def test_two_groups_symmetric(self):
-        out = prototype_distances([proto("a", [0, 0]), proto("b", [3, 4])])
-        assert out[0].deltas.tolist() == [5.0]
-        assert out[1].deltas.tolist() == [5.0]
+        report = scores_for({"a": [0, 0], "b": [3, 4]})
+        assert deltas_of(report) == {"a": [5.0], "b": [5.0]}
 
     def test_three_collinear(self):
-        out = prototype_distances(
-            [proto("a", [0.0]), proto("b", [1.0]), proto("c", [3.0])])
-        assert out[0].deltas.tolist() == [1.0, 3.0]
-        assert out[1].deltas.tolist() == [1.0, 2.0]
-        assert out[2].deltas.tolist() == [3.0, 2.0]
+        report = scores_for({"a": 0.0, "b": 1.0, "c": 3.0})
+        assert deltas_of(report) == {"a": [1.0, 3.0], "b": [1.0, 2.0],
+                                     "c": [3.0, 2.0]}
 
     def test_identical_prototypes(self):
-        out = prototype_distances([proto(l, [2.0, 2.0]) for l in "abc"])
-        for gd in out:
-            assert gd.deltas.tolist() == [0.0, 0.0]
+        report = scores_for({label: [2.0, 2.0] for label in "abc"})
+        for g in report.groups:
+            assert g.deltas.tolist() == [0.0, 0.0]
 
     def test_single_group_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
-            prototype_distances([proto("a", [0.0])])
-
-
-def distances(label, deltas):
-    return GroupDistances(
-        key=GroupKey(GroupingMode.DOMAIN, domain=label),
-        member_count=1, deltas=np.asarray(deltas, dtype=np.float64),
-    )
+            scores_for({"a": 0.0})
 
 
 class TestShiftScores:
+    def test_misaligned_inputs_rejected(self):
+        keys = [GroupKey(GroupingMode.DOMAIN, domain=label) for label in "ab"]
+        with pytest.raises(ValueError, match="prototypes"):
+            shift_scores(keys, [1, 1], np.zeros((3, 1)))
+
     def test_published_style_row(self):
-        # deltas engineered so mu=6.30 and population sigma=0.24
-        report = shift_scores([distances("a", [6.06, 6.54]), distances("b", [1.0])])
-        g = report.groups[0]
+        # a's deltas are 6.06 and 6.54, so mu=6.30 and population sigma=0.24
+        report = scores_for({"a": 0.0, "b": 6.06, "c": -6.54})
+        g = group(report, "a")
         assert g.mu == pytest.approx(6.30)
         assert g.sigma == pytest.approx(0.24)
         assert g.score == pytest.approx(6.78)
 
     def test_two_groups_score_is_distance(self):
-        report = shift_scores(prototype_distances(
-            [proto("a", [0, 0]), proto("b", [3, 4])]))
+        report = scores_for({"a": [0, 0], "b": [3, 4]})
         for g in report.groups:
             assert g.sigma == 0.0
             assert g.score == 5.0
 
     def test_two_point_population_stats_exact(self):
-        report = shift_scores([distances("a", [1.0, 3.0]), distances("b", [1.0])])
-        g = report.score_of("a")
-        assert g == 4.0  # mu 2, population sigma 1, tau 2
-
-    def test_empty_delta_set(self):
-        with pytest.raises(ValueError, match="empty distance set"):
-            shift_scores([distances("a", [])])
+        report = scores_for({"a": 0.0, "b": 1.0, "c": 3.0})
+        assert report.score_of("a") == 4.0  # deltas [1, 3]: mu 2, sigma 1, tau 2
 
     def test_sorted_by_descending_score(self):
-        report = shift_scores([
-            distances("low", [1.0]), distances("high", [9.0]), distances("mid", [5.0]),
-        ])
+        # high: [1, 10] -> 14.5, mid: [1, 9] -> 13, low: [10, 9] -> 10.5
+        report = scores_for({"high": 0.0, "mid": 1.0, "low": 10.0})
         assert [g.key.label for g in report.groups] == ["high", "mid", "low"]
+
+    def test_member_counts_follow_keys(self):
+        report = scores_for({"a": 0.0, "b": 1.0, "c": 3.0}, counts=[10, 20, 30])
+        assert {g.key.label: g.member_count for g in report.groups} == \
+            {"a": 10, "b": 20, "c": 30}
+
+    def test_matches_per_group_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n_groups, dim = int(rng.integers(2, 40)), int(rng.integers(1, 60))
+            P = rng.standard_normal((n_groups, dim)) * rng.uniform(0.01, 100.0)
+            report = scores_for({f"g{i:02d}": P[i] for i in range(n_groups)})
+            full = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
+            for i in range(n_groups):
+                deltas = np.delete(full[i], i)
+                mu = float(deltas.mean())
+                sigma = float(np.sqrt(((deltas - mu) ** 2).mean()))
+                g = group(report, f"g{i:02d}")
+                assert g.deltas.tolist() == deltas.tolist()
+                assert (g.mu, g.sigma) == (mu, sigma)
 
     def test_score_identity_exact(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
-            deltas = rng.uniform(0.1, 9.0, size=rng.integers(1, 6))
-            report = shift_scores([distances("a", deltas), distances("b", [1.0])],
-                                  tau=float(rng.uniform(0.0, 3.0)))
+            n_groups = int(rng.integers(2, 7))
+            points = {f"g{i}": rng.uniform(-9.0, 9.0, size=3) for i in range(n_groups)}
+            report = scores_for(points, tau=float(rng.uniform(0.0, 3.0)))
             for g in report.groups:
                 assert g.score == g.mu + report.tau * g.sigma  # same arithmetic path
                 assert g.mu >= 0 and g.sigma >= 0 and g.score >= 0
@@ -213,7 +239,7 @@ class TestScoreDataset:
             assert ga.key == gb.key
             assert gb.score == pytest.approx(ga.score, rel=1e-6)
 
-    def test_sample_order_invariance_fixed_model(self):
+    def test_sample_order_invariance_fixed_model(self, fixed_model):
         spec = synth.SyntheticSpec(n_domains=3, n_classes=2, samples_per_cell=30,
                                    feature_dim=6, noise_scale=0.5)
         records, X = synth_domain_data(spec, seed=4)
@@ -224,10 +250,10 @@ class TestScoreDataset:
             assignments=model.assignments[perm], inertia=model.inertia,
             seed=model.seed, iterations_run=model.iterations_run,
         )
-        base = shift_scores(prototype_distances(
-            group_prototypes(X, records, model, GroupingMode.DOMAIN)))
-        shuffled = shift_scores(prototype_distances(group_prototypes(
-            X[perm], [records[i] for i in perm], permuted_model, GroupingMode.DOMAIN)))
+        fixed_model(model)
+        base = score_dataset(X, records, k_clusters=5)
+        fixed_model(permuted_model)
+        shuffled = score_dataset(X[perm], [records[i] for i in perm], k_clusters=5)
         for ga, gb in zip(base.groups, shuffled.groups):
             assert ga.key == gb.key
             assert gb.score == pytest.approx(ga.score, rel=1e-6)
@@ -246,11 +272,8 @@ class TestScoreDataset:
 
 class TestReportOutput:
     def make_report(self):
-        return shift_scores([
-            distances("east", [1.0, 3.0]),
-            distances("west", [1.0, 2.0]),
-            distances("north", [3.0, 2.0]),
-        ])
+        # deltas: east [1, 3], west [1, 2], north [3, 2]
+        return scores_for({"east": 0.0, "west": 1.0, "north": 3.0})
 
     def test_csv_layout(self, tmp_path):
         p = tmp_path / "report.csv"

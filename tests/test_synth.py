@@ -63,7 +63,6 @@ def test_record_layout_and_counts():
     assert len(man.records) == 3 * 2 * 5
     assert feats.n_clips == len(man.records)
     assert feats.values.shape == (30, 1, 8)
-    assert feats.clip_ids == [r.clip_id for r in man.records]
     ids = [r.clip_id for r in man.records]
     assert len(set(ids)) == len(ids)
     assert [r.row_index for r in man.records] == list(range(30))

@@ -17,7 +17,6 @@ from driftbench.training import (
     evaluate,
     read_eval_report,
     train,
-    uniform_random_baseline,
     write_eval_report,
     write_history_csv,
 )
@@ -270,14 +269,6 @@ def test_evaluate_rejects_empty_ids():
     params = init_params(4, 2, seed=0, hidden1=3, hidden2=2)
     with pytest.raises(ValueError, match="empty id list"):
         evaluate(params, data, [])
-
-
-def test_uniform_random_baseline():
-    assert abs(uniform_random_baseline(9) - 11.11111111111111) < 1e-12
-    assert uniform_random_baseline(1) == 100.0
-    assert abs(uniform_random_baseline(60) - 100.0 / 60.0) < 1e-12
-    with pytest.raises(ValueError, match="n_classes must be >= 1"):
-        uniform_random_baseline(0)
 
 
 def test_history_csv_layout(tmp_path):
