@@ -144,6 +144,14 @@ class TestShiftScores:
         with pytest.raises(ValueError, match="prototypes"):
             shift_scores(keys, [1, 1], np.zeros((3, 1)))
 
+    def test_empty_delta_set(self):
+        # zero or one group leaves every group with no distances to average
+        key = GroupKey(GroupingMode.DOMAIN, domain="a")
+        with pytest.raises(ValueError, match=">= 2"):
+            shift_scores([], [], np.zeros((0, 1)))
+        with pytest.raises(ValueError, match=">= 2"):
+            shift_scores([key], [1], np.zeros((1, 1)))
+
     def test_published_style_row(self):
         # a's deltas are 6.06 and 6.54, so mu=6.30 and population sigma=0.24
         report = scores_for({"a": 0.0, "b": 6.06, "c": -6.54})
