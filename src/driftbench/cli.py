@@ -113,9 +113,12 @@ def _cmd_validate(args, opts: GlobalOptions) -> str:
 
 def _cmd_score(args, opts: GlobalOptions) -> str:
     manifest, features = _load_inputs(args)
-    X = dataset.pool_temporal(features, args.pool)
+    # Rows in pack order, so the report depends on which rows the manifest
+    # names, not on the order of its lines.
+    records = sorted(manifest.records, key=lambda r: r.row_index)
+    X = dataset.pool_temporal(features, args.pool)[[r.row_index for r in records]]
     report = shift_metric.score_dataset(
-        X, list(manifest.records), k_clusters=args.k_clusters,
+        X, records, k_clusters=args.k_clusters,
         seed=opts.seed, mode=GroupingMode(args.grouping), tau=args.tau)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -27,23 +27,70 @@ class ClusterModel:
 
 
 def _pairwise_sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (N, K).
+    """Squared Euclidean distances by explicit difference, shape (N, K).
 
-    Computed by explicit difference rather than the ||x||^2 - 2x.c + ||c||^2
-    expansion: slower but never negative, so argmin tie-breaking is exact.
+    This is the reference that defines assignment: `assign_nearest`
+    returns exactly its row-wise argmin (lowest index on ties). It builds
+    an (N, K, D) temporary, so callers pass it only the few rows whose
+    ranking the cheaper expansion cannot settle.
     """
     return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
 def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the Euclidean-nearest centroid per row; ties -> lowest index."""
+    """Index of the Euclidean-nearest centroid per row; ties -> lowest index.
+
+    The result equals `_pairwise_sq_dists(X, centroids).argmin(axis=1)`
+    bit for bit. Centroids are ranked through the expansion
+    ||x||^2 - 2x.c + ||c||^2, one (N, K) matrix product. A row whose
+    best-versus-second margin there is not above a floating-point error
+    bound (ties, cancellation, inf or NaN) is recomputed by the explicit
+    form over all K columns; memory is O(N*K) plus O(K*D) per such row.
+    """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     if X.ndim != 2 or centroids.ndim != 2 or X.shape[1] != centroids.shape[1]:
         raise ValueError(
             f"dimension mismatch: X has shape {X.shape}, centroids {centroids.shape}"
         )
-    return _pairwise_sq_dists(X, centroids).argmin(axis=1)
+    n, d = X.shape
+    # Error bound. Let u = eps/2 and S = (||x|| + max||c||)^2, which is at
+    # least (||x|| + ||c||)^2 for every column c and so bounds each exact
+    # squared distance.
+    # - Expansion: each of ||x||^2, x.c and ||c||^2 is a D-term dot product,
+    #   off by at most gamma_D = D*u/(1 - D*u) times its sum of |terms| in
+    #   any summation order, FMA or not; together <= gamma_D*S. The two
+    #   additions add <= 2u*S. Total about (D+2)*u*S.
+    # - Explicit form: D nonnegative terms of 3 roundings each, then D-1
+    #   additions: <= gamma_{D+2} * exact <= about (D+2)*u*S.
+    # So both forms are within 2*(D+2)*u*S = (D+2)*eps*S of each other on
+    # every entry, and a row whose expansion margin exceeds twice that has
+    # the same unique argmin under the explicit form. tol doubles it again
+    # to cover the second-order terms and the rounding of S and tol; the
+    # eta term covers gradual underflow (<= eta/2 per product, eta the
+    # smallest subnormal). `~(margin > tol)` also sends NaN or inf margins,
+    # and rows whose tol overflowed, to the recheck, which then warns as
+    # the explicit form always has; hence the silenced errstate here.
+    eps = np.finfo(np.float64).eps
+    eta = np.finfo(np.float64).smallest_subnormal
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = np.einsum("ij,ij->i", X, X)
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        dists = X @ centroids.T
+        dists *= -2.0
+        dists += x_sq[:, None]
+        dists += c_sq
+        labels = dists.argmin(axis=1)
+        rows = np.arange(n)
+        best = dists[rows, labels]
+        dists[rows, labels] = np.inf
+        margin = dists.min(axis=1) - best
+        norm_bound = np.sqrt(x_sq) + np.sqrt(c_sq.max())
+        tol = 4.0 * (d + 4) * (eps * norm_bound * norm_bound + eta)
+    recheck = np.flatnonzero(~(margin > tol))
+    if recheck.size:
+        labels[recheck] = _pairwise_sq_dists(X[recheck], centroids).argmin(axis=1)
+    return labels
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -73,15 +120,19 @@ def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
     """
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k)
-    for empty in np.flatnonzero(counts == 0):
-        dists = ((X - centroids[labels]) ** 2).sum(axis=1)
+    empties = np.flatnonzero(counts == 0)
+    if empties.size == 0:
+        return labels
+    dists = ((X - centroids[labels]) ** 2).sum(axis=1)
+    for empty in empties:
         donors = counts[labels] >= 2
-        dists[~donors] = -1.0
-        mover = int(dists.argmax())
+        mover = int(np.where(donors, dists, -1.0).argmax())
         counts[labels[mover]] -= 1
         labels[mover] = empty
         counts[empty] = 1
         centroids[empty] = X[mover]
+        # The mover now sits on its own centroid; no other point's changed.
+        dists[mover] = 0.0
     return labels
 
 

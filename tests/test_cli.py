@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftbench import cli
-from driftbench.dataset import load_feature_pack, load_manifest
+from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
 from driftbench.synth import SyntheticSpec, generate
 
 SYNTH_ARGS = ["--domains", "3", "--classes", "3", "--per-cell", "6",
@@ -97,6 +97,41 @@ def test_score_writes_reports(workdir, capsys):
     assert (out_dir / "shift_report.csv").exists()
     obj = json.loads((out_dir / "shift_report.json").read_text())
     assert len(obj["groups"]) == 3
+
+
+def _score_bytes(tmp_path, name, manifest_lines, features):
+    manifest = tmp_path / f"{name}.jsonl"
+    manifest.write_text("\n".join(manifest_lines) + "\n")
+    out_dir = tmp_path / name
+    assert cli.main(["score", "--manifest", str(manifest), "--features", str(features),
+                     "--k-clusters", "6", "--seed", "0", "--out-dir", str(out_dir)]) == 0
+    return [(out_dir / f).read_bytes() for f in ("shift_report.csv", "shift_report.json")]
+
+
+def test_score_ignores_manifest_line_order(workdir, tmp_path, capsys):
+    data = workdir / "data"
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    features = data / "features.egf"
+    forward = _score_bytes(tmp_path, "forward", lines, features)
+    assert _score_bytes(tmp_path, "reversed", lines[::-1], features) == forward
+
+
+def test_score_manifest_subset_scores_named_rows(workdir, tmp_path, capsys):
+    # every other clip, lines shuffled, against the full pack; the same
+    # clips compacted into their own pack and re-indexed must score alike
+    data = workdir / "data"
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    kept = [json.loads(line) for line in lines[::2]]
+    shuffled = [json.dumps(kept[i]) for i in np.random.default_rng(3).permutation(len(kept))]
+    subset = _score_bytes(tmp_path, "subset", shuffled, data / "features.egf")
+
+    full = load_feature_pack(data / "features.egf")
+    rows = [obj["row_index"] for obj in kept]
+    compact_pack = tmp_path / "compact.egf"
+    write_feature_pack(FeatureSet(len(rows), full.temporal_count, full.feature_dim,
+                                  full.values[rows]), compact_pack)
+    compact = [json.dumps({**obj, "row_index": i}) for i, obj in enumerate(kept)]
+    assert subset == _score_bytes(tmp_path, "compact", compact, compact_pack)
 
 
 def test_splits_command(workdir, capsys):

@@ -136,3 +136,95 @@ class TestAssignNearest:
         with pytest.raises(ValueError, match="mismatch"):
             assign_nearest(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_unsettled_rows_go_through_explicit_recheck(self, monkeypatch):
+        # rows 0-29: points within ~1 of each other at an offset of 1e8,
+        # where the expansion's rounding (~10) swamps the true gaps; row 30:
+        # an exact tie between centroids 1 and 2
+        rng = np.random.default_rng(21)
+        X = np.vstack([rng.standard_normal((30, 4)) + 1e8, [[0.0, 0, 0, 2]]])
+        centroids = np.vstack([rng.standard_normal((5, 4)) + 1e8,
+                               [[0.0, 0, 0, 1]], [[0.0, 0, 0, 3]]])
+        want = clustering._pairwise_sq_dists(X, centroids).argmin(axis=1)
+        expansion = ((X ** 2).sum(axis=1)[:, None] - 2 * X @ centroids.T
+                     + (centroids ** 2).sum(axis=1)).argmin(axis=1)
+        assert (expansion != want).any()  # the expansion alone gets rows wrong
+
+        real = clustering._pairwise_sq_dists
+        rechecked = []
+
+        def spy(rows, c):
+            rechecked.extend(map(tuple, rows))
+            return real(rows, c)
+
+        monkeypatch.setattr(clustering, "_pairwise_sq_dists", spy)
+        got = assign_nearest(X, centroids)
+        assert np.array_equal(got, want)
+        assert got[30] == 5
+        assert set(map(tuple, X[expansion != want])) <= set(rechecked)
+        assert tuple(X[30]) in rechecked
+
+    def test_well_separated_rows_skip_recheck(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        centroids = np.arange(8.0)[:, None] * np.ones(3) * 10
+        X = centroids[rng.integers(0, 8, 50)] + rng.uniform(-1, 1, (50, 3))
+        calls = []
+        monkeypatch.setattr(clustering, "_pairwise_sq_dists",
+                            lambda *a: calls.append(a) or None)
+        assert np.array_equal(assign_nearest(X, centroids),
+                              np.rint(X[:, 0] / 10).astype(np.intp))
+        assert calls == []
+
+
+def _repair_empty_per_cluster_loop(X, labels, centroids, k):
+    """Reference: recompute every distance once per empty cluster."""
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=k)
+    for empty in np.flatnonzero(counts == 0):
+        dists = ((X - centroids[labels]) ** 2).sum(axis=1)
+        donors = counts[labels] >= 2
+        dists[~donors] = -1.0
+        mover = int(dists.argmax())
+        counts[labels[mover]] -= 1
+        labels[mover] = empty
+        counts[empty] = 1
+        centroids[empty] = X[mover]
+    return labels
+
+
+class TestRepairEmpty:
+    def test_several_empty_clusters_match_per_cluster_loop(self):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            n, k, d = int(rng.integers(8, 40)), int(rng.integers(3, 8)), 3
+            X = rng.standard_normal((n, d))
+            # only the first 1 or 2 centroids lie near the data
+            used = int(rng.integers(1, 3))
+            centroids = np.vstack([rng.standard_normal((used, d)),
+                                   rng.standard_normal((k - used, d)) + 1e3])
+            labels = assign_nearest(X, centroids)
+            assert np.bincount(labels, minlength=k).tolist().count(0) >= k - used
+            ref_centroids = centroids.copy()
+            want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, k)
+            got = clustering._repair_empty(X, labels, centroids, k)
+            assert np.array_equal(got, want), trial
+            assert centroids.tobytes() == ref_centroids.tobytes(), trial
+            assert (np.bincount(got, minlength=k) > 0).all()
+
+    @pytest.mark.parametrize("X, centroids", [
+        # equal distances among donors: argmax must take the lowest index
+        ([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3,
+         [[0.5, 0.5], [9.0, 9.0], [9.0, 9.5], [-9.0, 0.0]]),
+        # cluster 0 holds the two farthest points; after giving one up it
+        # has a single member and must not be drained for the next empty
+        ([[-10.0], [10.0], [49.0], [50.5], [51.0], [52.0]],
+         [[0.0], [50.0], [1000.0], [2000.0]]),
+    ])
+    def test_hand_cases_match_per_cluster_loop(self, X, centroids):
+        X, centroids = np.array(X), np.array(centroids)
+        labels = assign_nearest(X, centroids)
+        ref_centroids = centroids.copy()
+        want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, 4)
+        got = clustering._repair_empty(X, labels, centroids, 4)
+        assert np.array_equal(got, want)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        assert (np.bincount(got, minlength=4) > 0).all()
