@@ -189,7 +189,10 @@ def _cmd_eval(args, opts: GlobalOptions) -> str:
         split = splits.read_split_file(args.split, manifest)
         ids = list(getattr(split, f"{args.role}_ids"))
         split_id = f"{args.split}:{args.role}"
-    report = training.evaluate(params, data, ids)
+    try:
+        report = training.evaluate(params, data, ids)
+    except training.ModelMismatch as exc:
+        raise ValueError(f"{args.checkpoint}: {exc}") from None
     report.split_id = split_id
     training.write_eval_report(report, args.out)
     return (f"eval: top1 {report.overall_top1:.2f}% over {report.n_evaluated} "
@@ -327,6 +330,12 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
                    help="progress notes on stderr")
 
 
+def _add_inputs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--features", required=True)
+    p.add_argument("--category-map", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -344,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("score", help="cluster features and report shift scores")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--category-map", default=None)
+    _add_inputs(p)
     p.add_argument("--grouping", choices=[m.value for m in GroupingMode],
                    default=GroupingMode.DOMAIN.value)
     p.add_argument("--k-clusters", type=int, default=DEFAULT_K_CLUSTERS)
@@ -375,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pool", choices=["mean", "flatten"], default="flatten")
 
     p = sub.add_parser("train", help="train the two-layer model on one split")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--category-map", default=None)
+    _add_inputs(p)
     p.add_argument("--split", required=True)
     add_train_flags(p)
     p.add_argument("--out", required=True, metavar="CHECKPOINT")
@@ -388,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-all",
                        help="train and evaluate every hold-out domain")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--category-map", default=None)
+    _add_inputs(p)
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     add_train_flags(p)
     p.add_argument("--out-dir", required=True)
@@ -402,9 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on chosen clips")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--category-map", default=None)
+    _add_inputs(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ids", help="file with one clip id per line")
     group.add_argument("--split", help="split file; evaluates --role ids")

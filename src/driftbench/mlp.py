@@ -9,8 +9,9 @@ Shapes use B = batch, I = input width, H1/H2 = hidden widths, C = classes.
 """
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,41 +23,46 @@ DEFAULT_HIDDEN1 = 4096
 DEFAULT_HIDDEN2 = 512
 
 
-@dataclass
+FIELDS = ("w1", "b1", "ln1_gain", "ln1_bias", "w2", "b2", "ln2_gain", "ln2_bias",
+          "head_w", "head_b")
+
+
+def _shapes(dims) -> tuple[tuple[int, ...], ...]:
+    """Shape of each tensor in FIELDS order for dims (I, H1, H2, C)."""
+    if len(dims) != 4 or min(dims) < 1:
+        raise ValueError(f"all dimensions must be positive, got {tuple(dims)}")
+    i, h1, h2, c = dims
+    return ((i, h1), (h1,), (h1,), (h1,), (h1, h2), (h2,), (h2,), (h2,), (c, h2), (c,))
+
+
 class MlpParams:
-    w1: np.ndarray  # (I, H1)
-    b1: np.ndarray  # (H1,)
-    ln1_gain: np.ndarray  # (H1,)
-    ln1_bias: np.ndarray  # (H1,)
-    w2: np.ndarray  # (H1, H2)
-    b2: np.ndarray  # (H2,)
-    ln2_gain: np.ndarray  # (H2,)
-    ln2_bias: np.ndarray  # (H2,)
-    head_w: np.ndarray  # (C, H2)
-    head_b: np.ndarray  # (C,)
+    """The ten network tensors, each a reshaped view of one contiguous vector.
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
+    `flat` holds them back to back in FIELDS order, the body of an EMLP
+    file too; `dims` is (I, H1, H2, C). Each name in FIELDS is an attribute.
+    """
 
-    @property
-    def hidden1(self) -> int:
-        return self.w1.shape[1]
+    def __init__(self, dims, flat: np.ndarray):
+        shapes = _shapes(dims)
+        sizes = [math.prod(s) for s in shapes]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"size mismatch for dims {tuple(dims)}")
+        self.dims = tuple(dims)
+        self.input_dim, self.hidden1, self.hidden2, self.n_classes = self.dims
+        self.flat = flat
+        for name, shape, part in zip(FIELDS, shapes, np.split(flat, np.cumsum(sizes[:-1]))):
+            setattr(self, name, part.reshape(shape))
 
-    @property
-    def hidden2(self) -> int:
-        return self.w2.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.head_w.shape[0]
+    @classmethod
+    def zeros(cls, dims, dtype=np.float64) -> "MlpParams":
+        return cls(dims, np.zeros(sum(math.prod(s) for s in _shapes(dims)), dtype=dtype))
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Field name -> array, in declared field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Field name -> view, in FIELDS order."""
+        return {name: getattr(self, name) for name in FIELDS}
 
     def copy(self) -> "MlpParams":
-        return MlpParams(**{k: v.copy() for k, v in self.tensors().items()})
+        return MlpParams(self.dims, self.flat.copy())
 
 
 @dataclass
@@ -80,26 +86,19 @@ def init_params(input_dim: int, n_classes: int, seed: int = 0,
                 hidden1: int = DEFAULT_HIDDEN1, hidden2: int = DEFAULT_HIDDEN2,
                 dtype=np.float64) -> MlpParams:
     """Uniform(-s, s) weights with s = sqrt(6 / fan_in); zero biases, unit gains."""
-    if min(input_dim, n_classes, hidden1, hidden2) < 1:
-        raise ValueError("all dimensions must be positive")
+    params = MlpParams.zeros((input_dim, hidden1, hidden2, n_classes), dtype)
     rng = np.random.default_rng(seed)
 
-    def uniform(fan_in, shape):
+    def draw(weights, fan_in):
         s = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-s, s, size=shape).astype(dtype)
+        weights[...] = rng.uniform(-s, s, size=weights.shape)
 
-    return MlpParams(
-        w1=uniform(input_dim, (input_dim, hidden1)),
-        b1=np.zeros(hidden1, dtype=dtype),
-        ln1_gain=np.ones(hidden1, dtype=dtype),
-        ln1_bias=np.zeros(hidden1, dtype=dtype),
-        w2=uniform(hidden1, (hidden1, hidden2)),
-        b2=np.zeros(hidden2, dtype=dtype),
-        ln2_gain=np.ones(hidden2, dtype=dtype),
-        ln2_bias=np.zeros(hidden2, dtype=dtype),
-        head_w=uniform(hidden2, (n_classes, hidden2)),
-        head_b=np.zeros(n_classes, dtype=dtype),
-    )
+    draw(params.w1, input_dim)
+    draw(params.w2, hidden1)
+    draw(params.head_w, hidden2)
+    params.ln1_gain[...] = 1.0
+    params.ln2_gain[...] = 1.0
+    return params
 
 
 def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -148,14 +147,14 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
     z1 = batch @ params.w1 + params.b1
     a1, xhat1, inv_std1 = _layer_norm(z1, params.ln1_gain, params.ln1_bias)
     r1 = np.maximum(a1, 0.0)
-    mask1 = _dropout_mask(r1.shape, p1, rng) if train else np.ones_like(r1)
-    d1 = r1 * mask1
+    mask1 = _dropout_mask(r1.shape, p1, rng) if train else None
+    d1 = r1 * mask1 if train else r1
 
     z2 = d1 @ params.w2 + params.b2
     a2, xhat2, inv_std2 = _layer_norm(z2, params.ln2_gain, params.ln2_bias)
     r2 = np.maximum(a2, 0.0)
-    mask2 = _dropout_mask(r2.shape, p2, rng) if train else np.ones_like(r2)
-    d2 = r2 * mask2
+    mask2 = _dropout_mask(r2.shape, p2, rng) if train else None
+    d2 = r2 * mask2 if train else r2
 
     logits = d2 @ params.head_w.T + params.head_b
     if not train:
@@ -168,60 +167,52 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
 
 
 def _layer_norm_backward(d_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
-                         gain: np.ndarray):
-    """Gradient through y = gain * xhat + bias, including the norm statistics."""
-    d_gain = (d_out * xhat).sum(axis=0)
-    d_bias = d_out.sum(axis=0)
+                         gain: np.ndarray, g_gain: np.ndarray, g_bias: np.ndarray):
+    """dz through y = gain * xhat + bias and the norm statistics; fills g_gain, g_bias."""
+    (d_out * xhat).sum(axis=0, out=g_gain)
+    d_out.sum(axis=0, out=g_bias)
     d_xhat = d_out * gain
     h = xhat.shape[1]
-    dz = inv_std * (
+    return inv_std * (
         d_xhat
         - d_xhat.mean(axis=1, keepdims=True)
         - xhat * (d_xhat * xhat).sum(axis=1, keepdims=True) / h
     )
-    return dz, d_gain, d_bias
 
 
-def backward(params: MlpParams, trace: ForwardTrace,
-             grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray) -> MlpParams:
     """Exact parameter gradients for the forward composition above.
 
-    Returns a dict keyed like MlpParams.tensors(). grad_logits is the
+    Returns them as an MlpParams laid out like params. grad_logits is the
     loss gradient w.r.t. the logits from the matching forward call.
     """
     if trace.d2.shape[1] != params.hidden2 or trace.x.shape[1] != params.input_dim:
         raise ValueError("trace does not match params shapes")
-    grad_logits = np.asarray(grad_logits, dtype=params.w1.dtype)
+    grad_logits = np.asarray(grad_logits, dtype=params.flat.dtype)
     if grad_logits.shape != (trace.x.shape[0], params.n_classes):
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} != "
             f"({trace.x.shape[0]}, {params.n_classes})"
         )
+    g = MlpParams(params.dims, np.empty_like(params.flat))
 
-    g_head_w = grad_logits.T @ trace.d2
-    g_head_b = grad_logits.sum(axis=0)
+    np.matmul(grad_logits.T, trace.d2, out=g.head_w)
+    grad_logits.sum(axis=0, out=g.head_b)
     dd2 = grad_logits @ params.head_w
 
-    dr2 = dd2 * trace.mask2
-    da2 = dr2 * trace.relu2
-    dz2, g_ln2_gain, g_ln2_bias = _layer_norm_backward(
-        da2, trace.xhat2, trace.inv_std2, params.ln2_gain)
-    g_w2 = trace.d1.T @ dz2
-    g_b2 = dz2.sum(axis=0)
+    da2 = dd2 * trace.mask2 * trace.relu2
+    dz2 = _layer_norm_backward(da2, trace.xhat2, trace.inv_std2, params.ln2_gain,
+                               g.ln2_gain, g.ln2_bias)
+    np.matmul(trace.d1.T, dz2, out=g.w2)
+    dz2.sum(axis=0, out=g.b2)
     dd1 = dz2 @ params.w2.T
 
-    dr1 = dd1 * trace.mask1
-    da1 = dr1 * trace.relu1
-    dz1, g_ln1_gain, g_ln1_bias = _layer_norm_backward(
-        da1, trace.xhat1, trace.inv_std1, params.ln1_gain)
-    g_w1 = trace.x.T @ dz1
-    g_b1 = dz1.sum(axis=0)
-
-    return {
-        "w1": g_w1, "b1": g_b1, "ln1_gain": g_ln1_gain, "ln1_bias": g_ln1_bias,
-        "w2": g_w2, "b2": g_b2, "ln2_gain": g_ln2_gain, "ln2_bias": g_ln2_bias,
-        "head_w": g_head_w, "head_b": g_head_b,
-    }
+    da1 = dd1 * trace.mask1 * trace.relu1
+    dz1 = _layer_norm_backward(da1, trace.xhat1, trace.inv_std1, params.ln1_gain,
+                               g.ln1_gain, g.ln1_bias)
+    np.matmul(trace.x.T, dz1, out=g.w1)
+    dz1.sum(axis=0, out=g.b1)
+    return g
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -262,29 +253,21 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(params: MlpParams, path: str | Path) -> None:
-    """EMLP header, u32 dims (I, H1, H2, C), tensors as float32 LE in field order."""
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIII", params.input_dim, params.hidden1, params.hidden2, params.n_classes
-    )
-    blobs = [np.ascontiguousarray(t, dtype="<f4").tobytes()
-             for t in params.tensors().values()]
-    Path(path).write_bytes(header + b"".join(blobs))
+    """EMLP header, u32 dims (I, H1, H2, C), then `flat` as float32 LE."""
+    header = CHECKPOINT_MAGIC + struct.pack("<IIII", *params.dims)
+    Path(path).write_bytes(header + params.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> MlpParams:
+    """Read an EMLP file; bad magic, dims, size or a non-finite weight raise one line."""
     raw = Path(path).read_bytes()
     if len(raw) < 20 or raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
-    i, h1, h2, c = struct.unpack("<IIII", raw[4:20])
-    shapes = [(i, h1), (h1,), (h1,), (h1,), (h1, h2), (h2,), (h2,), (h2,),
-              (c, h2), (c,)]
-    total = sum(int(np.prod(s)) for s in shapes)
-    if len(raw) != 20 + total * 4:
-        raise ValueError(f"{path}: size mismatch for dims ({i}, {h1}, {h2}, {c})")
-    flat = np.frombuffer(raw[20:], dtype="<f4").astype(dtype)
-    arrays, offset = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    return MlpParams(*arrays)
+    dims = struct.unpack("<IIII", raw[4:20])
+    try:
+        params = MlpParams(dims, np.frombuffer(raw, dtype="<f4", offset=20).astype(dtype))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.isfinite(params.flat).all():
+        raise ValueError(f"{path}: non-finite weight")
+    return params

@@ -24,6 +24,7 @@ EVAL_BATCH = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # elements per slice of the Adam pass
 
 
 @dataclass(frozen=True)
@@ -43,34 +44,40 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first moment, laid out like MlpParams.flat
+    v: np.ndarray  # second moment, likewise
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(t) for k, t in params.tensors().items()},
-            v={k: np.zeros_like(t) for k, t in params.tensors().items()},
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: MlpParams, grads: dict[str, np.ndarray], state: AdamState,
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
               config: TrainConfig) -> tuple[MlpParams, AdamState]:
-    """Bias-corrected Adam update, applied to each parameter tensor in place."""
+    """Bias-corrected Adam update of params.flat, in place, in one blockwise pass.
+
+    Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads as its scratch.
+    """
     state.step += 1
     t = state.step
-    for name, tensor in params.tensors().items():
-        g = grads[name]
-        if g.shape != tensor.shape:
-            raise ValueError(f"gradient shape {g.shape} != param {name} {tensor.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
-        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
-        tensor -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if grads.dims != params.dims:
+        raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
+    if not np.isfinite(grads.flat).all():
+        name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
+        raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
+    for lo in range(0, params.flat.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v = grads.flat[block], state.m[block], state.v[block]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=g)
+        g *= config.learning_rate
+        g /= np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS
+        params.flat[block] -= g
     return params, state
 
 
@@ -129,6 +136,10 @@ class EvalReport:
     confusion: np.ndarray  # (C, C), rows = true class, cols = predicted
     n_evaluated: int
     classes: tuple[str, ...]
+
+
+class ModelMismatch(ValueError):
+    """The model's input width or class count differs from the data's."""
 
 
 def _eval_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
@@ -191,15 +202,19 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, val_top1=val_top1))
         if val_top1 > best_top1:  # strict: ties keep the earlier epoch
             best_top1 = val_top1
-            best_params = params.copy()
+            best_params.flat[:] = params.flat
 
     if not len(val_rows) and config.epochs > 0:
-        best_params = params.copy()
+        best_params = params
     return best_params, history
 
 
 def evaluate(params: MlpParams, data: TrainingData, ids) -> EvalReport:
     """Eval-mode top-1 over the given clip ids, broken down by domain."""
+    if (params.input_dim, params.n_classes) != (data.X.shape[1], data.n_classes):
+        raise ModelMismatch(
+            f"model takes {params.input_dim} features and {params.n_classes} classes, "
+            f"data has {data.X.shape[1]} features and {data.n_classes} classes")
     ids = list(ids)
     if not ids:
         raise ValueError("empty id list")

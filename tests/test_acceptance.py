@@ -176,7 +176,7 @@ def test_criterion_06_gradients_match_finite_differences():
             down = loss_now()
             flat[idx] = orig
             fd = (up - down) / (2.0 * h)
-            an = grads[name].reshape(-1)[idx]
+            an = grads.tensors()[name].reshape(-1)[idx]
             worst = max(worst, abs(an - fd) / max(1e-8, abs(an), abs(fd)))
             checked += 1
     assert checked >= 200

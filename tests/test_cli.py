@@ -6,6 +6,7 @@ import pytest
 
 from driftbench import cli
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
+from driftbench.mlp import init_params, save_checkpoint
 from driftbench.synth import SyntheticSpec, generate
 
 SYNTH_ARGS = ["--domains", "3", "--classes", "3", "--per-cell", "6",
@@ -301,6 +302,37 @@ def test_eval_with_ids_file(workdir, capsys):
     assert cli.main(["eval", *args, "--checkpoint", str(ckpt),
                      "--ids", str(ids), "--out", str(out)]) == 1
     assert "unknown clip id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data_classes, ckpt_dims", [
+    (3, (16, 5)),  # more model classes than data classes: predictions past the labels
+    (5, (16, 3)),  # fewer: a report over classes the model never scores
+    (3, (32, 3)),  # input width
+])
+def test_eval_model_data_mismatch_is_one_line_error(tmp_path, data_classes, ckpt_dims,
+                                                    capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--domains", "2", "--classes", str(data_classes),
+                     "--per-cell", "4", "--dim", "16", "--seed", "0",
+                     "--out-dir", str(data)]) == 0
+    ckpt = tmp_path / "model.emlp"
+    in_dim, n_classes = ckpt_dims
+    save_checkpoint(init_params(in_dim, n_classes, hidden1=8, hidden2=4), ckpt)
+    ids = tmp_path / "ids.txt"
+    ids.write_text("\n".join(r.clip_id for r in
+                             load_manifest(data / "manifest.jsonl").records) + "\n")
+    out = tmp_path / "eval.json"
+    capsys.readouterr()
+    code = cli.main(["eval", "--manifest", str(data / "manifest.jsonl"),
+                     "--features", str(data / "features.egf"), "--checkpoint", str(ckpt),
+                     "--ids", str(ids), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        f"driftbench: error: eval: {ckpt}: model takes {in_dim} features and "
+        f"{n_classes} classes, data has 16 features and {data_classes} classes")
+    assert not out.exists()
 
 
 def test_eval_ids_and_split_conflict(workdir, capsys):

@@ -1,10 +1,13 @@
 """Network forward/backward math, loss, and checkpoint format."""
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from driftbench.mlp import (
+    CHECKPOINT_MAGIC,
+    FIELDS,
     LN_EPS,
     MlpParams,
     backward,
@@ -208,10 +211,66 @@ def test_backward_zero_grad_logits():
     _, trace = forward(p, x, mode="train", drop_prob=0.0,
                        rng=np.random.default_rng(0))
     grads = backward(p, trace, np.zeros((5, 2)))
-    assert set(grads) == set(p.tensors())
-    for name, g in grads.items():
+    assert isinstance(grads, MlpParams) and grads.dims == p.dims
+    assert set(grads.tensors()) == set(p.tensors())
+    for name, g in grads.tensors().items():
         assert np.all(g == 0.0), name
         assert g.shape == p.tensors()[name].shape
+
+
+def reference_backward(params, trace, grad_logits):
+    """Backward written per tensor, returning a dict: the reference for backward."""
+    def ln_backward(d_out, xhat, inv_std, gain):
+        d_gain = (d_out * xhat).sum(axis=0)
+        d_bias = d_out.sum(axis=0)
+        d_xhat = d_out * gain
+        h = xhat.shape[1]
+        dz = inv_std * (
+            d_xhat
+            - d_xhat.mean(axis=1, keepdims=True)
+            - xhat * (d_xhat * xhat).sum(axis=1, keepdims=True) / h
+        )
+        return dz, d_gain, d_bias
+
+    g_head_w = grad_logits.T @ trace.d2
+    g_head_b = grad_logits.sum(axis=0)
+    dd2 = grad_logits @ params.head_w
+    dr2 = dd2 * trace.mask2
+    da2 = dr2 * trace.relu2
+    dz2, g_ln2_gain, g_ln2_bias = ln_backward(da2, trace.xhat2, trace.inv_std2,
+                                              params.ln2_gain)
+    g_w2 = trace.d1.T @ dz2
+    g_b2 = dz2.sum(axis=0)
+    dd1 = dz2 @ params.w2.T
+    dr1 = dd1 * trace.mask1
+    da1 = dr1 * trace.relu1
+    dz1, g_ln1_gain, g_ln1_bias = ln_backward(da1, trace.xhat1, trace.inv_std1,
+                                              params.ln1_gain)
+    g_w1 = trace.x.T @ dz1
+    g_b1 = dz1.sum(axis=0)
+    return {
+        "w1": g_w1, "b1": g_b1, "ln1_gain": g_ln1_gain, "ln1_bias": g_ln1_bias,
+        "w2": g_w2, "b2": g_b2, "ln2_gain": g_ln2_gain, "ln2_bias": g_ln2_bias,
+        "head_w": g_head_w, "head_b": g_head_b,
+    }
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_backward_matches_dict_reference_bitwise(case):
+    rng = np.random.default_rng(100 + case)
+    i, h1, h2, c = (int(d) for d in rng.integers(1, 48, size=4))
+    c = max(c, 2)
+    p = init_params(i, c, seed=case, hidden1=h1, hidden2=h2)
+    x = rng.standard_normal((int(rng.integers(1, 40)), i)) * 3.0
+    logits, trace = forward(p, x, mode="train", drop_prob=0.5,
+                            rng=np.random.default_rng(case))
+    _, grad_logits = ova_bce_loss(logits, one_hot(rng.integers(0, c, len(x)), c))
+    got = backward(p, trace, grad_logits)
+    want = reference_backward(p, trace, grad_logits)
+    assert list(got.tensors()) == list(want)
+    for name, g in got.tensors().items():
+        assert g.shape == want[name].shape, name
+        assert np.array_equal(g, want[name]), name
 
 
 def test_backward_error_paths():
@@ -247,7 +306,7 @@ def test_backward_matches_finite_differences_spot_check():
             down = loss_at(p, x, targets)
             flat[idx] = orig
             fd = (up - down) / (2 * h)
-            an = grads[name].reshape(-1)[idx]
+            an = grads.tensors()[name].reshape(-1)[idx]
             assert abs(fd - an) <= 1e-6 * max(1.0, abs(fd), abs(an)), (name, idx)
 
 
@@ -268,9 +327,9 @@ def test_fully_dropped_second_layer_blocks_upstream_gradient():
     grads = backward(p, trace, grad_logits)
     for name in ("w1", "b1", "ln1_gain", "ln1_bias", "w2", "b2",
                  "ln2_gain", "ln2_bias", "head_w"):
-        assert np.all(grads[name] == 0.0), name
+        assert np.all(getattr(grads, name) == 0.0), name
     # bias on the heads still sees the loss directly
-    assert np.any(grads["head_b"] != 0.0)
+    assert np.any(grads.head_b != 0.0)
 
 
 def test_predict_argmax_and_ties():
@@ -329,6 +388,46 @@ def test_checkpoint_corruption_detected(tmp_path):
     short.write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="size mismatch"):
         load_checkpoint(short)
+
+
+def test_checkpoint_rejects_zero_width(tmp_path):
+    # the size matches the header: H1 = 0 leaves 3*H2 + C*H2 + C floats
+    i, h1, h2, c = 16, 0, 4, 3
+    path = tmp_path / "zero.emlp"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIII", i, h1, h2, c)
+                     + np.zeros(3 * h2 + c * h2 + c, dtype="<f4").tobytes())
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == (f"{path}: all dimensions must be positive, "
+                              "got (16, 0, 4, 3)")
+
+
+def test_checkpoint_rejects_non_finite_weight(tmp_path):
+    for bad in (np.nan, np.inf):
+        p = tiny_params()
+        p.ln2_bias[1] = bad
+        path = tmp_path / "bad.emlp"
+        save_checkpoint(p, path)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: non-finite weight"
+
+
+def test_params_layout_is_one_vector():
+    p = init_params(5, 3, seed=2, hidden1=4, hidden2=6)
+    assert p.dims == (5, 4, 6, 3)
+    assert (p.input_dim, p.hidden1, p.hidden2, p.n_classes) == p.dims
+    assert list(p.tensors()) == list(FIELDS)
+    want = [(5, 4), (4,), (4,), (4,), (4, 6), (6,), (6,), (6,), (3, 6), (3,)]
+    assert [t.shape for t in p.tensors().values()] == want
+    assert p.flat.size == sum(t.size for t in p.tensors().values())
+    assert np.array_equal(p.flat, np.concatenate([t.ravel() for t in p.tensors().values()]))
+    p.flat[:] = np.arange(p.flat.size)
+    assert p.w1[0, 1] == 1.0 and p.b1[0] == 20.0 and p.head_b[-1] == p.flat.size - 1
+    with pytest.raises(ValueError, match="positive"):
+        MlpParams((5, 4, 0, 3), np.zeros(0))
+    with pytest.raises(ValueError, match="size mismatch"):
+        MlpParams(p.dims, np.zeros(p.flat.size + 1))
 
 
 def test_params_copy_is_independent():

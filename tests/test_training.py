@@ -4,12 +4,17 @@ import pytest
 
 from conftest import make_features, make_manifest
 import driftbench.mlp as mlp
-from driftbench.mlp import init_params, save_checkpoint
+from driftbench.mlp import MlpParams, init_params, save_checkpoint
 from driftbench.splits import SplitSpec, build_lodo_split
 from driftbench.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     AdamState,
     EpochStats,
     EvalReport,
+    ModelMismatch,
     TrainConfig,
     TrainingData,
     adam_step,
@@ -67,7 +72,7 @@ def test_adam_zero_gradient_is_noop():
     params = init_params(3, 2, seed=0, hidden1=2, hidden2=2)
     before = {k: v.copy() for k, v in params.tensors().items()}
     state = AdamState.zeros_like(params)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+    grads = MlpParams.zeros(params.dims)
     params, state = adam_step(params, grads, state, TrainConfig())
     for name, t in params.tensors().items():
         assert np.array_equal(t, before[name]), name
@@ -79,8 +84,8 @@ def test_adam_first_step_magnitude():
     params = init_params(1, 2, seed=0, hidden1=1, hidden2=1)
     before = params.w1.copy()
     state = AdamState.zeros_like(params)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-    grads["w1"] = np.array([[2.5]])
+    grads = MlpParams.zeros(params.dims)
+    grads.w1[...] = np.array([[2.5]])
     cfg = TrainConfig(learning_rate=0.01)
     adam_step(params, grads, state, cfg)
     delta = float(params.w1[0, 0] - before[0, 0])
@@ -94,10 +99,10 @@ def test_adam_descends_quadratic():
     params.w1[...] = 3.0
     state = AdamState.zeros_like(params)
     cfg = TrainConfig(learning_rate=0.1)
-    zeros = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     prev = abs(float(params.w1[0, 0]))
     for _ in range(10):
-        grads = dict(zeros, w1=2.0 * params.w1)
+        grads = MlpParams.zeros(params.dims)
+        grads.w1[...] = 2.0 * params.w1
         adam_step(params, grads, state, cfg)
         cur = abs(float(params.w1[0, 0]))
         assert cur < prev
@@ -107,14 +112,49 @@ def test_adam_descends_quadratic():
 def test_adam_rejects_bad_gradients():
     params = init_params(2, 2, seed=0, hidden1=2, hidden2=2)
     state = AdamState.zeros_like(params)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-    grads["b2"] = np.zeros(3)
+    grads = MlpParams.zeros((2, 2, 3, 2))  # b2 of width 3, not 2
     with pytest.raises(ValueError, match="gradient shape"):
         adam_step(params, grads, state, TrainConfig())
-    grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-    grads["w2"][0, 0] = np.inf
+    grads = MlpParams.zeros(params.dims)
+    grads.w2[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite gradient in w2"):
         adam_step(params, grads, state, TrainConfig())
+
+
+def reference_adam_step(tensors, grads, m, v, t, lr):
+    """Adam per tensor in its textbook expression form: the reference for adam_step."""
+    for name, tensor in tensors.items():
+        g = grads[name]
+        m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = m[name] / (1 - ADAM_BETA1 ** t)
+        v_hat = v[name] / (1 - ADAM_BETA2 ** t)
+        tensor -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_adam_step_matches_per_tensor_reference_bitwise(case):
+    rng = np.random.default_rng(case)
+    # case 0 spans two ADAM_BLOCK slices, the rest are small random widths
+    dims = (300, 130, 9, 3) if case == 0 else tuple(int(d) for d in rng.integers(1, 40, 4))
+    params = init_params(dims[0], dims[3], seed=case, hidden1=dims[1], hidden2=dims[2])
+    assert (params.flat.size > ADAM_BLOCK) == (case == 0)
+    ref = {k: t.copy() for k, t in params.tensors().items()}
+    ref_m = {k: np.zeros_like(t) for k, t in ref.items()}
+    ref_v = {k: np.zeros_like(t) for k, t in ref.items()}
+    state = AdamState.zeros_like(params)
+    cfg = TrainConfig(learning_rate=float(rng.choice([1e-3, 0.01, 0.3])))
+    for t in range(1, 6):
+        # magnitudes from 1e-12 to 1e3, some exact zeros
+        grads = MlpParams(params.dims, rng.standard_normal(params.flat.size)
+                          * 10.0 ** rng.uniform(-12, 3, params.flat.size))
+        grads.flat[rng.random(params.flat.size) < 0.1] = 0.0
+        ref_grads = {k: g.copy() for k, g in grads.tensors().items()}
+        reference_adam_step(ref, ref_grads, ref_m, ref_v, t, cfg.learning_rate)
+        adam_step(params, grads, state, cfg)
+        assert state.step == t
+        for got, want in ((params.flat, ref), (state.m, ref_m), (state.v, ref_v)):
+            assert np.array_equal(got, np.concatenate([w.ravel() for w in want.values()]))
 
 
 def test_training_data_follows_manifest_order():
@@ -269,6 +309,17 @@ def test_evaluate_rejects_empty_ids():
     params = init_params(4, 2, seed=0, hidden1=3, hidden2=2)
     with pytest.raises(ValueError, match="empty id list"):
         evaluate(params, data, [])
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (4, 1), (5, 2)])
+def test_evaluate_rejects_model_that_does_not_fit_the_data(dims):
+    man, data = make_data()  # 4 features, 2 classes
+    params = init_params(dims[0], dims[1], seed=0, hidden1=3, hidden2=2)
+    ids = [r.clip_id for r in man.records]
+    with pytest.raises(ModelMismatch, match=f"model takes {dims[0]} features and "
+                       f"{dims[1]} classes, data has 4 features and 2 classes"):
+        evaluate(params, data, ids)
+    assert issubclass(ModelMismatch, ValueError)
 
 
 def test_history_csv_layout(tmp_path):
