@@ -142,6 +142,8 @@ def _cmd_splits(args, opts: GlobalOptions) -> str:
 
 
 def _best_epoch_line(history) -> str:
+    if not history:
+        return "no epoch ran, kept the initial weights"
     best = None
     for row in history:
         if np.isnan(row.val_top1):
@@ -170,12 +172,19 @@ def _cmd_train(args, opts: GlobalOptions) -> str:
 
 
 def _read_id_file(path: str | Path) -> list[str]:
-    ids = [line.strip() for line in
-           Path(path).read_text(encoding="utf-8").splitlines()]
-    ids = [i for i in ids if i]
+    """Clip ids, one per line; blank lines are skipped, a repeated id is refused."""
+    ids: dict[str, int] = {}  # id -> line it first appears on
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        cid = line.strip()
+        if cid in ids:
+            raise ValueError(f"{path}:{lineno}: duplicate clip id {cid!r} "
+                             f"(first on line {ids[cid]})")
+        if cid:
+            ids[cid] = lineno
     if not ids:
         raise ValueError(f"{path}: no clip ids found")
-    return ids
+    return list(ids)
 
 
 def _cmd_eval(args, opts: GlobalOptions) -> str:

@@ -142,7 +142,10 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     Stops when the labels stop changing, when the relative inertia
     improvement falls below REL_TOL, or after MAX_ITER iterations. The
     returned assignments are consistent with the returned centroids (final
-    E-step), and no cluster is empty.
+    E-step), and no cluster is empty. The exception is a final E-step that
+    needed an empty-cluster repair, as it always does when k exceeds the
+    number of distinguishable rows: the repaired labels can then differ
+    from assign_nearest.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

@@ -102,16 +102,28 @@ def init_params(input_dim: int, n_classes: int, seed: int = 0,
 
 
 def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mean = z.mean(axis=1, keepdims=True)
-    var = z.var(axis=1, keepdims=True)
+    """Return (gain * xhat + bias, xhat, inv_std) over the rows of z (B, H).
+
+    Consumes z: it is centred and scaled in place and comes back as xhat.
+    The roundings are those of z.mean, z.var and the expression form.
+    """
+    h = z.shape[1]
+    mean = z.sum(axis=1, keepdims=True)  # what ndarray.mean does, then /= h
+    mean /= h
+    z -= mean
+    out = np.square(z)
+    var = out.sum(axis=1, keepdims=True)
+    var /= h
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (z - mean) * inv_std
-    return gain * xhat + bias, xhat, inv_std
+    z *= inv_std
+    np.multiply(gain, z, out=out)
+    out += bias
+    return out, z, inv_std
 
 
 def _dropout_mask(shape, drop_prob: float, rng: np.random.Generator) -> np.ndarray:
     keep = 1.0 - drop_prob
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    return np.multiply(rng.random(shape) < keep, 1.0 / keep)
 
 
 def _as_prob_pair(drop_prob) -> tuple[float, float]:
@@ -144,40 +156,50 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
         raise ValueError("train mode requires an rng for the dropout masks")
     p1, p2 = _as_prob_pair(drop_prob)
 
-    z1 = batch @ params.w1 + params.b1
-    a1, xhat1, inv_std1 = _layer_norm(z1, params.ln1_gain, params.ln1_bias)
-    r1 = np.maximum(a1, 0.0)
-    mask1 = _dropout_mask(r1.shape, p1, rng) if train else None
-    d1 = r1 * mask1 if train else r1
+    def layer(x, w, b, gain, bias, p):
+        # linear -> layer norm -> ReLU -> dropout, each in place on its buffer
+        z = x @ w
+        z += b
+        d, xhat, inv_std = _layer_norm(z, gain, bias)
+        np.maximum(d, 0.0, out=d)
+        if not train:
+            return d, None
+        relu = d > 0
+        mask = _dropout_mask(d.shape, p, rng)
+        d *= mask
+        return d, (xhat, inv_std, relu, mask, d)
 
-    z2 = d1 @ params.w2 + params.b2
-    a2, xhat2, inv_std2 = _layer_norm(z2, params.ln2_gain, params.ln2_bias)
-    r2 = np.maximum(a2, 0.0)
-    mask2 = _dropout_mask(r2.shape, p2, rng) if train else None
-    d2 = r2 * mask2 if train else r2
-
-    logits = d2 @ params.head_w.T + params.head_b
+    d1, cache1 = layer(batch, params.w1, params.b1, params.ln1_gain, params.ln1_bias, p1)
+    d2, cache2 = layer(d1, params.w2, params.b2, params.ln2_gain, params.ln2_bias, p2)
+    logits = d2 @ params.head_w.T
+    logits += params.head_b
     if not train:
         return logits
-    trace = ForwardTrace(
-        x=batch, xhat1=xhat1, inv_std1=inv_std1, relu1=a1 > 0, mask1=mask1, d1=d1,
-        xhat2=xhat2, inv_std2=inv_std2, relu2=a2 > 0, mask2=mask2, d2=d2,
-    )
-    return logits, trace
+    return logits, ForwardTrace(batch, *cache1, *cache2)
 
 
 def _layer_norm_backward(d_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                          gain: np.ndarray, g_gain: np.ndarray, g_bias: np.ndarray):
-    """dz through y = gain * xhat + bias and the norm statistics; fills g_gain, g_bias."""
-    (d_out * xhat).sum(axis=0, out=g_gain)
-    d_out.sum(axis=0, out=g_bias)
-    d_xhat = d_out * gain
+    """dz through y = gain * xhat + bias and the norm statistics; fills g_gain, g_bias.
+
+    Consumes d_out: dz is computed in place and d_out is returned. With
+    d_xhat = d_out * gain, the roundings are those of
+    inv_std * (d_xhat - d_xhat.mean(1) - (xhat * (d_xhat * xhat).sum(1)) / H).
+    """
     h = xhat.shape[1]
-    return inv_std * (
-        d_xhat
-        - d_xhat.mean(axis=1, keepdims=True)
-        - xhat * (d_xhat * xhat).sum(axis=1, keepdims=True) / h
-    )
+    scratch = np.multiply(d_out, xhat)
+    scratch.sum(axis=0, out=g_gain)
+    d_out.sum(axis=0, out=g_bias)
+    d_out *= gain
+    mean = d_out.sum(axis=1, keepdims=True)
+    mean /= h
+    proj = np.multiply(d_out, xhat, out=scratch).sum(axis=1, keepdims=True)
+    d_out -= mean
+    np.multiply(xhat, proj, out=scratch)
+    scratch /= h  # (xhat * S) / H: xhat * (S / H) rounds differently unless H is 2^k
+    d_out -= scratch
+    d_out *= inv_std
+    return d_out
 
 
 def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray) -> MlpParams:
@@ -200,15 +222,17 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray) ->
     grad_logits.sum(axis=0, out=g.head_b)
     dd2 = grad_logits @ params.head_w
 
-    da2 = dd2 * trace.mask2 * trace.relu2
-    dz2 = _layer_norm_backward(da2, trace.xhat2, trace.inv_std2, params.ln2_gain,
+    dd2 *= trace.mask2
+    dd2 *= trace.relu2
+    dz2 = _layer_norm_backward(dd2, trace.xhat2, trace.inv_std2, params.ln2_gain,
                                g.ln2_gain, g.ln2_bias)
     np.matmul(trace.d1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
     dd1 = dz2 @ params.w2.T
 
-    da1 = dd1 * trace.mask1 * trace.relu1
-    dz1 = _layer_norm_backward(da1, trace.xhat1, trace.inv_std1, params.ln1_gain,
+    dd1 *= trace.mask1
+    dd1 *= trace.relu1
+    dz1 = _layer_norm_backward(dd1, trace.xhat1, trace.inv_std1, params.ln1_gain,
                                g.ln1_gain, g.ln1_bias)
     np.matmul(trace.x.T, dz1, out=g.w1)
     dz1.sum(axis=0, out=g.b1)

@@ -99,6 +99,8 @@ def shift_scores(keys: list[GroupKey], member_counts: list[int],
                          f"{P.shape[0]} prototypes")
     if n_groups < 2:
         raise ValueError(f"need >= 2 groups to compare, got {n_groups}")
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     full = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
     deltas = full[~np.eye(n_groups, dtype=bool)].reshape(n_groups, n_groups - 1)
     mu = deltas.mean(axis=1)

@@ -36,8 +36,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("learning_rate, batch_size must be positive; epochs >= 0")
+        if not 0 < self.learning_rate < np.inf or self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("learning_rate (finite), batch_size must be positive; "
+                             "epochs >= 0")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
 
@@ -58,7 +59,8 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     """Bias-corrected Adam update of params.flat, in place, in one blockwise pass.
 
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads as its scratch.
+    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads; every
+    other intermediate goes into one block-sized scratch vector.
     """
     state.step += 1
     t = state.step
@@ -67,16 +69,22 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     if not np.isfinite(grads.flat).all():
         name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
         raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
+    m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
+    scratch = np.empty(min(ADAM_BLOCK, params.flat.size), dtype=params.flat.dtype)
     for lo in range(0, params.flat.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
         g, m, v = grads.flat[block], state.m[block], state.v[block]
+        s = scratch[:g.size]
         m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
+        m += np.multiply(1 - ADAM_BETA1, g, out=s)
         v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        np.divide(m, 1 - ADAM_BETA1 ** t, out=g)
+        np.multiply(1 - ADAM_BETA2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, m_scale, out=g)
         g *= config.learning_rate
-        g /= np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS
+        np.divide(v, v_scale, out=s)
+        np.sqrt(s, out=s)
+        g /= np.add(s, ADAM_EPS, out=s)
         params.flat[block] -= g
     return params, state
 

@@ -22,6 +22,31 @@ def make_features(values):
     return FeatureSet(n_clips=n, temporal_count=t, feature_dim=d, values=values)
 
 
+def check_split_integrity(manifest, split, val_fraction):
+    train_ids = set(split.train_ids)
+    val_ids = set(split.val_ids)
+    test_ids = set(split.test_ids)
+    # disjointness
+    assert not (train_ids & val_ids)
+    assert not (train_ids & test_ids)
+    assert not (val_ids & test_ids)
+    # coverage
+    assert train_ids | val_ids | test_ids == {r.clip_id for r in manifest.records}
+    # test purity
+    by_id = manifest.by_id()
+    held = split.held_out_domain
+    assert all(by_id[c].domain == held for c in test_ids)
+    assert all(by_id[c].domain != held for c in train_ids | val_ids)
+    # stratified val within 1 clip of the exact proportion, per stratum
+    strata = {}
+    for r in manifest.records:
+        if r.domain != held:
+            strata.setdefault((r.domain, r.category), []).append(r.clip_id)
+    for (dom, cat), ids in strata.items():
+        got = sum(1 for c in ids if c in val_ids)
+        assert abs(got - val_fraction * len(ids)) <= 1.0, (dom, cat)
+
+
 @pytest.fixture
 def tiny_manifest():
     return make_manifest([

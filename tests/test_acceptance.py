@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import check_split_integrity
 from driftbench import cli, mlp
 from driftbench.analysis import (
     TABLE3_SHIFT_SCORES,
@@ -268,31 +269,6 @@ def test_criterion_09_pipeline_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for f, before in first.items():
         assert f.read_bytes() == before, f.name
-
-
-def check_split_integrity(manifest, split, val_fraction):
-    train_ids = set(split.train_ids)
-    val_ids = set(split.val_ids)
-    test_ids = set(split.test_ids)
-    # disjointness
-    assert not (train_ids & val_ids)
-    assert not (train_ids & test_ids)
-    assert not (val_ids & test_ids)
-    # coverage
-    assert train_ids | val_ids | test_ids == {r.clip_id for r in manifest.records}
-    # test purity
-    by_id = manifest.by_id()
-    held = split.held_out_domain
-    assert all(by_id[c].domain == held for c in test_ids)
-    assert all(by_id[c].domain != held for c in train_ids | val_ids)
-    # stratified val within 1 clip of the exact proportion, per stratum
-    strata = {}
-    for r in manifest.records:
-        if r.domain != held:
-            strata.setdefault((r.domain, r.category), []).append(r.clip_id)
-    for (dom, cat), ids in strata.items():
-        got = sum(1 for c in ids if c in val_ids)
-        assert abs(got - val_fraction * len(ids)) <= 1.0, (dom, cat)
 
 
 def test_criterion_10_split_integrity_synthetic():

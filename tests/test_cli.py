@@ -304,6 +304,65 @@ def test_eval_with_ids_file(workdir, capsys):
     assert "unknown clip id" in capsys.readouterr().err
 
 
+def test_eval_ids_file_rejects_a_repeated_id(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "model.emlp"
+    save_checkpoint(init_params(8, 3, hidden1=8, hidden2=4), ckpt)
+    clips = [r.clip_id for r in load_manifest(workdir / "data" / "manifest.jsonl").records]
+    ids = tmp_path / "ids.txt"
+    # one clip named 5 times among 2 others must not count as 7 clips
+    ids.write_text("\n".join([clips[0], clips[1], "", clips[0], clips[0], clips[2],
+                              clips[0], clips[0]]) + "\n")
+    out = tmp_path / "eval.json"
+    code = cli.main(["eval", *data_args(workdir), "--checkpoint", str(ckpt),
+                     "--ids", str(ids), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"driftbench: error: eval: {ids}:4: duplicate clip id "
+                   f"{clips[0]!r} (first on line 1)\n")
+    assert not out.exists()
+
+
+def test_train_zero_epochs_says_no_epoch_ran(workdir, tmp_path, capsys):
+    args = data_args(workdir)
+    split = tmp_path / "split.tsv"
+    assert cli.main(["splits", *args[:2], "--hold-out", "dom00",
+                     "--out", str(split)]) == 0
+    assert "val 0 " not in capsys.readouterr().out
+    ckpt = tmp_path / "model.emlp"
+    assert cli.main(["train", *args, "--split", str(split), "--epochs", "0",
+                     "--hidden1", "8", "--hidden2", "4", "--out", str(ckpt)]) == 0
+    assert capsys.readouterr().out == (
+        f"train: no epoch ran, kept the initial weights, "
+        f"wrote {ckpt} {ckpt}.history.csv\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, capsys):
+    args = data_args(workdir)
+    split = tmp_path / "split.tsv"
+    assert cli.main(["splits", *args[:2], "--hold-out", "dom00",
+                     "--out", str(split)]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "model.emlp"
+    code = cli.main(["train", *args, "--split", str(split), "--lr", value,
+                     "--epochs", "1", "--hidden1", "8", "--hidden2", "4",
+                     "--out", str(ckpt)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("driftbench: error: train: ") and err.count("\n") == 1
+    assert "must be positive" in err
+    assert not ckpt.exists()
+
+    out_dir = tmp_path / "score"
+    code = cli.main(["score", *args, "--k-clusters", "4", "--tau", value,
+                     "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"driftbench: error: score: tau must be finite, got {value}\n"
+    assert not (out_dir / "shift_report.csv").exists()
+    assert not (out_dir / "shift_report.json").exists()
+
+
 @pytest.mark.parametrize("data_classes, ckpt_dims", [
     (3, (16, 5)),  # more model classes than data classes: predictions past the labels
     (5, (16, 3)),  # fewer: a report over classes the model never scores

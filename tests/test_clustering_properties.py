@@ -5,13 +5,19 @@ assignment is defined by. Inputs cover the cases where the expansion
 ||x||^2 - 2x.c + ||c||^2 alone would mislead: exact ties (integer grids),
 duplicated centroids, large offsets (cancellation), tiny scales, K=1 and
 rows holding +-inf.
+
+`kmeans_fit` is checked for its invariants on inputs whose distinct rows
+stay distinguishable (grid values, so no squared distance underflows) and
+with k at most the number of distinct rows: no empty cluster, labels equal
+`assign_nearest` of the returned centroids, the stored inertia equals the
+recomputed sum, and ties go to the lowest index.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from driftbench import clustering
-from driftbench.clustering import assign_nearest
+from driftbench.clustering import assign_nearest, kmeans_fit
 
 
 def reference(X, centroids):
@@ -58,3 +64,35 @@ def test_assign_nearest_equals_explicit_argmin(problem):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
+
+@st.composite
+def fits(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 1 / 8, 1 / 1024]))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-20, 20).map(float)))
+    if draw(st.booleans()):
+        # duplicated rows: exact ties between points and, after a fit,
+        # often between centroids
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=2 * n))]
+    X = X * scale
+    k = draw(st.integers(1, len(np.unique(X, axis=0))))
+    return X, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fits())
+def test_kmeans_fit_invariants(fit):
+    X, k, seed = fit
+    model = kmeans_fit(X, k, seed=seed)
+    labels, centroids = model.assignments, model.centroids
+    assert centroids.shape == (k, X.shape[1])
+    assert np.bincount(labels, minlength=k).min() >= 1
+    assert np.array_equal(labels, assign_nearest(X, centroids))
+    assert model.inertia == float(((X - centroids[labels]) ** 2).sum())
+    # ties, between duplicated centroids or equidistant ones, go to the lowest index
+    dists = clustering._pairwise_sq_dists(X, centroids)
+    assert labels.tolist() == [np.flatnonzero(row == row.min())[0] for row in dists]
+    for row in np.unique(X, axis=0):
+        same = (X == row).all(axis=1)
+        assert len(set(labels[same])) == 1, "duplicated rows split across clusters"

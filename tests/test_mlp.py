@@ -1,4 +1,5 @@
 """Network forward/backward math, loss, and checkpoint format."""
+import dataclasses
 import struct
 import warnings
 
@@ -9,6 +10,7 @@ from driftbench.mlp import (
     CHECKPOINT_MAGIC,
     FIELDS,
     LN_EPS,
+    ForwardTrace,
     MlpParams,
     backward,
     forward,
@@ -271,6 +273,98 @@ def test_backward_matches_dict_reference_bitwise(case):
     for name, g in got.tensors().items():
         assert g.shape == want[name].shape, name
         assert np.array_equal(g, want[name]), name
+
+
+def expression_layer_norm(z, gain, bias):
+    mean = z.mean(axis=1, keepdims=True)
+    var = z.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (z - mean) * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def expression_dropout_mask(shape, drop_prob, rng):
+    keep = 1.0 - drop_prob
+    return (rng.random(shape) < keep).astype(np.float64) / keep
+
+
+def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None):
+    """forward with one fresh array per expression: the bitwise reference."""
+    train = mode == "train"
+    p1, p2 = (drop_prob, drop_prob) if np.isscalar(drop_prob) else drop_prob
+    z1 = batch @ params.w1 + params.b1
+    a1, xhat1, inv_std1 = expression_layer_norm(z1, params.ln1_gain, params.ln1_bias)
+    r1 = np.maximum(a1, 0.0)
+    mask1 = expression_dropout_mask(r1.shape, p1, rng) if train else None
+    d1 = r1 * mask1 if train else r1
+
+    z2 = d1 @ params.w2 + params.b2
+    a2, xhat2, inv_std2 = expression_layer_norm(z2, params.ln2_gain, params.ln2_bias)
+    r2 = np.maximum(a2, 0.0)
+    mask2 = expression_dropout_mask(r2.shape, p2, rng) if train else None
+    d2 = r2 * mask2 if train else r2
+
+    logits = d2 @ params.head_w.T + params.head_b
+    if not train:
+        return logits
+    trace = ForwardTrace(
+        x=batch, xhat1=xhat1, inv_std1=inv_std1, relu1=a1 > 0, mask1=mask1, d1=d1,
+        xhat2=xhat2, inv_std2=inv_std2, relu2=a2 > 0, mask2=mask2, d2=d2,
+    )
+    return logits, trace
+
+
+def random_problem(case):
+    """Params with trained-looking gains and biases, and a batch; widths are
+    drawn, so most are not powers of two."""
+    rng = np.random.default_rng(300 + case)
+    i, h1, h2 = (int(d) for d in rng.integers(1, 150, size=3))
+    c = int(rng.integers(2, 12))
+    p = init_params(i, c, seed=case, hidden1=h1, hidden2=h2)
+    p.flat[:] += 0.3 * rng.standard_normal(p.flat.size)
+    x = rng.standard_normal((int(rng.integers(1, 70)), i)) * 3.0
+    return p, x
+
+
+def assert_traces_equal(got, want):
+    for f in dataclasses.fields(ForwardTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("drop_prob", ["eval", 0.0, 0.5, 0.9, (0.0, 0.9)])
+def test_forward_matches_expression_form_bitwise(case, drop_prob):
+    p, x = random_problem(case)
+    flat_before, x_before = p.flat.copy(), x.copy()
+    if drop_prob == "eval":
+        got = forward(p, x, mode="eval")
+        want = expression_forward(p, x, mode="eval")
+    else:
+        got, trace = forward(p, x, mode="train", drop_prob=drop_prob,
+                             rng=np.random.default_rng(case))
+        want, want_trace = expression_forward(p, x, mode="train", drop_prob=drop_prob,
+                                              rng=np.random.default_rng(case))
+        assert_traces_equal(trace, want_trace)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(p.flat, flat_before) and np.array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_backward_leaves_trace_unchanged(case):
+    p, x = random_problem(case)
+    logits, trace = forward(p, x, mode="train", drop_prob=0.5,
+                            rng=np.random.default_rng(case))
+    before = ForwardTrace(**{f.name: getattr(trace, f.name).copy()
+                             for f in dataclasses.fields(ForwardTrace)})
+    flat_before = p.flat.copy()
+    _, grad_logits = ova_bce_loss(logits, one_hot(np.arange(len(x)) % p.n_classes,
+                                                  p.n_classes))
+    backward(p, trace, grad_logits)
+    assert_traces_equal(trace, before)
+    assert np.array_equal(p.flat, flat_before)
 
 
 def test_backward_error_paths():

@@ -144,6 +144,12 @@ class TestShiftScores:
         with pytest.raises(ValueError, match="prototypes"):
             shift_scores(keys, [1, 1], np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        keys = [GroupKey(GroupingMode.DOMAIN, domain=label) for label in "abc"]
+        with pytest.raises(ValueError, match="tau must be finite"):
+            shift_scores(keys, [1, 1, 1], np.eye(3), tau=tau)
+
     def test_empty_delta_set(self):
         # zero or one group leaves every group with no distances to average
         key = GroupKey(GroupingMode.DOMAIN, domain="a")

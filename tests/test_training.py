@@ -58,6 +58,9 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError, match="drop_prob must be in"):
         TrainConfig(drop_prob=1.0)
+    for lr in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainConfig(learning_rate=lr)
 
 
 def test_train_config_defaults():
