@@ -9,12 +9,9 @@ here, not a published number).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .shift_metric import ShiftReport
 
 # Domain -> (mu, sigma, score), published shift-score table, verbatim.
 TABLE3_SHIFT_SCORES: dict[str, tuple[float, float, float]] = {
@@ -41,23 +38,6 @@ TABLE5_MLP_LITE_ACCURACY: dict[str, float] = {
     "UK": 65.36,
     "India": 45.83,
 }
-
-
-@dataclass(frozen=True)
-class PaperFixture:
-    table3: dict[str, tuple[float, float, float]]
-    table5_mlp_lite: dict[str, float]
-
-    def canonical_json(self) -> str:
-        return json.dumps(
-            {"table3": self.table3, "table5_mlp_lite": self.table5_mlp_lite},
-            sort_keys=True,
-        )
-
-
-PAPER_FIXTURE = PaperFixture(
-    table3=TABLE3_SHIFT_SCORES, table5_mlp_lite=TABLE5_MLP_LITE_ACCURACY
-)
 
 
 @dataclass(frozen=True)
@@ -104,17 +84,12 @@ def spearman(x, y) -> float:
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
-def correlate_shift_accuracy(shift_scores: ShiftReport | dict[str, float],
-                             accuracies: dict[str, float]
+def correlate_shift_accuracy(scores: dict[str, float], accuracies: dict[str, float]
                              ) -> tuple[CorrelationResult, CorrelationResult]:
     """Spearman and Pearson between per-group scores and accuracies.
 
     Pairs are aligned by group/domain name; the two name sets must match.
     """
-    if isinstance(shift_scores, ShiftReport):
-        scores = {g.key.label: g.score for g in shift_scores.groups}
-    else:
-        scores = dict(shift_scores)
     only_shift = sorted(set(scores) - set(accuracies))
     only_eval = sorted(set(accuracies) - set(scores))
     if only_shift or only_eval:
@@ -140,11 +115,12 @@ class Table3RowCheck:
     passed: bool
 
 
-def check_table3_consistency(fixture: PaperFixture = PAPER_FIXTURE,
-                             tolerance: float = 0.01) -> list[Table3RowCheck]:
+def check_table3_consistency(
+        table3: dict[str, tuple[float, float, float]] = TABLE3_SHIFT_SCORES,
+        tolerance: float = 0.01) -> list[Table3RowCheck]:
     """Per row: does mu + 2*sigma reproduce the published score? Never raises."""
     results = []
-    for domain, (mu, sigma, score) in fixture.table3.items():
+    for domain, (mu, sigma, score) in table3.items():
         computed = mu + 2.0 * sigma
         results.append(Table3RowCheck(
             domain=domain, computed=computed, published=score,
@@ -153,9 +129,9 @@ def check_table3_consistency(fixture: PaperFixture = PAPER_FIXTURE,
     return results
 
 
-def fixture_spearman(fixture: PaperFixture = PAPER_FIXTURE) -> float:
+def fixture_spearman() -> float:
     """Rank correlation between published shift scores and accuracies."""
-    scores = {d: row[2] for d, row in fixture.table3.items()}
-    result, _ = correlate_shift_accuracy(scores, fixture.table5_mlp_lite)
+    scores = {d: row[2] for d, row in TABLE3_SHIFT_SCORES.items()}
+    result, _ = correlate_shift_accuracy(scores, TABLE5_MLP_LITE_ACCURACY)
     return result.coefficient
 

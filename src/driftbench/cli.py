@@ -105,8 +105,7 @@ def _cmd_validate(args, opts: GlobalOptions) -> str:
         summary["feature_shape"] = [features.n_clips, features.temporal_count,
                                     features.feature_dim]
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        dataset.write_json(summary, args.out)
         parts.append(f"wrote {args.out}")
     return "validate: " + ", ".join(parts)
 
@@ -227,8 +226,7 @@ def _cmd_correlate(args, opts: GlobalOptions) -> str:
         "pearson": pearson_r.coefficient,
         "spearman": spearman_r.coefficient,
     }
-    Path(args.out).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    dataset.write_json(payload, args.out)
     return (f"correlate: spearman {spearman_r.coefficient:+.3f} pearson "
             f"{pearson_r.coefficient:+.3f} over {spearman_r.n_points} domains, "
             f"wrote {args.out}")
@@ -282,8 +280,7 @@ def _cmd_check_fixtures(args, opts: GlobalOptions) -> str:
                      for r in rows],
             "spearman": rho,
         }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        dataset.write_json(payload, args.out)
     if n_fail:
         raise ValueError(f"{n_fail} fixture row(s) failed the mu + 2*sigma check")
     return (f"check-fixtures: {len(rows)} rows pass, "
@@ -293,13 +290,14 @@ def _cmd_check_fixtures(args, opts: GlobalOptions) -> str:
 def _cmd_train_all(args, opts: GlobalOptions) -> str:
     manifest, features = _load_inputs(args)
     data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
+    lodo = splits.build_all_lodo_splits(
+        manifest, val_fraction=args.val_fraction, seed=opts.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_one(item: tuple[int, str]) -> tuple[str, float]:
         index, domain = item
-        split = splits.build_lodo_split(
-            manifest, domain, val_fraction=args.val_fraction, seed=opts.seed)
+        split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
         config = TrainConfig(
             learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
@@ -314,7 +312,7 @@ def _cmd_train_all(args, opts: GlobalOptions) -> str:
         _note(opts, f"train-all: {domain} top1 {report.overall_top1:.2f}%")
         return domain, report.overall_top1
 
-    jobs = list(enumerate(manifest.domains))
+    jobs = list(enumerate(lodo))
     if opts.threads == 1:
         results = [run_one(job) for job in jobs]
     else:
@@ -322,8 +320,7 @@ def _cmd_train_all(args, opts: GlobalOptions) -> str:
             results = list(pool.map(run_one, jobs))
     accuracies = dict(results)
     acc_path = out_dir / "accuracies.json"
-    acc_path.write_text(
-        json.dumps(accuracies, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    dataset.write_json(accuracies, acc_path)
     mean_acc = float(np.mean(list(accuracies.values())))
     return (f"train-all: {len(jobs)} hold-outs, mean top1 {mean_acc:.2f}%, "
             f"wrote {acc_path}")

@@ -18,11 +18,9 @@ REL_TOL = 1e-6
 class ClusterModel:
     """Fitted k-means model: centroids, per-sample assignments, final inertia."""
 
-    k_clusters: int
     centroids: np.ndarray  # (K, D)
     assignments: np.ndarray  # (N,) int
     inertia: float
-    seed: int
     iterations_run: int
 
 
@@ -188,11 +186,9 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
             break
 
     return ClusterModel(
-        k_clusters=k_clusters,
         centroids=centroids,
         assignments=labels,
         inertia=prev_inertia,
-        seed=seed,
         iterations_run=iterations,
     )
 

@@ -32,11 +32,14 @@ class ClipRecord:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Validated clip records plus their domain/category vocabularies."""
+    """Validated clip records; their sorted domain and category names are derived."""
 
     records: tuple[ClipRecord, ...]
-    domains: tuple[str, ...]
-    categories: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "domains", tuple(sorted({r.domain for r in self.records})))
+        object.__setattr__(self, "categories",
+                           tuple(sorted({r.category for r in self.records})))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -53,16 +56,29 @@ class FeatureSet:
     addresses rows of values.
     """
 
-    n_clips: int
-    temporal_count: int
-    feature_dim: int
     values: np.ndarray
 
+    def __post_init__(self) -> None:
+        if np.ndim(self.values) != 3:
+            raise ValueError(f"feature values must be 3-D (n_clips, temporal_count, "
+                             f"feature_dim), got shape {np.shape(self.values)}")
 
-def _make_manifest(records: list[ClipRecord]) -> Manifest:
-    domains = tuple(sorted({r.domain for r in records}))
-    categories = tuple(sorted({r.category for r in records}))
-    return Manifest(records=tuple(records), domains=domains, categories=categories)
+    @property
+    def n_clips(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def temporal_count(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.values.shape[2]
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Pretty-printed, sorted-key JSON plus a trailing newline: every JSON report."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
@@ -114,7 +130,7 @@ def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
             owner_of_row[row_index] = clip_id
             seen.add(clip_id)
             records.append(ClipRecord(clip_id, obj["domain"], obj["category"], row_index))
-    return _make_manifest(records)
+    return Manifest(tuple(records))
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -146,24 +162,17 @@ def load_feature_pack(path: str | Path) -> FeatureSet:
             f"{path}: size mismatch: header declares N={n} T={t} D={d} "
             f"({expected} bytes) but file has {len(raw)} bytes"
         )
-    values = np.frombuffer(raw[16:], dtype="<f4").reshape(n, t, d)
+    values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, t, d)
     finite = np.isfinite(values)
     if not finite.all():
         bad_row = int(np.argwhere(~finite)[0][0])
         raise ValueError(f"{path}: non-finite feature value at row {bad_row}")
-    return FeatureSet(n_clips=n, temporal_count=t, feature_dim=d, values=values)
+    return FeatureSet(values)
 
 
 def write_feature_pack(features: FeatureSet, path: str | Path) -> None:
     values = np.ascontiguousarray(features.values, dtype="<f4")
-    if values.shape != (features.n_clips, features.temporal_count, features.feature_dim):
-        raise ValueError(
-            f"feature values shape {values.shape} inconsistent with declared "
-            f"({features.n_clips}, {features.temporal_count}, {features.feature_dim})"
-        )
-    header = FEATURE_PACK_MAGIC + struct.pack(
-        "<III", features.n_clips, features.temporal_count, features.feature_dim
-    )
+    header = FEATURE_PACK_MAGIC + struct.pack("<III", *values.shape)
     Path(path).write_bytes(header + values.tobytes())
 
 
@@ -177,9 +186,13 @@ def pool_temporal(features: FeatureSet, mode: str = "mean") -> np.ndarray:
 
 
 def load_category_mapping(path: str | Path) -> dict[str, str]:
-    """Read a two-column tab-separated fine-label -> category mapping."""
+    """Read a two-column tab-separated fine-label -> category mapping.
+
+    Each fine label may appear once; a repeat is refused with its line.
+    """
     path = Path(path)
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -188,14 +201,18 @@ def load_category_mapping(path: str | Path) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
+            if parts[0] in mapping:
+                raise ValueError(f"{path}:{lineno}: duplicate label {parts[0]!r} "
+                                 f"(first on line {first_line[parts[0]]})")
             mapping[parts[0]] = parts[1]
+            first_line[parts[0]] = lineno
     return mapping
 
 
 def apply_category_mapping(manifest: Manifest, mapping: dict[str, str]) -> Manifest:
     """Replace each record's category via the mapping; all labels must be covered."""
-    missing = sorted({r.category for r in manifest.records} - set(mapping))
+    missing = sorted(set(manifest.categories) - set(mapping))
     if missing:
         raise ValueError(f"unmapped category label(s): {missing}")
     remapped = [replace(r, category=mapping[r.category]) for r in manifest.records]
-    return _make_manifest(remapped)
+    return Manifest(tuple(remapped))

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import kmeans_fit
+from .dataset import write_json
 
 DEFAULT_TAU = 2.0
 DEFAULT_K_CLUSTERS = 64
@@ -122,6 +122,7 @@ def score_dataset(X: np.ndarray, records, k_clusters: int = DEFAULT_K_CLUSTERS,
 
     Row i of X belongs to records[i]. A group's prototype is the mean of
     the centroids its members are assigned to; groups are ordered by label.
+    Input and tau are checked before the fit.
     """
     X = np.asarray(X)
     if len(records) == 0:
@@ -129,6 +130,8 @@ def score_dataset(X: np.ndarray, records, k_clusters: int = DEFAULT_K_CLUSTERS,
     if X.shape[0] != len(records):
         raise ValueError(
             f"alignment mismatch: {X.shape[0]} feature rows, {len(records)} records")
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     model = kmeans_fit(X, k_clusters=k_clusters, seed=seed)
     key_of = _group_label_fn(mode)
     members: dict[GroupKey, list[int]] = {}
@@ -170,7 +173,4 @@ def shift_report_to_dict(report: ShiftReport) -> dict:
 
 
 def write_shift_report_json(report: ShiftReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(shift_report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(shift_report_to_dict(report), path)

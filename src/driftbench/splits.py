@@ -27,8 +27,6 @@ class SplitSpec:
     train_ids: tuple[str, ...]
     val_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    val_fraction: float
-    seed: int
 
 
 def _stratum_rng(seed: int, domain: str, category: str) -> np.random.Generator:
@@ -72,14 +70,16 @@ def build_lodo_split(manifest: Manifest, held_out_domain: str,
         train_ids=tuple(train_ids),
         val_ids=tuple(val_ids),
         test_ids=tuple(test_ids),
-        val_fraction=val_fraction,
-        seed=seed,
     )
 
 
 def build_all_lodo_splits(manifest: Manifest,
                           val_fraction: float = DEFAULT_VAL_FRACTION,
                           seed: int = 0) -> dict[str, SplitSpec]:
+    """One split per domain, holding each out in turn, in manifest.domains order."""
+    if len(manifest.domains) < 2:
+        raise ValueError(f"need at least two domains to build leave-one-out splits, "
+                         f"manifest has {len(manifest.domains)}")
     return {
         domain: build_lodo_split(manifest, domain, val_fraction, seed)
         for domain in manifest.domains
@@ -98,8 +98,7 @@ def write_split_file(split: SplitSpec, path: str | Path) -> None:
 def read_split_file(path: str | Path, manifest: Manifest) -> SplitSpec:
     """Rebuild a SplitSpec from a split file plus the manifest it indexes.
 
-    val_fraction and seed are construction-time parameters not stored in
-    the file; they come back as NaN-ish placeholders (0.0 / -1).
+    Ids come back in manifest order; a repeated or unknown clip_id is refused.
     """
     roles: dict[str, str] = {}
     path = Path(path)
@@ -134,6 +133,4 @@ def read_split_file(path: str | Path, manifest: Manifest) -> SplitSpec:
         train_ids=tuple(grouped["train"]),
         val_ids=tuple(grouped["val"]),
         test_ids=tuple(grouped["test"]),
-        val_fraction=0.0,
-        seed=-1,
     )

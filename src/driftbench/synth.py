@@ -92,7 +92,6 @@ def generate(spec: SyntheticSpec, seed: int = 0) -> tuple[Manifest, FeatureSet]:
     rng = np.random.default_rng(seed)
     records: list[ClipRecord] = []
     blocks: list[np.ndarray] = []
-    row = 0
     for d in range(spec.n_domains):
         dom = domain_name(d)
         offset = np.asarray(
@@ -106,19 +105,10 @@ def generate(spec: SyntheticSpec, seed: int = 0) -> tuple[Manifest, FeatureSet]:
             for j in range(count):
                 records.append(ClipRecord(
                     clip_id=f"{dom}-{cat}-{j:04d}", domain=dom,
-                    category=cat, row_index=row,
+                    category=cat, row_index=len(records),
                 ))
-                row += 1
     values = np.concatenate(blocks, axis=0).astype(np.float32)[:, None, :]
-    manifest = Manifest(
-        records=tuple(records),
-        domains=tuple(sorted({r.domain for r in records})),
-        categories=tuple(sorted({r.category for r in records})),
-    )
-    features = FeatureSet(
-        n_clips=row, temporal_count=1, feature_dim=spec.feature_dim, values=values,
-    )
-    return manifest, features
+    return Manifest(tuple(records)), FeatureSet(values)
 
 
 def offset_sweep(base_spec: SyntheticSpec, domain: str, magnitudes,

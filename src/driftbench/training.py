@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .dataset import FeatureSet, Manifest, pool_temporal
+from .dataset import FeatureSet, Manifest, pool_temporal, write_json
 from .mlp import MlpParams
 from .splits import SplitSpec
 
@@ -91,32 +91,31 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
 
 @dataclass
 class TrainingData:
-    """Feature matrix and labels indexed by clip id, in manifest order."""
+    """Feature matrix and labels indexed by clip id, in manifest order.
+
+    X holds the pooled rows in the pack's dtype (float32 for a loaded pack);
+    mlp.forward widens each batch to the weights' dtype, which is exact.
+    """
 
     X: np.ndarray  # (N, D')
     labels: np.ndarray  # (N,) class indices into categories
-    ids: tuple[str, ...]
     row_domains: tuple[str, ...]
     categories: tuple[str, ...]
-    domains: tuple[str, ...]
-    row_of: dict[str, int] = field(repr=False, default_factory=dict)
+    row_of: dict[str, int] = field(repr=False)  # clip id -> row of X
 
     @classmethod
     def from_features(cls, manifest: Manifest, features: FeatureSet,
                       pool_mode: str = "flatten") -> "TrainingData":
-        pooled = pool_temporal(features, pool_mode).astype(np.float64)
+        pooled = pool_temporal(features, pool_mode)
         class_index = {c: i for i, c in enumerate(manifest.categories)}
         rows = [r.row_index for r in manifest.records]
-        data = cls(
+        return cls(
             X=pooled[rows],
             labels=np.array([class_index[r.category] for r in manifest.records]),
-            ids=tuple(r.clip_id for r in manifest.records),
             row_domains=tuple(r.domain for r in manifest.records),
             categories=manifest.categories,
-            domains=manifest.domains,
+            row_of={r.clip_id: i for i, r in enumerate(manifest.records)},
         )
-        data.row_of = {cid: i for i, cid in enumerate(data.ids)}
-        return data
 
     @property
     def n_classes(self) -> int:
@@ -176,8 +175,8 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
 
     train_rows = data.rows_for(split.train_ids)
     val_rows = data.rows_for(split.val_ids)
-    X_train, y_train = data.X[train_rows], data.labels[train_rows]
-    X_val, y_val = data.X[val_rows], data.labels[val_rows]
+    y_train = data.labels[train_rows]
+    X_val, y_val = data.X[val_rows], data.labels[val_rows]  # one float32 copy
 
     params = mlp.init_params(data.X.shape[1], data.n_classes, seed=config.seed,
                              hidden1=hidden1, hidden2=hidden2)
@@ -185,7 +184,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
     shuffle_rng = np.random.default_rng([config.seed, 0])
     dropout_rng = np.random.default_rng([config.seed, 1])
 
-    n = X_train.shape[0]
+    n = len(train_rows)
     best_params = params.copy()
     best_top1 = -np.inf
     history: list[EpochStats] = []
@@ -195,7 +194,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             logits, trace = mlp.forward(
-                params, X_train[rows], mode="train",
+                params, data.X[train_rows[rows]], mode="train",
                 drop_prob=config.drop_prob, rng=dropout_rng)
             targets = mlp.one_hot(y_train[rows], data.n_classes)
             loss, grad_logits = mlp.ova_bce_loss(logits, targets)
@@ -269,10 +268,7 @@ def eval_report_to_dict(report: EvalReport) -> dict:
 
 
 def write_eval_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(eval_report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(eval_report_to_dict(report), path)
 
 
 def read_eval_report(path: str | Path) -> EvalReport:

@@ -6,20 +6,14 @@ from driftbench.dataset import ClipRecord, FeatureSet, Manifest
 
 def make_manifest(rows):
     """rows: (clip_id, domain, category, row_index) tuples."""
-    records = tuple(ClipRecord(*r) for r in rows)
-    return Manifest(
-        records=records,
-        domains=tuple(sorted({r.domain for r in records})),
-        categories=tuple(sorted({r.category for r in records})),
-    )
+    return Manifest(tuple(ClipRecord(*r) for r in rows))
 
 
 def make_features(values):
     values = np.asarray(values, dtype=np.float32)
     if values.ndim == 2:
         values = values[:, None, :]
-    n, t, d = values.shape
-    return FeatureSet(n_clips=n, temporal_count=t, feature_dim=d, values=values)
+    return FeatureSet(values)
 
 
 def check_split_integrity(manifest, split, val_fraction):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from driftbench import cli
+from driftbench import cli, shift_metric
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
 from driftbench.mlp import init_params, save_checkpoint
 from driftbench.synth import SyntheticSpec, generate
@@ -129,8 +129,7 @@ def test_score_manifest_subset_scores_named_rows(workdir, tmp_path, capsys):
     full = load_feature_pack(data / "features.egf")
     rows = [obj["row_index"] for obj in kept]
     compact_pack = tmp_path / "compact.egf"
-    write_feature_pack(FeatureSet(len(rows), full.temporal_count, full.feature_dim,
-                                  full.values[rows]), compact_pack)
+    write_feature_pack(FeatureSet(full.values[rows]), compact_pack)
     compact = [json.dumps({**obj, "row_index": i}) for i, obj in enumerate(kept)]
     assert subset == _score_bytes(tmp_path, "compact", compact, compact_pack)
 
@@ -243,6 +242,60 @@ def test_train_all_output_does_not_depend_on_threads(workdir, capsys):
     assert correlations[0] == correlations[1]
 
 
+@pytest.mark.parametrize("n_lines", [0, 2])  # no clips; clips of one domain
+def test_train_all_needs_two_domains(workdir, tmp_path, n_lines, capsys):
+    lines = (workdir / "data" / "manifest.jsonl").read_text().splitlines()[:n_lines]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(line + "\n" for line in lines))
+    out_dir = tmp_path / "runs"
+    code = cli.main(["train-all", "--manifest", str(manifest),
+                     "--features", str(workdir / "data" / "features.egf"),
+                     "--epochs", "1", "--hidden1", "8", "--hidden2", "4",
+                     "--out-dir", str(out_dir)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("driftbench: error: train-all: need at least two domains to build "
+                   f"leave-one-out splits, manifest has {min(n_lines, 1)}\n")
+    assert not (out_dir / "accuracies.json").exists()
+
+
+def test_train_all_eval_reports_equal_eval_command(tmp_path, capsys):
+    # the lodo-desk benchmark configuration; each hold-out's in-memory eval
+    # must match `eval` on the float32 checkpoint that train-all saved
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert cli.main(["synth", "--domains", "6", "--classes", "6", "--per-cell", "100",
+                     "--dim", "64", "--offset", "dom01=2", "--offset", "dom03=4",
+                     "--offset", "dom05=8", "--seed", "7", "--out-dir", str(data)]) == 0
+    inputs = ["--manifest", str(data / "manifest.jsonl"),
+              "--features", str(data / "features.egf")]
+    assert cli.main(["train-all", *inputs, "--hidden1", "256", "--hidden2", "128",
+                     "--drop-prob", "0.5", "--epochs", "20", "--threads", "2",
+                     "--seed", "7", "--out-dir", str(runs)]) == 0
+    for domain in [f"dom{i:02d}" for i in range(6)]:
+        split, out = runs / f"split_{domain}.tsv", tmp_path / f"eval_{domain}.json"
+        assert cli.main(["eval", *inputs, "--checkpoint", str(runs / f"ckpt_{domain}.emlp"),
+                         "--split", str(split), "--role", "test", "--out", str(out)]) == 0
+        in_memory = json.loads((runs / f"eval_{domain}.json").read_text())
+        from_checkpoint = json.loads(out.read_text())
+        assert in_memory.pop("split_id") == f"lodo:{domain}"
+        assert from_checkpoint.pop("split_id") == f"{split}:test"
+        assert in_memory == from_checkpoint, domain
+    capsys.readouterr()
+
+
+def test_validate_refuses_a_repeated_fine_label(workdir, tmp_path, capsys):
+    cmap = tmp_path / "map.tsv"
+    cmap.write_text("cat00\tA\ncat00\tB\ncat01\tB\n")
+    code = cli.main(["validate", "--manifest", str(workdir / "data" / "manifest.jsonl"),
+                     "--category-map", str(cmap)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"driftbench: error: validate: {cmap}:2: duplicate label 'cat00' "
+                   "(first on line 1)\n")
+
+
 @pytest.mark.parametrize("command", ["score", "train", "train-all", "eval", "validate"])
 def test_manifest_row_past_pack_is_one_line_error(workdir, tmp_path, command, capsys):
     data = workdir / "data"
@@ -337,7 +390,8 @@ def test_train_zero_epochs_says_no_epoch_ran(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, capsys):
+def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, capsys,
+                                                   monkeypatch):
     args = data_args(workdir)
     split = tmp_path / "split.tsv"
     assert cli.main(["splits", *args[:2], "--hold-out", "dom00",
@@ -353,6 +407,9 @@ def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, cap
     assert "must be positive" in err
     assert not ckpt.exists()
 
+    def no_fit(*args, **kwargs):
+        raise AssertionError("kmeans_fit ran before tau was checked")
+    monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
     out_dir = tmp_path / "score"
     code = cli.main(["score", *args, "--k-clusters", "4", "--tau", value,
                      "--out-dir", str(out_dir)])

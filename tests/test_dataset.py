@@ -123,6 +123,15 @@ class TestFeaturePack:
         with pytest.raises(ValueError, match="row 5"):
             load_feature_pack(p)
 
+    def test_shape_properties_read_values(self):
+        fs = FeatureSet(np.zeros((4, 3, 2), dtype=np.float32))
+        assert (fs.n_clips, fs.temporal_count, fs.feature_dim) == (4, 3, 2)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 2), (1, 4, 3, 2)])
+    def test_values_must_be_3d(self, shape):
+        with pytest.raises(ValueError, match="must be 3-D"):
+            FeatureSet(np.zeros(shape, dtype=np.float32))
+
     def test_write_read_byte_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         fs = make_features(rng.standard_normal((5, 4)).astype(np.float32))
@@ -134,11 +143,11 @@ class TestFeaturePack:
 
 class TestPoolTemporal:
     def test_mean(self):
-        fs = FeatureSet(1, 2, 2, np.array([[[1.0, 1.0], [3.0, 3.0]]], dtype=np.float32))
+        fs = FeatureSet(np.array([[[1.0, 1.0], [3.0, 3.0]]], dtype=np.float32))
         assert pool_temporal(fs, "mean").tolist() == [[2.0, 2.0]]
 
     def test_flatten(self):
-        fs = FeatureSet(1, 2, 2, np.array([[[1.0, 1.0], [3.0, 3.0]]], dtype=np.float32))
+        fs = FeatureSet(np.array([[[1.0, 1.0], [3.0, 3.0]]], dtype=np.float32))
         assert pool_temporal(fs, "flatten").tolist() == [[1.0, 1.0, 3.0, 3.0]]
 
     def test_single_slot_identity(self):
@@ -154,9 +163,9 @@ class TestPoolTemporal:
         rng = np.random.default_rng(11)
         for _ in range(20):
             vals = rng.standard_normal((3, 4, 5)).astype(np.float32)
-            fs = FeatureSet(3, 4, 5, vals)
+            fs = FeatureSet(vals)
             perm = rng.permutation(4)
-            fs_p = FeatureSet(3, 4, 5, vals[:, perm, :])
+            fs_p = FeatureSet(vals[:, perm, :])
             a, b = pool_temporal(fs, "mean"), pool_temporal(fs_p, "mean")
             assert np.allclose(a, b, rtol=1e-6, atol=1e-6)
 
@@ -185,11 +194,25 @@ class TestCategoryMapping:
             "knead dough": "Food Preparation",
         }
 
+    def test_load_tsv_duplicate_label(self, tmp_path):
+        p = tmp_path / "map.tsv"
+        p.write_text("cat00\tA\ncat00\tB\ncat01\tB\n")
+        with pytest.raises(ValueError) as info:
+            load_category_mapping(p)
+        assert str(info.value) == f"{p}:2: duplicate label 'cat00' (first on line 1)"
+
     def test_load_tsv_bad_columns(self, tmp_path):
         p = tmp_path / "map.tsv"
         p.write_text("only one column\n")
         with pytest.raises(ValueError, match=":1"):
             load_category_mapping(p)
+
+
+def test_manifest_derives_sorted_vocabularies():
+    m = make_manifest([("x", "west", "stir", 0), ("y", "east", "pour", 1),
+                       ("z", "west", "pour", 2)])
+    assert m.domains == ("east", "west")
+    assert m.categories == ("pour", "stir")
 
 
 def test_manifest_by_id(tiny_manifest):

@@ -64,7 +64,7 @@ def test_emlp_wrong_magic_is_rejected(params, magic):
 def feature_sets(draw):
     n, t, d = draw(st.integers(0, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     values = draw(hnp.arrays(np.float32, (n, t, d), elements=FLOAT32))
-    return FeatureSet(n_clips=n, temporal_count=t, feature_dim=d, values=values)
+    return FeatureSet(values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,8 +25,8 @@ def model_with(centroids, assignments):
     centroids = np.asarray(centroids, dtype=np.float64)
     assignments = np.asarray(assignments)
     return ClusterModel(
-        k_clusters=len(centroids), centroids=centroids, assignments=assignments,
-        inertia=0.0, seed=0, iterations_run=0,
+        centroids=centroids, assignments=assignments,
+        inertia=0.0, iterations_run=0,
     )
 
 
@@ -105,6 +105,15 @@ class TestGroupPrototypes:
         recs = records_for([("a", "c"), ("b", "c")])
         with pytest.raises(ValueError, match="alignment"):
             score_dataset(np.zeros((3, 1)), recs, k_clusters=1)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected_before_fitting(self, tau, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("kmeans_fit ran before tau was checked")
+        monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
+        recs = records_for([("a", "c"), ("b", "c")])
+        with pytest.raises(ValueError, match="tau must be finite"):
+            score_dataset(np.zeros((2, 1)), recs, k_clusters=1, tau=tau)
 
 
 def scores_for(points, tau=2.0, counts=None):
@@ -260,9 +269,9 @@ class TestScoreDataset:
         model = kmeans_fit(X, 5, seed=4)
         perm = np.random.default_rng(0).permutation(len(records))
         permuted_model = ClusterModel(
-            k_clusters=model.k_clusters, centroids=model.centroids,
+            centroids=model.centroids,
             assignments=model.assignments[perm], inertia=model.inertia,
-            seed=model.seed, iterations_run=model.iterations_run,
+            iterations_run=model.iterations_run,
         )
         fixed_model(model)
         base = score_dataset(X, records, k_clusters=5)

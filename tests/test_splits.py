@@ -65,6 +65,13 @@ def test_single_domain_rejected():
         build_lodo_split(man, "solo")
 
 
+@pytest.mark.parametrize("domains", [[], ["solo"]])
+def test_all_splits_need_two_domains(domains):
+    man = grid_manifest(domains, ["x"], 3)
+    with pytest.raises(ValueError, match="need at least two domains"):
+        build_all_lodo_splits(man)
+
+
 def test_bad_val_fraction_rejected():
     man = grid_manifest(["A", "B"], ["x"], 4)
     for bad in (1.0, 1.5, -0.1):
@@ -167,9 +174,6 @@ def test_split_file_round_trip(tmp_path):
     assert back.train_ids == split.train_ids
     assert back.val_ids == split.val_ids
     assert back.test_ids == split.test_ids
-    # construction parameters are not stored in the file
-    assert back.val_fraction == 0.0
-    assert back.seed == -1
 
 
 def test_split_file_tolerates_blank_lines(tmp_path):
@@ -224,5 +228,5 @@ def test_splitspec_is_frozen():
     man = grid_manifest(["A", "B"], ["x"], 2)
     split = build_lodo_split(man, "B")
     with pytest.raises(AttributeError):
-        split.seed = 99
+        split.held_out_domain = "A"
     assert isinstance(split, SplitSpec)

@@ -169,7 +169,7 @@ def test_training_data_follows_manifest_order():
     ])
     feats = make_features(np.array([[0.0, 0], [1.0, 0], [2.0, 0]]))
     data = TrainingData.from_features(man, feats, pool_mode="mean")
-    assert data.ids == ("c0", "c1", "c2")
+    assert data.row_of == {"c0": 0, "c1": 1, "c2": 2}
     assert data.X[:, 0].tolist() == [2.0, 0.0, 1.0]
     # labels index into the sorted category tuple
     assert data.categories == ("catA", "catB")
@@ -245,8 +245,6 @@ def test_train_rejects_overlapping_split():
         train_ids=split.train_ids,
         val_ids=split.train_ids[:1],
         test_ids=split.test_ids,
-        val_fraction=0.0,
-        seed=0,
     )
     with pytest.raises(ValueError, match="overlap"):
         train(data, bad, TrainConfig(epochs=1))
@@ -260,8 +258,6 @@ def test_train_rejects_empty_train():
         train_ids=(),
         val_ids=(),
         test_ids=split.test_ids,
-        val_fraction=0.0,
-        seed=0,
     )
     with pytest.raises(ValueError, match="empty train split"):
         train(data, bad, TrainConfig(epochs=1))
