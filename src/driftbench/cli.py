@@ -4,17 +4,13 @@ Subcommands wire the library modules into file-in, file-out pipelines.
 Every command writes its results to files and prints a single summary
 line to stdout; errors come out as one line on stderr. Exit codes:
 0 success, 1 pipeline error, 2 usage error.
-
-Config precedence: flags > DRIFTBENCH_* environment variables > defaults.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,46 +25,6 @@ PROG = "driftbench"
 
 COMMANDS = ("validate", "score", "splits", "train", "train-all", "eval",
             "correlate", "synth", "check-fixtures")
-
-
-@dataclass(frozen=True)
-class GlobalOptions:
-    seed: int
-    threads: int
-    verbosity: int
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _resolve_options(args: argparse.Namespace) -> GlobalOptions:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _env_int("DRIFTBENCH_SEED")
-    if seed is None:
-        seed = 0
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = _env_int("DRIFTBENCH_THREADS")
-    if threads is None:
-        threads = 1
-    return GlobalOptions(seed=seed, threads=threads, verbosity=getattr(args, "verbose", 0))
-
-
-def _note(opts: GlobalOptions, msg: str) -> None:
-    if opts.verbosity > 0:
-        print(msg, file=sys.stderr)
 
 
 def _load_manifest(args: argparse.Namespace, n_rows: int | None = None):
@@ -87,7 +43,7 @@ def _load_inputs(args: argparse.Namespace):
 
 # ---------------------------------------------------------------- handlers
 
-def _cmd_validate(args, opts: GlobalOptions) -> str:
+def _cmd_validate(args) -> str:
     if args.features:
         manifest, features = _load_inputs(args)
     else:
@@ -110,7 +66,7 @@ def _cmd_validate(args, opts: GlobalOptions) -> str:
     return "validate: " + ", ".join(parts)
 
 
-def _cmd_score(args, opts: GlobalOptions) -> str:
+def _cmd_score(args) -> str:
     manifest, features = _load_inputs(args)
     # Rows in pack order, so the report depends on which rows the manifest
     # names, not on the order of its lines.
@@ -118,7 +74,7 @@ def _cmd_score(args, opts: GlobalOptions) -> str:
     X = dataset.pool_temporal(features, args.pool)[[r.row_index for r in records]]
     report = shift_metric.score_dataset(
         X, records, k_clusters=args.k_clusters,
-        seed=opts.seed, mode=GroupingMode(args.grouping), tau=args.tau)
+        seed=args.seed, mode=GroupingMode(args.grouping), tau=args.tau)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "shift_report.csv"
@@ -130,10 +86,10 @@ def _cmd_score(args, opts: GlobalOptions) -> str:
             f"omega={top.score:.6f}, wrote {csv_path} {json_path}")
 
 
-def _cmd_splits(args, opts: GlobalOptions) -> str:
+def _cmd_splits(args) -> str:
     manifest = dataset.load_manifest(args.manifest)
     split = splits.build_lodo_split(
-        manifest, args.hold_out, val_fraction=args.val_fraction, seed=opts.seed)
+        manifest, args.hold_out, val_fraction=args.val_fraction, seed=args.seed)
     out = Path(args.out) if args.out else Path(f"split_{args.hold_out}.tsv")
     splits.write_split_file(split, out)
     return (f"splits: hold-out {args.hold_out}, train {len(split.train_ids)} "
@@ -154,18 +110,32 @@ def _best_epoch_line(history) -> str:
     return f"best val top1 {best.val_top1:.2f}% at epoch {best.epoch}/{len(history)}"
 
 
-def _cmd_train(args, opts: GlobalOptions) -> str:
+def _fit(args, data, split, seed: int, checkpoint, history_path):
+    """Train on split with the training flags, save the checkpoint and history."""
+    config = TrainConfig(
+        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
+        drop_prob=args.drop_prob, seed=seed)
+    params, history = training.train(
+        data, split, config, hidden1=args.hidden1, hidden2=args.hidden2)
+    save_checkpoint(params, checkpoint)
+    training.write_history_csv(history, history_path)
+    return params, history
+
+
+def _evaluate(params, data, ids, split_id: str, out) -> training.EvalReport:
+    """Evaluate params on ids and write the report, labelled split_id."""
+    report = training.evaluate(params, data, ids)
+    report.split_id = split_id
+    training.write_eval_report(report, out)
+    return report
+
+
+def _cmd_train(args) -> str:
     manifest, features = _load_inputs(args)
     data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
     split = splits.read_split_file(args.split, manifest)
-    config = TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
-        drop_prob=args.drop_prob, seed=opts.seed)
-    params, history = training.train(
-        data, split, config, hidden1=args.hidden1, hidden2=args.hidden2)
-    save_checkpoint(params, args.out)
     history_path = args.history or f"{args.out}.history.csv"
-    training.write_history_csv(history, history_path)
+    _, history = _fit(args, data, split, args.seed, args.out, history_path)
     return (f"train: {_best_epoch_line(history)}, "
             f"wrote {args.out} {history_path}")
 
@@ -186,7 +156,7 @@ def _read_id_file(path: str | Path) -> list[str]:
     return list(ids)
 
 
-def _cmd_eval(args, opts: GlobalOptions) -> str:
+def _cmd_eval(args) -> str:
     manifest, features = _load_inputs(args)
     data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
     params = load_checkpoint(args.checkpoint)
@@ -198,16 +168,14 @@ def _cmd_eval(args, opts: GlobalOptions) -> str:
         ids = list(getattr(split, f"{args.role}_ids"))
         split_id = f"{args.split}:{args.role}"
     try:
-        report = training.evaluate(params, data, ids)
+        report = _evaluate(params, data, ids, split_id, args.out)
     except training.ModelMismatch as exc:
         raise ValueError(f"{args.checkpoint}: {exc}") from None
-    report.split_id = split_id
-    training.write_eval_report(report, args.out)
     return (f"eval: top1 {report.overall_top1:.2f}% over {report.n_evaluated} "
             f"clips, wrote {args.out}")
 
 
-def _cmd_correlate(args, opts: GlobalOptions) -> str:
+def _cmd_correlate(args) -> str:
     shift_obj = json.loads(Path(args.shift_report).read_text(encoding="utf-8"))
     scores = {g["group"]: float(g["score"]) for g in shift_obj["groups"]}
     accuracies: dict[str, float] = {}
@@ -244,17 +212,19 @@ def _parse_offsets(pairs: list[str], dim: int) -> dict[str, np.ndarray]:
             raise ValueError(f"bad --offset norm {raw!r} for {name!r}") from None
         if norm < 0:
             raise ValueError(f"offset norm must be >= 0, got {norm}")
+        if name in offsets:
+            raise ValueError(f"--offset given twice for {name!r}")
         offsets[name] = synth.unit_direction(dim, name) * norm
     return offsets
 
 
-def _cmd_synth(args, opts: GlobalOptions) -> str:
+def _cmd_synth(args) -> str:
     spec = synth.SyntheticSpec(
         n_domains=args.domains, n_classes=args.classes,
         samples_per_cell=args.per_cell, feature_dim=args.dim,
         class_separation=args.sep, noise_scale=args.noise,
         domain_offsets=_parse_offsets(args.offset, args.dim))
-    manifest, features = synth.generate(spec, seed=opts.seed)
+    manifest, features = synth.generate(spec, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.jsonl"
@@ -265,7 +235,7 @@ def _cmd_synth(args, opts: GlobalOptions) -> str:
             f"{args.classes} classes, wrote {manifest_path} {pack_path}")
 
 
-def _cmd_check_fixtures(args, opts: GlobalOptions) -> str:
+def _cmd_check_fixtures(args) -> str:
     rows = analysis.check_table3_consistency()
     for row in rows:
         status = "pass" if row.passed else "FAIL"
@@ -287,11 +257,13 @@ def _cmd_check_fixtures(args, opts: GlobalOptions) -> str:
             f"score-accuracy spearman {rho:+.3f}")
 
 
-def _cmd_train_all(args, opts: GlobalOptions) -> str:
+def _cmd_train_all(args) -> str:
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     manifest, features = _load_inputs(args)
     data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
     lodo = splits.build_all_lodo_splits(
-        manifest, val_fraction=args.val_fraction, seed=opts.seed)
+        manifest, val_fraction=args.val_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -299,41 +271,27 @@ def _cmd_train_all(args, opts: GlobalOptions) -> str:
         index, domain = item
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
-        config = TrainConfig(
-            learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
-            drop_prob=args.drop_prob, seed=opts.seed + index)
-        params, history = training.train(
-            data, split, config, hidden1=args.hidden1, hidden2=args.hidden2)
-        save_checkpoint(params, out_dir / f"ckpt_{domain}.emlp")
-        training.write_history_csv(history, out_dir / f"history_{domain}.csv")
-        report = training.evaluate(params, data, split.test_ids)
-        report.split_id = f"lodo:{domain}"
-        training.write_eval_report(report, out_dir / f"eval_{domain}.json")
-        _note(opts, f"train-all: {domain} top1 {report.overall_top1:.2f}%")
+        params, _ = _fit(args, data, split, args.seed + index,
+                         out_dir / f"ckpt_{domain}.emlp", out_dir / f"history_{domain}.csv")
+        report = _evaluate(params, data, split.test_ids, f"lodo:{domain}",
+                           out_dir / f"eval_{domain}.json")
+        if args.verbose:
+            print(f"train-all: {domain} top1 {report.overall_top1:.2f}%", file=sys.stderr)
         return domain, report.overall_top1
 
-    jobs = list(enumerate(lodo))
-    if opts.threads == 1:
-        results = [run_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    accuracies = dict(results)
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        accuracies = dict(pool.map(run_one, enumerate(lodo)))
     acc_path = out_dir / "accuracies.json"
     dataset.write_json(accuracies, acc_path)
     mean_acc = float(np.mean(list(accuracies.values())))
-    return (f"train-all: {len(jobs)} hold-outs, mean top1 {mean_acc:.2f}%, "
+    return (f"train-all: {len(accuracies)} hold-outs, mean top1 {mean_acc:.2f}%, "
             f"wrote {acc_path}")
 
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
-    if seed:
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: DRIFTBENCH_SEED or 0)")
-    p.add_argument("-v", "--verbose", action="count", default=0,
-                   help="progress notes on stderr")
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
 def _add_inputs(p: argparse.ArgumentParser) -> None:
@@ -355,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-map", default=None,
                    help="two-column TSV remapping fine labels to categories")
     p.add_argument("--out", default=None, help="optional JSON summary path")
-    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("score", help="cluster features and report shift scores")
@@ -366,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--pool", choices=["mean", "flatten"], default="mean")
     p.add_argument("--out-dir", default=".")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("splits", help="build one leave-one-domain-out split")
@@ -375,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     p.add_argument("--out", default=None,
                    help="split file path (default split_<domain>.tsv)")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_splits)
 
     def add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -394,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="CHECKPOINT")
     p.add_argument("--history", default=None,
                    help="epoch-stats CSV (default <checkpoint>.history.csv)")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-all",
@@ -403,10 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     add_train_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="hold-outs trained concurrently (default: "
-                   "DRIFTBENCH_THREADS or 1); outputs do not depend on it")
-    _add_common(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="hold-outs trained concurrently (default 1); "
+                   "outputs do not depend on it")
+    _add_seed(p)
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="one line per hold-out on stderr")
     p.set_defaults(func=_cmd_train_all)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on chosen clips")
@@ -418,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", choices=["train", "val", "test"], default="test")
     p.add_argument("--pool", choices=["mean", "flatten"], default="flatten")
     p.add_argument("--out", required=True, metavar="REPORT_JSON")
-    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("correlate",
@@ -428,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="JSON", help="repeatable; per-domain accuracies "
                    "are merged across reports")
     p.add_argument("--out", default="correlation.json")
-    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
@@ -445,13 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; inject a covariate offset of the given "
                    "norm for one domain")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("check-fixtures",
                        help="verify the published-table fixtures")
     p.add_argument("--out", default=None, help="optional JSON results path")
-    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_check_fixtures)
 
     return parser
@@ -472,8 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        opts = _resolve_options(args)
-        summary = args.func(args, opts)
+        summary = args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         msg = " ".join(str(exc).split())
         print(f"{PROG}: error: {args.command}: {msg}", file=sys.stderr)

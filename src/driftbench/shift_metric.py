@@ -91,6 +91,11 @@ def shift_scores(keys: list[GroupKey], member_counts: list[int],
     Row i of prototypes (G, D) belongs to keys[i]. Each group's deltas are
     its Euclidean distances to the other G - 1 prototypes, in key order.
     Groups come back sorted by descending score (score ties broken by label).
+
+    With one group at distance d from G - 1 coincident groups, the lone group
+    scores d (sigma 0) and each other group d * (1 + tau * sqrt(G - 2)) / (G - 1).
+    So at tau = 2 the lone outlier outranks the rest only when G > 6: it ties
+    at G = 6 and ranks last at G = 4.
     """
     P = np.asarray(prototypes, dtype=np.float64)
     n_groups = len(keys)

@@ -48,6 +48,9 @@ class SyntheticSpec:
         if min(self.n_domains, self.n_classes, self.samples_per_cell,
                self.feature_dim) < 1:
             raise ValueError("all counts must be positive")
+        for name in ("class_separation", "noise_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         names = {domain_name(i) for i in range(self.n_domains)}
         for name, offset in self.domain_offsets.items():
             if name not in names:
@@ -57,6 +60,8 @@ class SyntheticSpec:
                     f"offset for {name!r} has shape {np.shape(offset)}, "
                     f"expected ({self.feature_dim},)"
                 )
+            if not np.isfinite(offset).all():
+                raise ValueError(f"offset for {name!r} is not finite")
         if self.label_priors is not None:
             for name, prior in self.label_priors.items():
                 if name not in names:

@@ -91,30 +91,34 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
 
 @dataclass
 class TrainingData:
-    """Feature matrix and labels indexed by clip id, in manifest order.
+    """The pooled feature pack with labels, indexed by pack row (row_index).
 
-    X holds the pooled rows in the pack's dtype (float32 for a loaded pack);
-    mlp.forward widens each batch to the weights' dtype, which is exact.
+    X is the pooled pack itself, in the pack's dtype (float32 for a loaded
+    pack; for flatten pooling, a view of it); mlp.forward widens each batch
+    to the weights' dtype, which is exact. A row that no record names has
+    label -1 and domain None; rows_for never returns it.
     """
 
     X: np.ndarray  # (N, D')
-    labels: np.ndarray  # (N,) class indices into categories
-    row_domains: tuple[str, ...]
+    labels: np.ndarray  # (N,) class indices into categories, -1 if unnamed
+    row_domains: tuple[str | None, ...]
     categories: tuple[str, ...]
-    row_of: dict[str, int] = field(repr=False)  # clip id -> row of X
+    row_of: dict[str, int] = field(repr=False)  # clip id -> row_index
 
     @classmethod
     def from_features(cls, manifest: Manifest, features: FeatureSet,
                       pool_mode: str = "flatten") -> "TrainingData":
-        pooled = pool_temporal(features, pool_mode)
+        X = pool_temporal(features, pool_mode)
         class_index = {c: i for i, c in enumerate(manifest.categories)}
-        rows = [r.row_index for r in manifest.records]
+        labels = np.full(len(X), -1)
+        row_domains: list[str | None] = [None] * len(X)
+        for r in manifest.records:
+            labels[r.row_index] = class_index[r.category]
+            row_domains[r.row_index] = r.domain
         return cls(
-            X=pooled[rows],
-            labels=np.array([class_index[r.category] for r in manifest.records]),
-            row_domains=tuple(r.domain for r in manifest.records),
+            X=X, labels=labels, row_domains=tuple(row_domains),
             categories=manifest.categories,
-            row_of={r.clip_id: i for i, r in enumerate(manifest.records)},
+            row_of={r.clip_id: r.row_index for r in manifest.records},
         )
 
     @property

@@ -1,22 +1,17 @@
 """End-to-end command-line behavior: exit codes, files, and messages."""
 import json
+import re
 
 import numpy as np
 import pytest
 
-from driftbench import cli, shift_metric
+from driftbench import cli, shift_metric, training
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
 from driftbench.mlp import init_params, save_checkpoint
 from driftbench.synth import SyntheticSpec, generate
 
 SYNTH_ARGS = ["--domains", "3", "--classes", "3", "--per-cell", "6",
               "--dim", "8", "--noise", "0.5"]
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
-    monkeypatch.delenv("DRIFTBENCH_THREADS", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -473,42 +468,89 @@ def test_check_fixtures(capsys, tmp_path):
     assert len(obj["rows"]) == 8
 
 
-def test_seed_flag_beats_environment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DRIFTBENCH_SEED", "7")
-    out_dir = tmp_path / "env_synth"
-    assert cli.main(["synth", *SYNTH_ARGS, "--seed", "3",
-                     "--out-dir", str(out_dir)]) == 0
-    capsys.readouterr()
-    got = load_feature_pack(out_dir / "features.egf")
-    spec = SyntheticSpec(n_domains=3, n_classes=3, samples_per_cell=6,
-                         feature_dim=8, noise_scale=0.5)
-    _, want_flag = generate(spec, seed=3)
-    assert got.values.tobytes() == want_flag.values.tobytes()
-
-
-def test_seed_env_used_without_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DRIFTBENCH_SEED", "7")
+def test_seed_defaults_to_zero_whatever_the_environment(tmp_path, monkeypatch, capsys):
+    # flags are the only configuration: these variables are not read
+    monkeypatch.setenv("DRIFTBENCH_SEED", "abc")
+    monkeypatch.setenv("DRIFTBENCH_THREADS", "0")
     out_dir = tmp_path / "env_synth"
     assert cli.main(["synth", *SYNTH_ARGS, "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     got = load_feature_pack(out_dir / "features.egf")
     spec = SyntheticSpec(n_domains=3, n_classes=3, samples_per_cell=6,
                          feature_dim=8, noise_scale=0.5)
-    _, want_env = generate(spec, seed=7)
-    assert got.values.tobytes() == want_env.values.tobytes()
+    _, want = generate(spec, seed=0)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
-def test_bad_environment_values(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DRIFTBENCH_SEED", "abc")
-    code = cli.main(["synth", *SYNTH_ARGS, "--out-dir", str(tmp_path / "x")])
+def test_train_all_refuses_zero_threads_before_reading_or_writing(tmp_path, capsys):
+    out_dir = tmp_path / "runs"  # the inputs do not exist: they are never opened
+    code = cli.main(["train-all", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--features", str(tmp_path / "f.egf"), "--threads", "0",
+                     "--out-dir", str(out_dir)])
     assert code == 1
-    assert "DRIFTBENCH_SEED must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "driftbench: error: train-all: threads must be >= 1, got 0\n")
+    assert not out_dir.exists()
 
-    monkeypatch.delenv("DRIFTBENCH_SEED")
-    monkeypatch.setenv("DRIFTBENCH_THREADS", "0")
-    code = cli.main(["synth", *SYNTH_ARGS, "--out-dir", str(tmp_path / "y")])
+
+# Every command but train-all, with its required flags (paths are not opened).
+REQUIRED_ARGS = {
+    "validate": ["--manifest", "m.jsonl"],
+    "score": ["--manifest", "m.jsonl", "--features", "f.egf"],
+    "splits": ["--manifest", "m.jsonl", "--hold-out", "dom00"],
+    "train": ["--manifest", "m.jsonl", "--features", "f.egf", "--split", "s.tsv",
+              "--out", "c.emlp"],
+    "eval": ["--manifest", "m.jsonl", "--features", "f.egf", "--checkpoint", "c.emlp",
+             "--split", "s.tsv", "--out", "e.json"],
+    "correlate": ["--shift-report", "r.json", "--eval-report", "e.json"],
+    "synth": ["--domains", "1", "--classes", "1", "--per-cell", "1", "--dim", "1",
+              "--out-dir", "d"],
+    "check-fixtures": [],
+}
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "train-all"])
+def test_verbose_flag_belongs_to_train_all_only(command, capsys):
+    assert cli.main([command, *REQUIRED_ARGS[command], "-v"]) == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+
+def test_train_all_verbose_prints_one_line_per_hold_out(workdir, tmp_path, capsys):
+    argv = ["train-all", *data_args(workdir), "--epochs", "1", "--batch", "16",
+            "--hidden1", "8", "--hidden2", "4", "--out-dir", str(tmp_path / "runs")]
+    assert cli.main(argv) == 0
+    quiet_out, quiet_err = capsys.readouterr()
+    quiet_files = {p.name: p.read_bytes() for p in (tmp_path / "runs").iterdir()}
+    assert quiet_err == ""
+    assert cli.main([*argv, "-v"]) == 0
+    out, err = capsys.readouterr()
+    assert out == quiet_out
+    lines = err.splitlines()
+    assert [line.split()[1] for line in lines] == ["dom00", "dom01", "dom02"]
+    for line in lines:
+        assert re.fullmatch(r"train-all: dom0\d top1 \d+\.\d\d%", line), line
+    assert {p.name: p.read_bytes() for p in (tmp_path / "runs").iterdir()} == quiet_files
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_all_hold_out_failure_is_one_line_error(workdir, tmp_path, threads,
+                                                      monkeypatch, capsys):
+    real_train = training.train
+
+    def train_failing_dom01(data, split, *args, **kwargs):
+        if split.held_out_domain == "dom01":
+            raise ValueError("training dom01 failed")
+        return real_train(data, split, *args, **kwargs)
+    monkeypatch.setattr(training, "train", train_failing_dom01)
+    out_dir = tmp_path / "runs"
+    code = cli.main(["train-all", *data_args(workdir), "--epochs", "1",
+                     "--hidden1", "8", "--hidden2", "4", "--threads", threads,
+                     "--out-dir", str(out_dir)])
     assert code == 1
-    assert "threads must be >= 1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "driftbench: error: train-all: training dom01 failed\n"
+    assert not (out_dir / "accuracies.json").exists()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
@@ -548,3 +590,20 @@ def test_synth_offset_flag(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "bad")])
     assert code == 1
     assert "bad --offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--offset", "dom01=nan"], "offset for 'dom01' is not finite"),
+    (["--offset", "dom01=inf"], "offset for 'dom01' is not finite"),
+    (["--sep", "nan"], "class_separation must be finite, got nan"),
+    (["--noise", "inf"], "noise_scale must be finite, got inf"),
+    (["--offset", "dom01=1", "--offset", "dom01=5"], "--offset given twice for 'dom01'"),
+])
+def test_synth_refuses_bad_values_before_writing(tmp_path, flags, message, capsys):
+    out_dir = tmp_path / "bad"
+    code = cli.main(["synth", *SYNTH_ARGS, *flags, "--out-dir", str(out_dir)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"driftbench: error: synth: {message}\n"
+    assert not (out_dir / "manifest.jsonl").exists()

@@ -185,6 +185,27 @@ class TestShiftScores:
         report = scores_for({"a": 0.0, "b": 1.0, "c": 3.0})
         assert report.score_of("a") == 4.0  # deltas [1, 3]: mu 2, sigma 1, tau 2
 
+    @pytest.mark.parametrize("n_groups, others, outlier_rank", [
+        (4, 3.8284271247461903, 3),  # 1 + 2*sqrt(2): the outlier ranks last
+        (6, 5.0, None),              # every group ties
+        (8, 5.898979485566356, 0),   # 1 + 2*sqrt(6): the outlier ranks first
+    ])
+    def test_lone_outlier_closed_form(self, n_groups, others, outlier_rank):
+        # one group at d from G-1 coincident groups: it scores d (sigma 0); each
+        # other group scores d*(1 + tau*sqrt(G-2))/(G-1), tau = 2, d = G-1
+        d = n_groups - 1
+        points = {"out": float(d), **{f"g{i}": 0.0 for i in range(1, n_groups)}}
+        report = scores_for(points, tau=2.0)
+        closed_form = d * (1 + 2.0 * np.sqrt(n_groups - 2)) / (n_groups - 1)
+        assert others == pytest.approx(closed_form, rel=1e-12)
+        assert report.score_of("out") == float(d)
+        assert {g.score for g in report.groups if g.key.label != "out"} == {others}
+        labels = [g.key.label for g in report.groups]
+        if outlier_rank is None:
+            assert {g.score for g in report.groups} == {float(d)}
+        else:
+            assert labels.index("out") == outlier_rank
+
     def test_sorted_by_descending_score(self):
         # high: [1, 10] -> 14.5, mid: [1, 9] -> 13, low: [10, 9] -> 10.5
         report = scores_for({"high": 0.0, "mid": 1.0, "low": 10.0})

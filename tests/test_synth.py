@@ -109,6 +109,18 @@ def test_spec_validation_errors():
         base_spec(label_priors={"dom00": (0.5, 0.3, 0.1)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="class_separation must be finite"):
+        base_spec(class_separation=bad)
+    with pytest.raises(ValueError, match="noise_scale must be finite"):
+        base_spec(noise_scale=bad)
+    offset = np.zeros(8)
+    offset[3] = bad
+    with pytest.raises(ValueError, match="offset for 'dom01' is not finite"):
+        base_spec(domain_offsets={"dom01": offset})
+
+
 def test_feature_dim_must_cover_classes():
     with pytest.raises(ValueError, match="feature_dim 2 < n_classes 3"):
         generate(base_spec(feature_dim=2))

@@ -169,15 +169,26 @@ def test_training_data_follows_manifest_order():
     ])
     feats = make_features(np.array([[0.0, 0], [1.0, 0], [2.0, 0]]))
     data = TrainingData.from_features(man, feats, pool_mode="mean")
-    assert data.row_of == {"c0": 0, "c1": 1, "c2": 2}
-    assert data.X[:, 0].tolist() == [2.0, 0.0, 1.0]
-    # labels index into the sorted category tuple
+    # X is the pooled pack in pack order; each clip id maps to its row_index
+    assert data.row_of == {"c0": 2, "c1": 0, "c2": 1}
+    assert data.X[:, 0].tolist() == [0.0, 1.0, 2.0]
+    # labels index into the sorted category tuple, by pack row
     assert data.categories == ("catA", "catB")
-    assert data.labels.tolist() == [1, 0, 1]
-    assert data.row_domains == ("d0", "d0", "d1")
-    assert data.rows_for(["c2", "c0"]).tolist() == [2, 0]
+    assert data.labels.tolist() == [0, 1, 1]
+    assert data.row_domains == ("d0", "d1", "d0")
+    assert data.rows_for(["c2", "c0"]).tolist() == [1, 2]
     with pytest.raises(ValueError, match="unknown clip id"):
         data.rows_for(["ghost"])
+
+
+def test_training_data_holds_the_pack_and_marks_unnamed_rows():
+    man = make_manifest([("a", "d0", "catA", 2), ("b", "d1", "catB", 0)])
+    feats = make_features(np.arange(6.0).reshape(3, 2))
+    data = TrainingData.from_features(man, feats, pool_mode="flatten")
+    assert np.shares_memory(data.X, feats.values)  # no copy of the pack
+    assert data.labels.tolist() == [1, -1, 0]
+    assert data.row_domains == ("d1", None, "d0")
+    assert data.rows_for(["a", "b"]).tolist() == [2, 0]
 
 
 def test_train_zero_epochs_returns_init():
