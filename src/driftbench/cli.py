@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -267,8 +268,18 @@ def _cmd_train_all(args) -> str:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(item: tuple[int, str]) -> tuple[str, float]:
-        index, domain = item
+    failed = threading.Event()  # set by the first hold-out that raises
+
+    def run_one(item: tuple[int, str]) -> tuple[str, float] | None:
+        if failed.is_set():
+            return None  # pool.map raises the earlier failure before reading this
+        try:
+            return fit_and_evaluate(*item)
+        except BaseException:
+            failed.set()
+            raise
+
+    def fit_and_evaluate(index: int, domain: str) -> tuple[str, float]:
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
         params, _ = _fit(args, data, split, args.seed + index,

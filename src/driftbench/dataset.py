@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 FEATURE_PACK_MAGIC = b"EGF1"
+FINITE_BLOCK = 1 << 20  # values per block of rows in the pack's finite check
 
 MANIFEST_FIELDS = ("clip_id", "domain", "category", "row_index")
 
@@ -163,10 +164,12 @@ def load_feature_pack(path: str | Path) -> FeatureSet:
             f"({expected} bytes) but file has {len(raw)} bytes"
         )
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, t, d)
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad_row = int(np.argwhere(~finite)[0][0])
-        raise ValueError(f"{path}: non-finite feature value at row {bad_row}")
+    rows = max(1, FINITE_BLOCK // max(1, t * d))
+    for lo in range(0, n, rows):
+        finite = np.isfinite(values[lo:lo + rows]).all(axis=(1, 2))
+        if not finite.all():
+            bad_row = lo + int(finite.argmin())
+            raise ValueError(f"{path}: non-finite feature value at row {bad_row}")
     return FeatureSet(values)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 LN_EPS = 1e-5
+LN_BLOCK = 1 << 15  # elements of the layer norm's squaring scratch
 CHECKPOINT_MAGIC = b"EMLP"
 
 DEFAULT_HIDDEN1 = 4096
@@ -101,22 +102,34 @@ def init_params(input_dim: int, n_classes: int, seed: int = 0,
     return params
 
 
-def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, train: bool):
     """Return (gain * xhat + bias, xhat, inv_std) over the rows of z (B, H).
 
     Consumes z: it is centred and scaled in place and comes back as xhat.
-    The roundings are those of z.mean, z.var and the expression form.
+    In eval mode xhat is not kept: z itself comes back as gain * xhat + bias,
+    and xhat as None. The squares for the variance go through a scratch of
+    LN_BLOCK elements, a block of rows at a time; each row sums on its own,
+    so the roundings are those of z.mean, z.var and the expression form.
     """
-    h = z.shape[1]
+    b, h = z.shape
     mean = z.sum(axis=1, keepdims=True)  # what ndarray.mean does, then /= h
     mean /= h
     z -= mean
-    out = np.square(z)
-    var = out.sum(axis=1, keepdims=True)
+    var = np.empty_like(mean)
+    rows = max(1, LN_BLOCK // h)
+    scratch = np.empty((min(rows, b), h), dtype=z.dtype)
+    for lo in range(0, b, rows):
+        block = z[lo:lo + rows]
+        sq = np.square(block, out=scratch[:len(block)])
+        sq.sum(axis=1, keepdims=True, out=var[lo:lo + rows])
     var /= h
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     z *= inv_std
-    np.multiply(gain, z, out=out)
+    if not train:
+        z *= gain  # gain * xhat: the product rounds the same either way round
+        z += bias
+        return z, None, inv_std
+    out = np.multiply(gain, z)
     out += bias
     return out, z, inv_std
 
@@ -160,7 +173,7 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
         # linear -> layer norm -> ReLU -> dropout, each in place on its buffer
         z = x @ w
         z += b
-        d, xhat, inv_std = _layer_norm(z, gain, bias)
+        d, xhat, inv_std = _layer_norm(z, gain, bias, train)
         np.maximum(d, 0.0, out=d)
         if not train:
             return d, None
@@ -202,11 +215,13 @@ def _layer_norm_backward(d_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarra
     return d_out
 
 
-def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray) -> MlpParams:
+def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
+             out: MlpParams | None = None) -> MlpParams:
     """Exact parameter gradients for the forward composition above.
 
-    Returns them as an MlpParams laid out like params. grad_logits is the
-    loss gradient w.r.t. the logits from the matching forward call.
+    Returns them as an MlpParams laid out like params: out if given (every
+    element is overwritten), else a fresh one. grad_logits is the loss
+    gradient w.r.t. the logits from the matching forward call.
     """
     if trace.d2.shape[1] != params.hidden2 or trace.x.shape[1] != params.input_dim:
         raise ValueError("trace does not match params shapes")
@@ -216,7 +231,10 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray) ->
             f"grad_logits shape {grad_logits.shape} != "
             f"({trace.x.shape[0]}, {params.n_classes})"
         )
-    g = MlpParams(params.dims, np.empty_like(params.flat))
+    g = MlpParams(params.dims, np.empty_like(params.flat)) if out is None else out
+    if g.dims != params.dims or g.flat.dtype != params.flat.dtype:
+        raise ValueError(f"out buffer {g.dims} {g.flat.dtype} does not match "
+                         f"params {params.dims} {params.flat.dtype}")
 
     np.matmul(grad_logits.T, trace.d2, out=g.head_w)
     grad_logits.sum(axis=0, out=g.head_b)

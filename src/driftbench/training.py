@@ -170,6 +170,9 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
 
     Returns (best_params, history) where history holds one EpochStats per
     epoch. With an empty val set the final-epoch weights are returned.
+    Memory: five parameter-sized vectors (params, the best-epoch copy,
+    Adam's m and v, one gradient buffer) plus one step's activations, or
+    one EVAL_BATCH chunk of val rows while val top-1 is measured.
     """
     train_set, val_set, test_set = set(split.train_ids), set(split.val_ids), set(split.test_ids)
     if train_set & val_set or train_set & test_set or val_set & test_set:
@@ -188,6 +191,22 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
     shuffle_rng = np.random.default_rng([config.seed, 0])
     dropout_rng = np.random.default_rng([config.seed, 1])
 
+    grads = MlpParams(params.dims, np.empty_like(params.flat))  # reused by every step
+
+    def step(rows: np.ndarray, epoch: int, batch: int) -> float:
+        # One forward, loss, backward and Adam update. The trace and the other
+        # activations die on return, so no two steps' activations coexist.
+        logits, trace = mlp.forward(
+            params, data.X[train_rows[rows]], mode="train",
+            drop_prob=config.drop_prob, rng=dropout_rng)
+        targets = mlp.one_hot(y_train[rows], data.n_classes)
+        loss, grad_logits = mlp.ova_bce_loss(logits, targets)
+        if not np.isfinite(loss):
+            raise ValueError(f"non-finite loss at epoch {epoch}, batch {batch}")
+        mlp.backward(params, trace, grad_logits, out=grads)
+        adam_step(params, grads, state, config)
+        return loss
+
     n = len(train_rows)
     best_params = params.copy()
     best_top1 = -np.inf
@@ -197,18 +216,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
-            logits, trace = mlp.forward(
-                params, data.X[train_rows[rows]], mode="train",
-                drop_prob=config.drop_prob, rng=dropout_rng)
-            targets = mlp.one_hot(y_train[rows], data.n_classes)
-            loss, grad_logits = mlp.ova_bce_loss(logits, targets)
-            if not np.isfinite(loss):
-                raise ValueError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            grads = mlp.backward(params, trace, grad_logits)
-            params, state = adam_step(params, grads, state, config)
-            loss_sum += loss * len(rows)
+            loss_sum += step(rows, epoch, start // config.batch_size) * len(rows)
         val_top1 = _top1(params, X_val, y_val) if len(val_rows) else float("nan")
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, val_top1=val_top1))
         if val_top1 > best_top1:  # strict: ties keep the earlier epoch

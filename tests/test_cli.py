@@ -553,6 +553,32 @@ def test_train_all_hold_out_failure_is_one_line_error(workdir, tmp_path, threads
     assert not (out_dir / "accuracies.json").exists()
 
 
+def test_train_all_starts_no_hold_out_after_a_failure(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--domains", "4", "--classes", "3", "--per-cell", "6",
+                     "--dim", "8", "--seed", "0", "--out-dir", str(data)]) == 0
+    real_train = training.train
+
+    def train_failing_dom01(data, split, *args, **kwargs):
+        if split.held_out_domain == "dom01":
+            raise ValueError("training dom01 failed")
+        return real_train(data, split, *args, **kwargs)
+    monkeypatch.setattr(training, "train", train_failing_dom01)
+    out_dir = tmp_path / "runs"
+    capsys.readouterr()
+    code = cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
+                     "--features", str(data / "features.egf"), "--epochs", "1",
+                     "--hidden1", "8", "--hidden2", "4", "--threads", "1",
+                     "--out-dir", str(out_dir)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "driftbench: error: train-all: training dom01 failed\n"
+    assert (out_dir / "ckpt_dom00.emlp").exists()
+    assert sorted(p.name for p in out_dir.iterdir() if "dom02" in p.name
+                  or "dom03" in p.name) == []
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     for sub in ("one", "two"):
         d = tmp_path / sub

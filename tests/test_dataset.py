@@ -123,6 +123,17 @@ class TestFeaturePack:
         with pytest.raises(ValueError, match="row 5"):
             load_feature_pack(p)
 
+    def test_first_bad_row_named_across_check_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "FINITE_BLOCK", 6)  # 3 rows of 1x2 per block
+        p = tmp_path / "f.egf"
+        vals = np.zeros((12, 1, 2), dtype="<f4")
+        vals[4, 0, 0] = np.inf
+        vals[7, 0, 1] = np.nan
+        p.write_bytes(b"EGF1" + struct.pack("<III", 12, 1, 2) + vals.tobytes())
+        with pytest.raises(ValueError) as exc:
+            load_feature_pack(p)
+        assert str(exc.value) == f"{p}: non-finite feature value at row 4"
+
     def test_shape_properties_read_values(self):
         fs = FeatureSet(np.zeros((4, 3, 2), dtype=np.float32))
         assert (fs.n_clips, fs.temporal_count, fs.feature_dim) == (4, 3, 2)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from driftbench import mlp
 from driftbench.mlp import (
     CHECKPOINT_MAGIC,
     FIELDS,
@@ -367,6 +368,39 @@ def test_backward_leaves_trace_unchanged(case):
     assert np.array_equal(p.flat, flat_before)
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_backward_fills_a_given_buffer(case):
+    p, x = random_problem(case)
+    logits, trace = forward(p, x, mode="train", drop_prob=0.5,
+                            rng=np.random.default_rng(case))
+    _, grad_logits = ova_bce_loss(logits, one_hot(np.arange(len(x)) % p.n_classes,
+                                                  p.n_classes))
+    buf = MlpParams(p.dims, np.full_like(p.flat, np.nan))
+    got = backward(p, trace, grad_logits, out=buf)
+    assert got is buf
+    assert np.isfinite(buf.flat).all()
+    assert np.array_equal(buf.flat, backward(p, trace, grad_logits).flat)
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("drop_prob", ["eval", 0.5])
+@pytest.mark.parametrize("ln_block", [1, 1000])
+def test_layer_norm_row_blocks_keep_the_bits(case, drop_prob, ln_block, monkeypatch):
+    """Squaring one row, or a few, at a time rounds as the one-shot expression form."""
+    monkeypatch.setattr(mlp, "LN_BLOCK", ln_block)  # widths < 150: 1 or 6+ rows a block
+    p, x = random_problem(case)
+    x = np.concatenate([x] * 4)  # several blocks whatever the drawn batch size
+    if drop_prob == "eval":
+        assert np.array_equal(forward(p, x), expression_forward(p, x))
+        return
+    got, trace = forward(p, x, mode="train", drop_prob=drop_prob,
+                         rng=np.random.default_rng(case))
+    want, want_trace = expression_forward(p, x, mode="train", drop_prob=drop_prob,
+                                          rng=np.random.default_rng(case))
+    assert np.array_equal(got, want)
+    assert_traces_equal(trace, want_trace)
+
+
 def test_backward_error_paths():
     p = tiny_params()
     x = np.zeros((3, 4))
@@ -377,6 +411,10 @@ def test_backward_error_paths():
     other = init_params(6, 2, seed=0, hidden1=3, hidden2=4)
     with pytest.raises(ValueError, match="trace does not match"):
         backward(other, trace, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="out buffer"):
+        backward(p, trace, np.zeros((3, 2)), out=MlpParams.zeros(other.dims))
+    with pytest.raises(ValueError, match="out buffer"):
+        backward(p, trace, np.zeros((3, 2)), out=MlpParams.zeros(p.dims, np.float32))
 
 
 def test_backward_matches_finite_differences_spot_check():

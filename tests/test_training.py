@@ -1,4 +1,7 @@
 """Adam optimizer, training loop, and evaluation reports."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from driftbench.training import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
+    EVAL_BATCH,
     AdamState,
     EpochStats,
     EvalReport,
@@ -246,6 +250,38 @@ def test_train_empty_val_returns_final_params():
     p2, _ = train(data, split, cfg, hidden1=4, hidden2=3)
     for name, t in params.tensors().items():
         assert np.array_equal(t, p2.tensors()[name])
+
+
+def test_train_holds_five_parameter_vectors_and_one_step():
+    """Traced peak of train stays under its working set: five parameter-sized
+    vectors (params, the best-epoch copy, Adam m and v, the gradients), one
+    step's activations (twice a ForwardTrace: the trace plus the forward and
+    backward temporaries) and one eval chunk (its input and both layers)."""
+    i, h1, h2, c, batch = 64, 512, 256, 4, 32
+    n_train, n_val = 512, EVAL_BATCH
+    n = n_train + n_val
+    rows = [(f"c{r}", f"dom{r % 3}", f"cat{r % c}", r) for r in range(n)]
+    X = np.random.default_rng(0).standard_normal((n, i)).astype(np.float32)
+    data = TrainingData.from_features(make_manifest(rows), make_features(X))
+    ids = tuple(r[0] for r in rows)
+    split = SplitSpec("dom9", ids[:n_train], ids[n_train:], ())
+
+    params = mlp.init_params(i, c, hidden1=h1, hidden2=h2)
+    _, trace = mlp.forward(params, X[:batch], mode="train", drop_prob=0.5,
+                           rng=np.random.default_rng(0))
+    step = 2 * sum(getattr(trace, f.name).nbytes for f in dataclasses.fields(trace))
+    budget = 5 * params.flat.nbytes + step + EVAL_BATCH * (i + h1 + h2) * 8
+    del params, trace
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(data, split, TrainConfig(epochs=1, batch_size=batch, drop_prob=0.5),
+              hidden1=h1, hidden2=h2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)
 
 
 def test_train_rejects_overlapping_split():
