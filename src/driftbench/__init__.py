@@ -9,59 +9,3 @@ desk-scale datasets with injectable covariate offsets.
 """
 
 __version__ = "0.1.0"
-
-from .analysis import correlate_shift_accuracy, pearson, spearman
-from .clustering import ClusterModel, assign_nearest, kmeans_fit
-from .dataset import (
-    ClipRecord,
-    FeatureSet,
-    Manifest,
-    load_feature_pack,
-    load_manifest,
-    pool_temporal,
-    write_feature_pack,
-    write_manifest,
-)
-from .mlp import MlpParams, forward, init_params, load_checkpoint, save_checkpoint
-from .shift_metric import GroupingMode, ShiftReport, score_dataset, shift_scores
-from .splits import SplitSpec, build_all_lodo_splits, build_lodo_split
-from .synth import SyntheticSpec, generate, offset_sweep
-from .training import EvalReport, TrainConfig, TrainingData, evaluate, train
-
-__all__ = [
-    "ClipRecord",
-    "ClusterModel",
-    "EvalReport",
-    "FeatureSet",
-    "GroupingMode",
-    "Manifest",
-    "MlpParams",
-    "ShiftReport",
-    "SplitSpec",
-    "SyntheticSpec",
-    "TrainConfig",
-    "TrainingData",
-    "__version__",
-    "assign_nearest",
-    "build_all_lodo_splits",
-    "build_lodo_split",
-    "correlate_shift_accuracy",
-    "evaluate",
-    "forward",
-    "generate",
-    "init_params",
-    "kmeans_fit",
-    "load_checkpoint",
-    "load_feature_pack",
-    "load_manifest",
-    "offset_sweep",
-    "pearson",
-    "pool_temporal",
-    "save_checkpoint",
-    "score_dataset",
-    "shift_scores",
-    "spearman",
-    "train",
-    "write_feature_pack",
-    "write_manifest",
-]

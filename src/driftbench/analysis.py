@@ -41,26 +41,17 @@ TABLE5_MLP_LITE_ACCURACY: dict[str, float] = {
 
 
 @dataclass(frozen=True)
-class CorrelationResult:
-    method: str  # "spearman" or "pearson"
-    coefficient: float
-    n_points: int
-    pairs: tuple[tuple[str, float, float], ...]  # (domain, score, accuracy)
+class Correlation:
+    pairs: tuple[tuple[str, float, float], ...]  # (domain, score, accuracy), by domain
+    spearman: float
+    pearson: float
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    sorted_x = x[order]
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based position of each value's last copy
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def pearson(x, y) -> float:
@@ -84,8 +75,8 @@ def spearman(x, y) -> float:
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
-def correlate_shift_accuracy(scores: dict[str, float], accuracies: dict[str, float]
-                             ) -> tuple[CorrelationResult, CorrelationResult]:
+def correlate_shift_accuracy(scores: dict[str, float],
+                             accuracies: dict[str, float]) -> Correlation:
     """Spearman and Pearson between per-group scores and accuracies.
 
     Pairs are aligned by group/domain name; the two name sets must match.
@@ -101,10 +92,7 @@ def correlate_shift_accuracy(scores: dict[str, float], accuracies: dict[str, flo
     x = np.array([scores[n] for n in names])
     y = np.array([accuracies[n] for n in names])
     pairs = tuple((n, float(scores[n]), float(accuracies[n])) for n in names)
-    return (
-        CorrelationResult("spearman", spearman(x, y), len(names), pairs),
-        CorrelationResult("pearson", pearson(x, y), len(names), pairs),
-    )
+    return Correlation(pairs, spearman=spearman(x, y), pearson=pearson(x, y))
 
 
 @dataclass(frozen=True)
@@ -132,6 +120,5 @@ def check_table3_consistency(
 def fixture_spearman() -> float:
     """Rank correlation between published shift scores and accuracies."""
     scores = {d: row[2] for d, row in TABLE3_SHIFT_SCORES.items()}
-    result, _ = correlate_shift_accuracy(scores, TABLE5_MLP_LITE_ACCURACY)
-    return result.coefficient
+    return correlate_shift_accuracy(scores, TABLE5_MLP_LITE_ACCURACY).spearman
 

@@ -100,12 +100,7 @@ def _cmd_splits(args) -> str:
 def _best_epoch_line(history) -> str:
     if not history:
         return "no epoch ran, kept the initial weights"
-    best = None
-    for row in history:
-        if np.isnan(row.val_top1):
-            continue
-        if best is None or row.val_top1 > best.val_top1:
-            best = row
+    best = training.best_epoch(history)
     if best is None:
         return f"no val set, kept epoch {len(history)}"
     return f"best val top1 {best.val_top1:.2f}% at epoch {best.epoch}/{len(history)}"
@@ -176,29 +171,43 @@ def _cmd_eval(args) -> str:
             f"clips, wrote {args.out}")
 
 
+def _read_values(path: str, field: str, items) -> dict[str, float]:
+    """{name: number} from one field of a JSON report; items(field) yields the pairs.
+
+    A file that is not JSON, or whose field is missing or malformed, is one
+    error naming the file.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    try:
+        return {name: float(value) for name, value in items(obj[field])}
+    except (TypeError, KeyError, ValueError):
+        raise ValueError(f"{path}: expected a JSON object with a well-formed "
+                         f"{field!r}") from None
+
+
 def _cmd_correlate(args) -> str:
-    shift_obj = json.loads(Path(args.shift_report).read_text(encoding="utf-8"))
-    scores = {g["group"]: float(g["score"]) for g in shift_obj["groups"]}
+    scores = _read_values(args.shift_report, "groups",
+                          lambda groups: ((g["group"], g["score"]) for g in groups))
     accuracies: dict[str, float] = {}
     for path in args.eval_report:
-        report = training.read_eval_report(path)
-        for domain, acc in report.per_domain.items():
+        for domain, acc in _read_values(path, "per_domain", dict.items).items():
             if domain in accuracies and accuracies[domain] != acc:
                 raise ValueError(
                     f"conflicting accuracies for domain {domain!r} across eval reports")
             accuracies[domain] = acc
-    spearman_r, pearson_r = analysis.correlate_shift_accuracy(scores, accuracies)
+    result = analysis.correlate_shift_accuracy(scores, accuracies)
     payload = {
-        "n_points": spearman_r.n_points,
-        "pairs": [{"domain": d, "score": s, "accuracy": a}
-                  for d, s, a in spearman_r.pairs],
-        "pearson": pearson_r.coefficient,
-        "spearman": spearman_r.coefficient,
+        "n_points": len(result.pairs),
+        "pairs": [{"domain": d, "score": s, "accuracy": a} for d, s, a in result.pairs],
+        "pearson": result.pearson,
+        "spearman": result.spearman,
     }
     dataset.write_json(payload, args.out)
-    return (f"correlate: spearman {spearman_r.coefficient:+.3f} pearson "
-            f"{pearson_r.coefficient:+.3f} over {spearman_r.n_points} domains, "
-            f"wrote {args.out}")
+    return (f"correlate: spearman {result.spearman:+.3f} pearson "
+            f"{result.pearson:+.3f} over {len(result.pairs)} domains, wrote {args.out}")
 
 
 def _parse_offsets(pairs: list[str], dim: int) -> dict[str, np.ndarray]:

@@ -5,6 +5,9 @@ prototype: the mean of the k-means centroids its members fall nearest to.
 A group's shift score is mu + tau * sigma over its Euclidean distances to
 every other prototype, with sigma the population standard deviation.
 Higher scores mark groups that sit farther from the rest of the data.
+A prototype follows the group's class mix as well as its features: a domain
+whose label priors alone differ moves away from the rest, which raises every
+group's score although no class-conditional feature distribution moved.
 """
 from __future__ import annotations
 

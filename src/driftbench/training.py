@@ -9,7 +9,6 @@ for disjointness up front.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,15 +59,17 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
 
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads; every
-    other intermediate goes into one block-sized scratch vector.
+    other intermediate goes into one block-sized scratch vector. A non-finite
+    gradient is refused, block by block, before params, m or v change.
     """
     state.step += 1
     t = state.step
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
-    if not np.isfinite(grads.flat).all():
-        name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
-        raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
+    for lo in range(0, grads.flat.size, ADAM_BLOCK):
+        if not np.isfinite(grads.flat[lo:lo + ADAM_BLOCK]).all():
+            name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
+            raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
     m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
     scratch = np.empty(min(ADAM_BLOCK, params.flat.size), dtype=params.flat.dtype)
     for lo in range(0, params.flat.size, ADAM_BLOCK):
@@ -137,6 +138,12 @@ class EpochStats:
     epoch: int
     train_loss: float
     val_top1: float
+
+
+def best_epoch(history: list[EpochStats]) -> EpochStats | None:
+    """The epoch with the highest val top-1; the earliest wins ties, NaN never wins."""
+    scored = [row for row in history if not np.isnan(row.val_top1)]
+    return max(scored, key=lambda row: row.val_top1, default=None)
 
 
 @dataclass
@@ -209,7 +216,6 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
 
     n = len(train_rows)
     best_params = params.copy()
-    best_top1 = -np.inf
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -219,8 +225,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
             loss_sum += step(rows, epoch, start // config.batch_size) * len(rows)
         val_top1 = _top1(params, X_val, y_val) if len(val_rows) else float("nan")
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, val_top1=val_top1))
-        if val_top1 > best_top1:  # strict: ties keep the earlier epoch
-            best_top1 = val_top1
+        if best_epoch(history) is history[-1]:
             best_params.flat[:] = params.flat
 
     if not len(val_rows) and config.epochs > 0:
@@ -282,14 +287,3 @@ def eval_report_to_dict(report: EvalReport) -> dict:
 def write_eval_report(report: EvalReport, path: str | Path) -> None:
     write_json(eval_report_to_dict(report), path)
 
-
-def read_eval_report(path: str | Path) -> EvalReport:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return EvalReport(
-        split_id=obj["split_id"],
-        overall_top1=obj["overall_top1"],
-        per_domain=obj["per_domain"],
-        confusion=np.array(obj["confusion"], dtype=np.int64),
-        n_evaluated=obj["n_evaluated"],
-        classes=tuple(obj["classes"]),
-    )

@@ -132,12 +132,11 @@ def test_correlate_requires_matching_domains():
 def test_correlate_returns_both_methods():
     shift = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
     acc = {"a": 80.0, "b": 70.0, "c": 60.0, "d": 10.0}
-    sp, pe = correlate_shift_accuracy(shift, acc)
-    assert sp.method == "spearman" and pe.method == "pearson"
-    assert sp.coefficient == -1.0
-    assert -1.0 <= pe.coefficient < sp.coefficient + 1.0
-    assert sp.n_points == pe.n_points == 4
-    assert sp.pairs[0] == ("a", 1.0, 80.0)
+    result = correlate_shift_accuracy(shift, acc)
+    assert result.spearman == -1.0
+    assert -1.0 <= result.pearson < result.spearman + 1.0
+    assert len(result.pairs) == 4
+    assert result.pairs[0] == ("a", 1.0, 80.0)
 
 
 def test_growing_shift_drives_accuracy_down():
@@ -166,8 +165,7 @@ def test_growing_shift_drives_accuracy_down():
     accs = [acc[f"mag{m:g}"] for m in mags]
     assert omegas == sorted(omegas) and len(set(omegas)) == 3
     assert accs == sorted(accs, reverse=True) and len(set(accs)) == 3
-    sp, _ = correlate_shift_accuracy(shift, acc)
-    assert sp.coefficient == -1.0
+    assert correlate_shift_accuracy(shift, acc).spearman == -1.0
 
 
 def tiny_report():

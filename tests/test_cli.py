@@ -332,6 +332,75 @@ def test_correlate_domain_mismatch(workdir, capsys):
     assert "domain mismatch" in capsys.readouterr().err
 
 
+def write_reports(tmp_path, shift_text, eval_text):
+    shift, report = tmp_path / "shift.json", tmp_path / "eval.json"
+    shift.write_text(shift_text)
+    report.write_text(eval_text)
+    return {"shift": shift, "eval": report}
+
+
+SHIFT_TEXT = json.dumps({"groups": [{"group": d, "score": s}
+                                    for d, s in (("a", 1.0), ("b", 2.0), ("c", 4.0))]})
+EVAL_TEXT = json.dumps({"per_domain": {"a": 90.0, "b": 70.0, "c": 10.0}})
+
+
+def correlate_argv(paths, out):
+    return ["correlate", "--shift-report", str(paths["shift"]),
+            "--eval-report", str(paths["eval"]), "--out", str(out)]
+
+
+def test_correlate_reads_only_groups_and_per_domain(tmp_path, capsys):
+    paths = write_reports(tmp_path, SHIFT_TEXT, EVAL_TEXT)
+    assert cli.main(correlate_argv(paths, tmp_path / "c.json")) == 0
+    assert capsys.readouterr().out.startswith("correlate: spearman -1.000 pearson ")
+    obj = json.loads((tmp_path / "c.json").read_text())
+    assert obj["n_points"] == 3
+    assert obj["pairs"][2] == {"domain": "c", "score": 4.0, "accuracy": 10.0}
+
+
+@pytest.mark.parametrize("bad, text, message", [
+    ("shift", "[1, 2]", "expected a JSON object with a well-formed 'groups'"),
+    ("shift", '{"rows": []}', "expected a JSON object with a well-formed 'groups'"),
+    ("eval", '{"split_id": "x"}', "expected a JSON object with a well-formed 'per_domain'"),
+    ("eval", "not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_correlate_malformed_report_is_one_line_error(tmp_path, bad, text, message,
+                                                      capsys):
+    texts = {"shift": SHIFT_TEXT, "eval": EVAL_TEXT, bad: text}
+    paths = write_reports(tmp_path, texts["shift"], texts["eval"])
+    assert cli.main(correlate_argv(paths, tmp_path / "c.json")) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"driftbench: error: correlate: {paths[bad]}: {message}\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_growing_offsets_correlate_negatively(tmp_path, capsys):
+    # The paper's claim end to end. With G = 8 groups a lone outlier at
+    # distance d scores d and each other group d*(1 + 2*sqrt(6))/7 = 0.84*d,
+    # so past G = 6 the farthest domain ranks first rather than last.
+    # Measured here: pearson -0.978, spearman -0.503.
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert cli.main(["synth", "--domains", "8", "--classes", "4", "--per-cell", "40",
+                     "--dim", "16", "--offset", "dom05=2", "--offset", "dom06=4",
+                     "--offset", "dom07=8", "--seed", "0", "--out-dir", str(data)]) == 0
+    inputs = ["--manifest", str(data / "manifest.jsonl"),
+              "--features", str(data / "features.egf")]
+    assert cli.main(["score", *inputs, "--k-clusters", "16", "--seed", "0",
+                     "--out-dir", str(tmp_path / "score")]) == 0
+    assert cli.main(["train-all", *inputs, "--hidden1", "32", "--hidden2", "16",
+                     "--epochs", "10", "--batch", "32", "--drop-prob", "0.5",
+                     "--seed", "0", "--out-dir", str(runs)]) == 0
+    shift_report = tmp_path / "score" / "shift_report.json"
+    assert cli.main(["correlate", "--shift-report", str(shift_report),
+                     *[arg for i in range(8)
+                       for arg in ("--eval-report", str(runs / f"eval_dom{i:02d}.json"))],
+                     "--out", str(tmp_path / "c.json")]) == 0
+    capsys.readouterr()
+    assert json.loads(shift_report.read_text())["groups"][0]["group"] == "dom07"
+    assert json.loads((tmp_path / "c.json").read_text())["pearson"] < 0
+
+
 def test_eval_with_ids_file(workdir, capsys):
     args = data_args(workdir)
     ckpt = workdir / "pipe_model.emlp"

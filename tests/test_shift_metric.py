@@ -302,6 +302,22 @@ class TestScoreDataset:
             assert ga.key == gb.key
             assert gb.score == pytest.approx(ga.score, rel=1e-6)
 
+    def test_label_priors_alone_raise_every_score(self):
+        # No offsets; only dom01's class mix changes. Its prototype moves by
+        # about 4 * |p - 1/5| = 1.79 along the class axes, so each score rises
+        # from the noise floor, dom01's least (G = 4 < 6, see shift_scores).
+        scores = []
+        for priors in (None, {"dom01": (0.6, 0.1, 0.1, 0.1, 0.1)}):
+            spec = synth.SyntheticSpec(n_domains=4, n_classes=5, samples_per_cell=100,
+                                       feature_dim=32, label_priors=priors)
+            records, X = synth_domain_data(spec, seed=0)
+            report = score_dataset(X, records, k_clusters=20, seed=0)
+            scores.append({g.key.label: g.score for g in report.groups})
+        base, shifted = scores
+        assert max(base.values()) < 0.2
+        assert min(shifted.values()) > 1.5
+        assert min(shifted, key=shifted.get) == "dom01"
+
     def test_offset_sweep_monotone(self):
         base = synth.SyntheticSpec(n_domains=4, n_classes=3, samples_per_cell=100,
                                    feature_dim=16, noise_scale=1.0)

@@ -1,5 +1,6 @@
 """Adam optimizer, training loop, and evaluation reports."""
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,9 @@ from driftbench.training import (
     TrainConfig,
     TrainingData,
     adam_step,
+    best_epoch,
     eval_report_to_dict,
     evaluate,
-    read_eval_report,
     train,
     write_eval_report,
     write_history_csv,
@@ -126,6 +127,35 @@ def test_adam_rejects_bad_gradients():
     grads.w2[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite gradient in w2"):
         adam_step(params, grads, state, TrainConfig())
+
+
+def test_adam_refuses_a_late_non_finite_block_before_any_update(monkeypatch):
+    monkeypatch.setattr("driftbench.training.ADAM_BLOCK", 4)
+    params = init_params(3, 2, seed=0, hidden1=4, hidden2=3)
+    state = AdamState.zeros_like(params)
+    state.m[:], state.v[:] = 0.5, 0.25
+    grads = MlpParams(params.dims, np.ones_like(params.flat))
+    grads.head_b[-1] = np.nan  # the last element, in the last block
+    before = params.flat.copy()
+    with pytest.raises(ValueError, match="non-finite gradient in head_b at Adam step 1"):
+        adam_step(params, grads, state, TrainConfig())
+    assert np.array_equal(params.flat, before)
+    assert (state.m == 0.5).all() and (state.v == 0.25).all()
+
+
+def test_adam_step_checks_finiteness_one_block_at_a_time():
+    # 2.1 M elements: a whole-vector finite mask alone would be 2.0 MiB
+    params = init_params(1024, 2, seed=0, hidden1=2048, hidden2=4)
+    grads = MlpParams(params.dims, np.random.default_rng(0).standard_normal(params.flat.size))
+    state = AdamState.zeros_like(params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adam_step(params, grads, state, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
 
 
 def reference_adam_step(tensors, grads, m, v, t, lr):
@@ -237,6 +267,15 @@ def test_train_returns_best_val_epoch():
     vals = [h.val_top1 for h in history]
     report = evaluate(params, data, split.val_ids)
     assert report.overall_top1 == max(vals)
+
+
+def test_best_epoch_takes_the_earliest_highest_and_never_nan():
+    def history(*vals):
+        return [EpochStats(epoch=i, train_loss=0.0, val_top1=v) for i, v in enumerate(vals, 1)]
+    assert best_epoch(history(50.0, 75.0, np.nan, 75.0, 60.0)).epoch == 2
+    assert best_epoch(history(np.nan, 0.0)).epoch == 2
+    assert best_epoch(history(np.nan, np.nan)) is None
+    assert best_epoch([]) is None
 
 
 def test_train_empty_val_returns_final_params():
@@ -392,12 +431,12 @@ def test_eval_report_json_round_trip(tmp_path):
     )
     path = tmp_path / "eval.json"
     write_eval_report(report, path)
-    back = read_eval_report(path)
-    assert back.split_id == report.split_id
-    assert back.overall_top1 == report.overall_top1
-    assert back.per_domain == report.per_domain
-    assert np.array_equal(back.confusion, report.confusion)
-    assert back.n_evaluated == report.n_evaluated
-    assert back.classes == report.classes
+    back = json.loads(path.read_text(encoding="utf-8"))
+    assert back["split_id"] == report.split_id
+    assert back["overall_top1"] == report.overall_top1
+    assert back["per_domain"] == report.per_domain
+    assert np.array_equal(back["confusion"], report.confusion)
+    assert back["n_evaluated"] == report.n_evaluated
+    assert tuple(back["classes"]) == report.classes
     d = eval_report_to_dict(report)
     assert d["confusion"] == [[3, 1], [1, 3]]
