@@ -24,6 +24,10 @@ from .training import TrainConfig, TrainingData
 
 PROG = "driftbench"
 
+# At tau = 2 a lone outlier among coincident groups ranks first only when
+# there are more groups than this (the closed form is in the README).
+SMALL_G = 6
+
 COMMANDS = ("validate", "score", "splits", "train", "train-all", "eval",
             "correlate", "synth", "check-fixtures")
 
@@ -31,7 +35,7 @@ COMMANDS = ("validate", "score", "splits", "train", "train-all", "eval",
 def _load_manifest(args: argparse.Namespace, n_rows: int | None = None):
     """The manifest, remapped by --category-map if given; rows checked < n_rows."""
     manifest = dataset.load_manifest(args.manifest, n_rows=n_rows)
-    if getattr(args, "category_map", None):
+    if args.category_map:
         mapping = dataset.load_category_mapping(args.category_map)
         manifest = dataset.apply_category_mapping(manifest, mapping)
     return manifest
@@ -82,13 +86,17 @@ def _cmd_score(args) -> str:
     json_path = out_dir / "shift_report.json"
     shift_metric.write_shift_report_csv(report, csv_path)
     shift_metric.write_shift_report_json(report, json_path)
+    if len(report.groups) <= SMALL_G:
+        print(f"{PROG}: note: score: {len(report.groups)} groups; with {SMALL_G} or "
+              "fewer the top score need not mark the most shifted group "
+              "(see README, shift scoring)", file=sys.stderr)
     top = report.groups[0]
     return (f"score: {len(report.groups)} groups, top {top.key.label} "
             f"omega={top.score:.6f}, wrote {csv_path} {json_path}")
 
 
 def _cmd_splits(args) -> str:
-    manifest = dataset.load_manifest(args.manifest)
+    manifest = _load_manifest(args)
     split = splits.build_lodo_split(
         manifest, args.hold_out, val_fraction=args.val_fraction, seed=args.seed)
     out = Path(args.out) if args.out else Path(f"split_{args.hold_out}.tsv")
@@ -314,10 +322,15 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
+def _add_category_map(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--category-map", default=None,
+                   help="two-column TSV remapping fine labels to categories")
+
+
 def _add_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--category-map", default=None)
+    _add_category_map(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a manifest and feature pack")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", default=None)
-    p.add_argument("--category-map", default=None,
-                   help="two-column TSV remapping fine labels to categories")
+    _add_category_map(p)
     p.add_argument("--out", default=None, help="optional JSON summary path")
     p.set_defaults(func=_cmd_validate)
 
@@ -348,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splits", help="build one leave-one-domain-out split")
     p.add_argument("--manifest", required=True)
+    _add_category_map(p)
     p.add_argument("--hold-out", required=True, metavar="DOMAIN")
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     p.add_argument("--out", default=None,

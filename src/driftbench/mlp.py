@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
+
 LN_EPS = 1e-5
 LN_BLOCK = 1 << 15  # elements of the layer norm's squaring scratch
 CHECKPOINT_MAGIC = b"EMLP"
@@ -171,7 +173,7 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
 
     def layer(x, w, b, gain, bias, p):
         # linear -> layer norm -> ReLU -> dropout, each in place on its buffer
-        z = x @ w
+        z = parallel.matmul(x, w)
         z += b
         d, xhat, inv_std = _layer_norm(z, gain, bias, train)
         np.maximum(d, 0.0, out=d)
@@ -244,15 +246,15 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
     dd2 *= trace.relu2
     dz2 = _layer_norm_backward(dd2, trace.xhat2, trace.inv_std2, params.ln2_gain,
                                g.ln2_gain, g.ln2_bias)
-    np.matmul(trace.d1.T, dz2, out=g.w2)
+    parallel.matmul(trace.d1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
-    dd1 = dz2 @ params.w2.T
+    dd1 = parallel.matmul(dz2, params.w2.T)
 
     dd1 *= trace.mask1
     dd1 *= trace.relu1
     dz1 = _layer_norm_backward(dd1, trace.xhat1, trace.inv_std1, params.ln1_gain,
                                g.ln1_gain, g.ln1_bias)
-    np.matmul(trace.x.T, dz1, out=g.w1)
+    parallel.matmul(trace.x.T, dz1, out=g.w1)
     dz1.sum(axis=0, out=g.b1)
     return g
 

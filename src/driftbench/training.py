@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mlp
+from . import mlp, parallel
 from .dataset import FeatureSet, Manifest, pool_temporal, write_json
 from .mlp import MlpParams
 from .splits import SplitSpec
@@ -23,7 +23,8 @@ EVAL_BATCH = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 15  # elements per slice of the Adam pass
+ADAM_BLOCK = 1 << 15  # elements of the Adam pass's scratch
+ADAM_PART = 1 << 19  # fewest elements worth a thread of the Adam pass
 
 
 @dataclass(frozen=True)
@@ -58,35 +59,60 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     """Bias-corrected Adam update of params.flat, in place, in one blockwise pass.
 
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads; every
-    other intermediate goes into one block-sized scratch vector. A non-finite
-    gradient is refused, block by block, before params, m or v change.
+    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads. A
+    non-finite gradient is refused, one ADAM_BLOCK slice at a time, before
+    params, m or v change. The update then runs in blocks of at most
+    ADAM_BLOCK elements; each block's intermediates go into the spent
+    gradients of the blocks before it, the first block's into one scratch
+    vector of at most ADAM_BLOCK elements. From 2 * ADAM_PART elements up,
+    both passes cut the vector into contiguous parts that run on
+    parallel.WORKERS threads. Each element is computed on its own, so the
+    bits do not depend on the cut.
     """
     state.step += 1
     t = state.step
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
-    for lo in range(0, grads.flat.size, ADAM_BLOCK):
-        if not np.isfinite(grads.flat[lo:lo + ADAM_BLOCK]).all():
-            name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
-            raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
+    size = params.flat.size
+    parts = parallel.parts_for(size, ADAM_PART, size)
+    bounds = [size * p // parts for p in range(parts + 1)]
+    finite = [True] * parts
+
+    def check(p: int) -> None:
+        finite[p] = all(np.isfinite(grads.flat[lo:min(lo + ADAM_BLOCK, bounds[p + 1])]).all()
+                        for lo in range(bounds[p], bounds[p + 1], ADAM_BLOCK))
+
+    parallel.run_parts(check, parts)
+    if not all(finite):
+        name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
+        raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
     m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
-    scratch = np.empty(min(ADAM_BLOCK, params.flat.size), dtype=params.flat.dtype)
-    for lo in range(0, params.flat.size, ADAM_BLOCK):
-        block = slice(lo, lo + ADAM_BLOCK)
-        g, m, v = grads.flat[block], state.m[block], state.v[block]
-        s = scratch[:g.size]
-        m *= ADAM_BETA1
-        m += np.multiply(1 - ADAM_BETA1, g, out=s)
-        v *= ADAM_BETA2
-        np.multiply(1 - ADAM_BETA2, g, out=s)
-        v += np.multiply(s, g, out=s)
-        np.divide(m, m_scale, out=g)
-        g *= config.learning_rate
-        np.divide(v, v_scale, out=s)
-        np.sqrt(s, out=s)
-        g /= np.add(s, ADAM_EPS, out=s)
-        params.flat[block] -= g
+    first = max(1, min(ADAM_BLOCK // parts, size // parts))
+    scratch = np.empty(first * parts, dtype=params.flat.dtype)
+
+    def update(p: int) -> None:
+        lo, hi = bounds[p], bounds[p + 1]
+        s_all = scratch[p * first:(p + 1) * first]
+        while lo < hi:
+            b = slice(lo, min(lo + s_all.size, hi))
+            g, m, v = grads.flat[b], state.m[b], state.v[b]
+            s = s_all[:g.size]
+            m *= ADAM_BETA1
+            m += np.multiply(1 - ADAM_BETA1, g, out=s)
+            v *= ADAM_BETA2
+            np.multiply(1 - ADAM_BETA2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, m_scale, out=g)
+            g *= config.learning_rate
+            np.divide(v, v_scale, out=s)
+            np.sqrt(s, out=s)
+            g /= np.add(s, ADAM_EPS, out=s)
+            params.flat[b] -= g
+            # This part's gradients up to here are spent: the next block's scratch.
+            lo = b.stop
+            s_all = grads.flat[max(bounds[p], lo - ADAM_BLOCK):lo]
+
+    parallel.run_parts(update, parts)
     return params, state
 
 
@@ -179,7 +205,10 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
     epoch. With an empty val set the final-epoch weights are returned.
     Memory: five parameter-sized vectors (params, the best-epoch copy,
     Adam's m and v, one gradient buffer) plus one step's activations, or
-    one EVAL_BATCH chunk of val rows while val top-1 is measured.
+    one EVAL_BATCH chunk of val rows while val top-1 is measured. Large
+    GEMMs and the Adam pass run on parallel.WORKERS threads; they write
+    into those same buffers, so the working set does not grow with the
+    thread count, and neither do the bits.
     """
     train_set, val_set, test_set = set(split.train_ids), set(split.val_ids), set(split.test_ids)
     if train_set & val_set or train_set & test_set or val_set & test_set:

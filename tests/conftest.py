@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftbench import parallel
 from driftbench.dataset import ClipRecord, FeatureSet, Manifest
 
 
@@ -14,6 +15,19 @@ def make_features(values):
     if values.ndim == 2:
         values = values[:, None, :]
     return FeatureSet(values)
+
+
+def record_parts(monkeypatch):
+    """Make parallel.run_parts log the part count of every call; returns the log."""
+    calls = []
+    run_parts = parallel.run_parts
+
+    def logged(task, n_parts):
+        calls.append(n_parts)
+        run_parts(task, n_parts)
+
+    monkeypatch.setattr(parallel, "run_parts", logged)
+    return calls
 
 
 def check_split_integrity(manifest, split, val_fraction):

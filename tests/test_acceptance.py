@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_split_integrity
-from driftbench import cli, mlp
+from conftest import check_split_integrity, record_parts
+from driftbench import cli, mlp, parallel
 from driftbench.analysis import (
     TABLE3_SHIFT_SCORES,
     TABLE5_MLP_LITE_ACCURACY,
@@ -269,6 +269,29 @@ def test_criterion_09_pipeline_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for f, before in first.items():
         assert f.read_bytes() == before, f.name
+
+
+def test_criterion_09_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, capsys):
+    # widths above both size gates, so GEMMs and Adam split across threads;
+    # the reference runs hold-outs one at a time, each on one thread
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--domains", "3", "--classes", "4", "--per-cell", "30",
+                     "--dim", "256", "--seed", "9", "--out-dir", str(data)]) == 0
+    outputs = {}
+    for threads, workers in ((1, 1), (2, 3)):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        parts = record_parts(monkeypatch)
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
+                         "--features", str(data / "features.egf"), "--epochs", "2",
+                         "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
+                         "--threads", str(threads), "--seed", "9",
+                         "--out-dir", str(out)]) == 0
+        assert max(parts) == workers
+        outputs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert len(outputs[1]) == 3 * 4 + 1
+    assert outputs[1] == outputs[2]
 
 
 def test_criterion_10_split_integrity_synthetic():

@@ -95,6 +95,21 @@ def test_score_writes_reports(workdir, capsys):
     assert len(obj["groups"]) == 3
 
 
+def test_score_notes_small_g_on_stderr_only(workdir, tmp_path, monkeypatch, capsys):
+    def score(out_dir):
+        assert cli.main(["score", *data_args(workdir), "--k-clusters", "6", "--seed", "0",
+                         "--out-dir", str(out_dir)]) == 0
+        out, err = capsys.readouterr()
+        files = [(out_dir / f).read_bytes() for f in ("shift_report.csv", "shift_report.json")]
+        return out.replace(str(out_dir), "OUT"), err, files
+
+    out, err, files = score(tmp_path / "noted")
+    assert err == ("driftbench: note: score: 3 groups; with 6 or fewer the top score "
+                   "need not mark the most shifted group (see README, shift scoring)\n")
+    monkeypatch.setattr(cli, "SMALL_G", 2)
+    assert score(tmp_path / "quiet") == (out, "", files)
+
+
 def _score_bytes(tmp_path, name, manifest_lines, features):
     manifest = tmp_path / f"{name}.jsonl"
     manifest.write_text("\n".join(manifest_lines) + "\n")
@@ -138,6 +153,26 @@ def test_splits_command(workdir, capsys):
     assert line.startswith("splits: hold-out dom01, train ")
     roles = [l.split("\t")[1] for l in out.read_text().strip().splitlines()]
     assert roles.count("test") == 18
+
+
+def test_splits_category_map_matches_train_all(tmp_path, capsys):
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert cli.main(["synth", "--domains", "3", "--classes", "4", "--per-cell", "7",
+                     "--dim", "4", "--seed", "0", "--out-dir", str(data)]) == 0
+    cmap = tmp_path / "map.tsv"
+    cmap.write_text("cat00\tA\ncat01\tA\ncat02\tB\ncat03\tB\n")
+    manifest = ["--manifest", str(data / "manifest.jsonl"), "--category-map", str(cmap)]
+    assert cli.main(["train-all", *manifest, "--features", str(data / "features.egf"),
+                     "--epochs", "1", "--hidden1", "4", "--hidden2", "3", "--seed", "3",
+                     "--out-dir", str(runs)]) == 0
+    mapped, unmapped = tmp_path / "mapped.tsv", tmp_path / "unmapped.tsv"
+    assert cli.main(["splits", *manifest, "--hold-out", "dom00", "--seed", "3",
+                     "--out", str(mapped)]) == 0
+    assert cli.main(["splits", *manifest[:2], "--hold-out", "dom00", "--seed", "3",
+                     "--out", str(unmapped)]) == 0
+    capsys.readouterr()
+    assert mapped.read_bytes() == (runs / "split_dom00.tsv").read_bytes()
+    assert unmapped.read_bytes() != mapped.read_bytes()  # the map changes the val set
 
 
 def test_splits_unknown_domain(workdir, capsys):
@@ -317,19 +352,14 @@ def test_manifest_row_past_pack_is_one_line_error(workdir, tmp_path, command, ca
                               f"row_index {row} out of range [0, {n_rows})")
 
 
-def test_correlate_domain_mismatch(workdir, capsys):
-    args = data_args(workdir)
-    score_dir = workdir / "score"
-    out_dir = workdir / "trainall"
-    if not (score_dir / "shift_report.json").exists() \
-            or not (out_dir / "eval_dom00.json").exists():
-        pytest.skip("needs artifacts from earlier CLI runs")
-    code = cli.main(["correlate",
-                     "--shift-report", str(score_dir / "shift_report.json"),
-                     "--eval-report", str(out_dir / "eval_dom00.json"),
-                     "--out", str(workdir / "bad_corr.json")])
-    assert code == 1
-    assert "domain mismatch" in capsys.readouterr().err
+def test_correlate_domain_mismatch(tmp_path, capsys):
+    paths = write_reports(tmp_path, SHIFT_TEXT,
+                          json.dumps({"per_domain": {"a": 90.0, "b": 70.0, "d": 10.0}}))
+    assert cli.main(correlate_argv(paths, tmp_path / "corr.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("driftbench: error: correlate: domain mismatch: ")
+    assert "'c'" in err and "'d'" in err
+    assert not (tmp_path / "corr.json").exists()
 
 
 def write_reports(tmp_path, shift_text, eval_text):

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_features, make_manifest
+from conftest import make_features, make_manifest, record_parts
 import driftbench.mlp as mlp
+from driftbench import parallel
 from driftbench.mlp import MlpParams, init_params, save_checkpoint
 from driftbench.splits import SplitSpec, build_lodo_split
 from driftbench.training import (
@@ -194,6 +195,36 @@ def test_adam_step_matches_per_tensor_reference_bitwise(case):
             assert np.array_equal(got, np.concatenate([w.ravel() for w in want.values()]))
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, workers):
+    # gates and blocks shrunk so that each part runs several blocks
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    monkeypatch.setattr("driftbench.training.ADAM_PART", 1000)
+    monkeypatch.setattr("driftbench.training.ADAM_BLOCK", 96)
+    parts = record_parts(monkeypatch)
+    rng = np.random.default_rng(workers)
+    params = init_params(40, 3, seed=0, hidden1=50, hidden2=20)  # 3,273 elements
+    ref = {k: t.copy() for k, t in params.tensors().items()}
+    ref_m = {k: np.zeros_like(t) for k, t in ref.items()}
+    ref_v = {k: np.zeros_like(t) for k, t in ref.items()}
+    state = AdamState.zeros_like(params)
+    for t in range(1, 4):
+        grads = MlpParams(params.dims, rng.standard_normal(params.flat.size))
+        reference_adam_step(ref, {k: g.copy() for k, g in grads.tensors().items()},
+                            ref_m, ref_v, t, 0.01)
+        adam_step(params, grads, state, TrainConfig())
+        for got, want in ((params.flat, ref), (state.m, ref_m), (state.v, ref_v)):
+            assert np.array_equal(got, np.concatenate([w.ravel() for w in want.values()]))
+    assert parts == [workers] * 6
+    grads = MlpParams(params.dims, np.ones_like(params.flat))
+    grads.head_b[-1] = np.inf  # the last element, in the last part
+    before = [params.flat.copy(), state.m.copy(), state.v.copy()]
+    with pytest.raises(ValueError, match="non-finite gradient in head_b at Adam step 4"):
+        adam_step(params, grads, state, TrainConfig())
+    for got, want in zip((params.flat, state.m, state.v), before):
+        assert np.array_equal(got, want)
+
+
 def test_training_data_follows_manifest_order():
     # row_index deliberately permuted relative to record order
     man = make_manifest([
@@ -321,6 +352,32 @@ def test_train_holds_five_parameter_vectors_and_one_step():
     finally:
         tracemalloc.stop()
     assert peak < budget, (peak, budget)
+
+
+def test_train_and_evaluate_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    # 1,056,516 parameters and B=128 GEMMs of 2**27 flops: both size gates pass
+    i, h1, h2, c = 256, 2048, 256, 4
+    rows = [(f"c{r}", f"dom{r % 3}", f"cat{r % c}", r) for r in range(300)]
+    rng = np.random.default_rng(0)
+    X = (rng.standard_normal((300, i)) + np.eye(c, i)[[r % c for r in range(300)]])
+    manifest = make_manifest(rows)
+    data = TrainingData.from_features(manifest, make_features(X))
+    split = build_lodo_split(manifest, "dom2", seed=0)
+    config = TrainConfig(epochs=2, batch_size=128, drop_prob=0.5, seed=1)
+    written = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        parts = record_parts(monkeypatch)
+        params, history = train(data, split, config, hidden1=h1, hidden2=h2)
+        report = evaluate(params, data, split.test_ids)
+        assert max(parts) == workers
+        out = tmp_path / str(workers)
+        out.mkdir()
+        save_checkpoint(params, out / "ckpt.emlp")
+        write_history_csv(history, out / "history.csv")
+        write_eval_report(report, out / "eval.json")
+        written[workers] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert written[1] == written[3]
 
 
 def test_train_rejects_overlapping_split():
