@@ -17,7 +17,7 @@ not used.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,8 +57,11 @@ def run_parts(task, n_parts: int) -> None:
             if future.cancel():
                 task(k)
     finally:
+        # Wait for the parts the pool started, after an error too, so that
+        # none of them still writes once this returns.
         started = [future for future in futures if not future.cancel()]
-        wait(started)  # after an error too, so no part still writes once this returns
+        for future in started:
+            future.exception()
     for future in started:
         future.result()
 
