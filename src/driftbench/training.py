@@ -23,7 +23,7 @@ EVAL_BATCH = 512
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 15  # elements of the Adam pass's scratch
+ADAM_BLOCK = 1 << 15  # elements per block of the Adam pass, and at most in its scratch
 ADAM_PART = 1 << 19  # fewest elements worth a thread of the Adam pass
 
 

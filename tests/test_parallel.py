@@ -52,10 +52,11 @@ def test_matmul_splits_from_the_flop_gate_and_keeps_two_rows_a_part(monkeypatch)
     calls = record_parts(monkeypatch)
     rng = np.random.default_rng(0)
     gemms = train_and_eval_gemms(20, rng)
-    parallel.matmul(*gemms["x@w1"])  # 2*20*256*4096 flops: under 2**26
+    parallel.matmul(*gemms["x@w1"])  # 2*20*256*4096 flops: under 2**26, one part
+    assert calls == []  # a single part skips the part machinery
     parallel.matmul(*gemms["d1@w2"])  # 2*20*4096*512 flops: 2.5 parts' worth
     parallel.matmul(rng.standard_normal((5, 4096)), rng.standard_normal((4096, 4096)))
-    assert calls == [1, 2, 2]  # the last has flops for 8 parts but rows for 2
+    assert calls == [2, 2]  # the last has flops for 8 parts but rows for 2
 
 
 def test_run_parts_runs_parts_the_pool_has_not_started_on_the_caller(monkeypatch):
