@@ -75,7 +75,7 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     m, k = a.shape
     n = b.shape[1]
     parts = parts_for(2 * m * k * n, GEMM_PART_FLOPS, m // 2)
-    if parts == 1:  # the part machinery costs a small model's step about 3%
+    if parts == 1:  # the part machinery costs a small model's step about 2%
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((m, n), dtype=np.result_type(a, b))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ def make_features(values):
     if values.ndim == 2:
         values = values[:, None, :]
     return FeatureSet(values)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads as often as the interpreter allows, to shake out races."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
 
 
 def record_parts(monkeypatch):

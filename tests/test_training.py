@@ -196,7 +196,8 @@ def test_adam_step_matches_per_tensor_reference_bitwise(case):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, workers):
+def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, workers,
+                                                                   fast_switching):
     # gates and blocks shrunk so that each part runs several blocks
     monkeypatch.setattr(parallel, "WORKERS", workers)
     monkeypatch.setattr("driftbench.training.ADAM_PART", 1000)
