@@ -104,41 +104,43 @@ def init_params(input_dim: int, n_classes: int, seed: int = 0,
     return params
 
 
-def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, train: bool):
-    """Return (gain * xhat + bias, xhat, inv_std) over the rows of z (B, H).
+def _layer_parts(rows: int, fan_in: int, width: int) -> int:
+    """Parts of a hidden layer: its GEMM's gate, and two columns a part too."""
+    return parallel.parts_for(2 * rows * fan_in * width, parallel.GEMM_PART_FLOPS,
+                              min(rows, width) // 2)
 
-    Consumes z: it is centred and scaled in place and comes back as xhat.
-    In eval mode xhat is not kept: z itself comes back as gain * xhat + bias,
-    and xhat as None. The squares for the variance go through a scratch of
-    LN_BLOCK elements, a block of rows at a time; each row sums on its own,
-    so the roundings are those of z.mean, z.var and the expression form.
+
+def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray,
+                inv_std: np.ndarray, scratch: np.ndarray) -> None:
+    """Write gain * xhat + bias over the rows of z (B, H) into out, 1/std into inv_std (B, 1).
+
+    Consumes z: it is centred and scaled in place and becomes xhat. out
+    may be z itself (eval mode, where xhat is not kept). The squares for
+    the variance go through scratch (k, H), k rows at a time. Every step
+    works on each row alone, so any cut of the rows keeps the roundings
+    of z.mean, z.var and the expression form.
     """
     b, h = z.shape
-    mean = z.sum(axis=1, keepdims=True)  # what ndarray.mean does, then /= h
+    mean = z.sum(axis=1, keepdims=True, out=inv_std)  # what ndarray.mean does, then /= h
     mean /= h
     z -= mean
-    var = np.empty_like(mean)
-    rows = max(1, LN_BLOCK // h)
-    scratch = np.empty((min(rows, b), h), dtype=z.dtype)
+    var = inv_std
+    rows = len(scratch)
     for lo in range(0, b, rows):
         block = z[lo:lo + rows]
         sq = np.square(block, out=scratch[:len(block)])
         sq.sum(axis=1, keepdims=True, out=var[lo:lo + rows])
     var /= h
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    var += LN_EPS
+    np.sqrt(var, out=var)
+    np.divide(1.0, var, out=inv_std)
     z *= inv_std
-    if not train:
+    if out is z:
         z *= gain  # gain * xhat: the product rounds the same either way round
         z += bias
-        return z, None, inv_std
-    out = np.multiply(gain, z)
-    out += bias
-    return out, z, inv_std
-
-
-def _dropout_mask(shape, drop_prob: float, rng: np.random.Generator) -> np.ndarray:
-    keep = 1.0 - drop_prob
-    return np.multiply(rng.random(shape) < keep, 1.0 / keep)
+    else:
+        np.multiply(gain, z, out=out)
+        out += bias
 
 
 def _as_prob_pair(drop_prob) -> tuple[float, float]:
@@ -149,13 +151,60 @@ def _as_prob_pair(drop_prob) -> tuple[float, float]:
     return float(p1), float(p2)
 
 
+def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
+    """linear -> layer norm -> ReLU -> dropout over the rows of x.
+
+    Returns d (B, H) and, when rng is given (train mode), the trace
+    fields (xhat, inv_std, relu, mask, d). The rows are cut into the
+    parts of the layer's GEMM; each part runs the whole chain on its rows,
+    into arrays allocated here, and draws its dropout doubles from
+    parallel.split_draws, so the masks are those of one rng.random call.
+    The parts allocate nothing large themselves: a helper thread's
+    allocations would stay in its own malloc arena and add to peak RSS.
+    """
+    n, h = x.shape[0], w.shape[1]
+    parts = _layer_parts(n, x.shape[1], h)
+    bounds = [n * p // parts for p in range(parts + 1)]
+    z = np.empty((n, h), dtype=np.result_type(x, w))
+    inv_std = np.empty((n, 1), dtype=z.dtype)
+    # the layer norm's squares: LN_BLOCK elements shared among the parts (a row if wider)
+    squares = np.empty((parts, min(max(1, LN_BLOCK // (h * parts)), n), h), dtype=z.dtype)
+    if rng is None:
+        d = z
+    else:
+        d, mask, relu = np.empty_like(z), np.empty((n, h)), np.empty((n, h), dtype=bool)
+        keep = 1.0 - drop_prob
+        rngs = parallel.split_draws(rng, [lo * h for lo in bounds[:-1]])
+
+    def part(p: int) -> None:
+        rows = slice(bounds[p], bounds[p + 1])
+        zp, dp = np.matmul(x[rows], w, out=z[rows]), d[rows]
+        zp += b
+        _layer_norm(zp, gain, bias, dp, inv_std[rows], squares[p])
+        np.maximum(dp, 0.0, out=dp)
+        if rng is None:
+            return
+        np.greater(dp, 0.0, out=relu[rows])
+        mp = rngs[p].random(out=mask[rows])
+        np.less(mp, keep, out=mp)  # 1.0 or 0.0, then 1/keep or 0 as (r < keep) * (1/keep)
+        mp *= 1.0 / keep
+        dp *= mp
+
+    parallel.run_parts(part, parts)
+    return d, (None if rng is None else (z, inv_std, relu, mask, d))
+
+
 def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
             drop_prob: float | tuple[float, float] = 0.9,
             rng: np.random.Generator | None = None):
     """Compute logits (B, C); train mode also returns the ForwardTrace.
 
-    Train mode draws seeded dropout masks from rng (layer 1 first); eval
-    mode applies no dropout and is a pure function of (params, batch).
+    Train mode draws seeded dropout masks from rng (layer 1 first), as
+    rng.random((B, H)) calls would. Each hidden layer runs on the row
+    parts of its GEMM, and each part draws its own rows' doubles from a
+    copy of rng advanced to them; that jump needs PCG64 (what
+    np.random.default_rng gives), so any other bit generator is refused.
+    Eval mode applies no dropout and is a pure function of (params, batch).
     """
     batch = np.asarray(batch, dtype=params.w1.dtype)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
@@ -169,23 +218,16 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
     train = mode == "train"
     if train and rng is None:
         raise ValueError("train mode requires an rng for the dropout masks")
+    if train and not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
+        raise ValueError("train mode needs an np.random.Generator on PCG64 "
+                         f"(np.random.default_rng), got {rng!r}")
     p1, p2 = _as_prob_pair(drop_prob)
+    rng = rng if train else None
 
-    def layer(x, w, b, gain, bias, p):
-        # linear -> layer norm -> ReLU -> dropout, each in place on its buffer
-        z = parallel.matmul(x, w)
-        z += b
-        d, xhat, inv_std = _layer_norm(z, gain, bias, train)
-        np.maximum(d, 0.0, out=d)
-        if not train:
-            return d, None
-        relu = d > 0
-        mask = _dropout_mask(d.shape, p, rng)
-        d *= mask
-        return d, (xhat, inv_std, relu, mask, d)
-
-    d1, cache1 = layer(batch, params.w1, params.b1, params.ln1_gain, params.ln1_bias, p1)
-    d2, cache2 = layer(d1, params.w2, params.b2, params.ln2_gain, params.ln2_bias, p2)
+    d1, cache1 = _hidden_layer(batch, params.w1, params.b1, params.ln1_gain,
+                               params.ln1_bias, p1, rng)
+    d2, cache2 = _hidden_layer(d1, params.w2, params.b2, params.ln2_gain,
+                               params.ln2_bias, p2, rng)
     logits = d2 @ params.head_w.T
     logits += params.head_b
     if not train:
@@ -193,27 +235,57 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
     return logits, ForwardTrace(batch, *cache1, *cache2)
 
 
-def _layer_norm_backward(d_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
-                         gain: np.ndarray, g_gain: np.ndarray, g_bias: np.ndarray):
-    """dz through y = gain * xhat + bias and the norm statistics; fills g_gain, g_bias.
+def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
+                         xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
+                         g_gain: np.ndarray, g_bias: np.ndarray, parts: int):
+    """dz through dropout, ReLU, y = gain * xhat + bias and the norm statistics.
 
-    Consumes d_out: dz is computed in place and d_out is returned. With
-    d_xhat = d_out * gain, the roundings are those of
+    d_out is the gradient w.r.t. the layer's output d; fills g_gain and
+    g_bias. Consumes d_out: dz is computed in place and d_out is returned.
+    With d_xhat = d_out * mask * relu * gain, the roundings are those of
     inv_std * (d_xhat - d_xhat.mean(1) - (xhat * (d_xhat * xhat).sum(1)) / H).
+
+    Three passes of `parts` parts. The first and last cut the rows, as
+    their work is elementwise or per row: the mask, ReLU and xhat products,
+    then the rest. The middle one cuts the columns for the g_gain and
+    g_bias sums over axis 0, which add each column's rows in row order
+    whatever the cut; two columns a part at least, as NumPy sums a
+    one-column slice pairwise. The elementwise work stays on row slices:
+    on a column slice it runs slower, and NumPy buffers it on the heap of
+    the helper thread, which raised peak RSS.
     """
-    h = xhat.shape[1]
-    scratch = np.multiply(d_out, xhat)
-    scratch.sum(axis=0, out=g_gain)
-    d_out.sum(axis=0, out=g_bias)
-    d_out *= gain
-    mean = d_out.sum(axis=1, keepdims=True)
-    mean /= h
-    proj = np.multiply(d_out, xhat, out=scratch).sum(axis=1, keepdims=True)
-    d_out -= mean
-    np.multiply(xhat, proj, out=scratch)
-    scratch /= h  # (xhat * S) / H: xhat * (S / H) rounds differently unless H is 2^k
-    d_out -= scratch
-    d_out *= inv_std
+    b, h = d_out.shape
+    cols = [h * p // parts for p in range(parts + 1)]
+    rows = [b * p // parts for p in range(parts + 1)]
+    scratch = np.empty_like(d_out)
+
+    def products(p: int) -> None:
+        r = slice(rows[p], rows[p + 1])
+        dp = d_out[r]
+        dp *= mask[r]
+        dp *= relu[r]
+        np.multiply(dp, xhat[r], out=scratch[r])
+
+    def column_sums(p: int) -> None:
+        c = slice(cols[p], cols[p + 1])
+        scratch[:, c].sum(axis=0, out=g_gain[c])
+        d_out[:, c].sum(axis=0, out=g_bias[c])
+
+    def rest(p: int) -> None:
+        r = slice(rows[p], rows[p + 1])
+        dp, xp, sp = d_out[r], xhat[r], scratch[r]
+        dp *= gain
+        mean = dp.sum(axis=1, keepdims=True)
+        mean /= h
+        proj = np.multiply(dp, xp, out=sp).sum(axis=1, keepdims=True)
+        dp -= mean
+        np.multiply(xp, proj, out=sp)
+        sp /= h  # (xhat * S) / H: xhat * (S / H) rounds differently unless H is 2^k
+        dp -= sp
+        dp *= inv_std[r]
+
+    for task in (products, column_sums, rest):
+        parallel.run_parts(task, parts)
     return d_out
 
 
@@ -242,18 +314,17 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
     grad_logits.sum(axis=0, out=g.head_b)
     dd2 = grad_logits @ params.head_w
 
-    dd2 *= trace.mask2
-    dd2 *= trace.relu2
-    dz2 = _layer_norm_backward(dd2, trace.xhat2, trace.inv_std2, params.ln2_gain,
-                               g.ln2_gain, g.ln2_bias)
+    b = trace.x.shape[0]
+    dz2 = _layer_norm_backward(dd2, trace.mask2, trace.relu2, trace.xhat2, trace.inv_std2,
+                               params.ln2_gain, g.ln2_gain, g.ln2_bias,
+                               _layer_parts(b, params.hidden1, params.hidden2))
     parallel.matmul(trace.d1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
     dd1 = parallel.matmul(dz2, params.w2.T)
 
-    dd1 *= trace.mask1
-    dd1 *= trace.relu1
-    dz1 = _layer_norm_backward(dd1, trace.xhat1, trace.inv_std1, params.ln1_gain,
-                               g.ln1_gain, g.ln1_bias)
+    dz1 = _layer_norm_backward(dd1, trace.mask1, trace.relu1, trace.xhat1, trace.inv_std1,
+                               params.ln1_gain, g.ln1_gain, g.ln1_bias,
+                               _layer_parts(b, params.input_dim, params.hidden1))
     parallel.matmul(trace.x.T, dz1, out=g.w1)
     dz1.sum(axis=0, out=g.b1)
     return g

@@ -54,6 +54,40 @@ class AdamState:
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
+def _all_finite(flat: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether flat[lo:hi] is finite, checked one ADAM_BLOCK slice at a time."""
+    for b in range(lo, hi, ADAM_BLOCK):
+        if not np.isfinite(flat[b:min(b + ADAM_BLOCK, hi)]).all():
+            return False
+    return True
+
+
+def _adam_range(params: MlpParams, grads: MlpParams, state: AdamState, lr: float,
+                lo: int, hi: int, scratch: np.ndarray) -> None:
+    """Update elements lo:hi in blocks; the first block's intermediates go into scratch."""
+    t = state.step
+    m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
+    start = lo
+    while lo < hi:
+        b = slice(lo, min(lo + scratch.size, hi))
+        g, m, v = grads.flat[b], state.m[b], state.v[b]
+        s = scratch[:g.size]
+        m *= ADAM_BETA1
+        m += np.multiply(1 - ADAM_BETA1, g, out=s)
+        v *= ADAM_BETA2
+        np.multiply(1 - ADAM_BETA2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, m_scale, out=g)
+        g *= lr
+        np.divide(v, v_scale, out=s)
+        np.sqrt(s, out=s)
+        g /= np.add(s, ADAM_EPS, out=s)
+        params.flat[b] -= g
+        # The gradients of this range up to here are spent: the next block's scratch.
+        lo = b.stop
+        scratch = grads.flat[max(start, lo - ADAM_BLOCK):lo]
+
+
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
               config: TrainConfig) -> tuple[MlpParams, AdamState]:
     """Bias-corrected Adam update of params.flat, in place, in one blockwise pass.
@@ -70,49 +104,32 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     bits do not depend on the cut.
     """
     state.step += 1
-    t = state.step
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
     size = params.flat.size
     parts = parallel.parts_for(size, ADAM_PART, size)
-    bounds = [size * p // parts for p in range(parts + 1)]
-    finite = [True] * parts
-
-    def check(p: int) -> None:
-        finite[p] = all(np.isfinite(grads.flat[lo:min(lo + ADAM_BLOCK, bounds[p + 1])]).all()
-                        for lo in range(bounds[p], bounds[p + 1], ADAM_BLOCK))
-
-    parallel.run_parts(check, parts)
-    if not all(finite):
-        name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
-        raise ValueError(f"non-finite gradient in {name} at Adam step {t}")
-    m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
     first = max(1, min(ADAM_BLOCK // parts, size // parts))
     scratch = np.empty(first * parts, dtype=params.flat.dtype)
+    if parts == 1:  # as in parallel.matmul: the part machinery cost a small step ~30 us
+        finite = _all_finite(grads.flat, 0, size)
+    else:
+        bounds = [size * p // parts for p in range(parts + 1)]
+        checks = [True] * parts
 
-    def update(p: int) -> None:
-        lo, hi = bounds[p], bounds[p + 1]
-        s_all = scratch[p * first:(p + 1) * first]
-        while lo < hi:
-            b = slice(lo, min(lo + s_all.size, hi))
-            g, m, v = grads.flat[b], state.m[b], state.v[b]
-            s = s_all[:g.size]
-            m *= ADAM_BETA1
-            m += np.multiply(1 - ADAM_BETA1, g, out=s)
-            v *= ADAM_BETA2
-            np.multiply(1 - ADAM_BETA2, g, out=s)
-            v += np.multiply(s, g, out=s)
-            np.divide(m, m_scale, out=g)
-            g *= config.learning_rate
-            np.divide(v, v_scale, out=s)
-            np.sqrt(s, out=s)
-            g /= np.add(s, ADAM_EPS, out=s)
-            params.flat[b] -= g
-            # This part's gradients up to here are spent: the next block's scratch.
-            lo = b.stop
-            s_all = grads.flat[max(bounds[p], lo - ADAM_BLOCK):lo]
+        def check(p: int) -> None:
+            checks[p] = _all_finite(grads.flat, bounds[p], bounds[p + 1])
 
-    parallel.run_parts(update, parts)
+        parallel.run_parts(check, parts)
+        finite = all(checks)
+    if not finite:
+        name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
+        raise ValueError(f"non-finite gradient in {name} at Adam step {state.step}")
+    if parts == 1:
+        _adam_range(params, grads, state, config.learning_rate, 0, size, scratch)
+    else:
+        parallel.run_parts(lambda p: _adam_range(
+            params, grads, state, config.learning_rate, bounds[p], bounds[p + 1],
+            scratch[p * first:(p + 1) * first]), parts)
     return params, state
 
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from driftbench import mlp
+from conftest import record_parts
+from driftbench import mlp, parallel
 from driftbench.mlp import (
     CHECKPOINT_MAGIC,
     FIELDS,
@@ -125,6 +126,18 @@ def test_forward_error_paths():
     with pytest.raises(ValueError, match="drop probability"):
         forward(p, x, mode="train", drop_prob=(0.2, -0.1),
                 rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("make", [lambda: np.random.Generator(np.random.MT19937(0)),
+                                  lambda: np.random.Generator(np.random.PCG64DXSM(0)),
+                                  lambda: np.random.RandomState(0)])
+def test_train_forward_refuses_a_generator_it_cannot_split(make):
+    p, rng = tiny_params(), make()
+    with pytest.raises(ValueError, match="PCG64") as err:
+        forward(p, np.zeros((3, 4)), mode="train", drop_prob=0.5, rng=rng)
+    assert "\n" not in str(err.value)
+    assert rng.random() == make().random()  # nothing was drawn
+    forward(p, np.zeros((3, 4)), mode="eval", rng=rng)  # eval mode draws nothing
 
 
 def test_layer_norm_statistics():
@@ -399,6 +412,72 @@ def test_layer_norm_row_blocks_keep_the_bits(case, drop_prob, ln_block, monkeypa
                                           rng=np.random.default_rng(case))
     assert np.array_equal(got, want)
     assert_traces_equal(trace, want_trace)
+
+
+def forward_backward_eval(p, x, targets):
+    logits, trace = forward(p, x, mode="train", drop_prob=(0.5, 0.3),
+                            rng=np.random.default_rng(5))
+    _, grad_logits = ova_bce_loss(logits, targets)
+    return logits, trace, backward(p, trace, grad_logits), forward(p, x)
+
+
+@pytest.mark.parametrize("rows", [21, 128])
+def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_switching,
+                                                              rows):
+    """Layers cut in 2 and 3 row parts (and column parts in the layer-norm
+    backward) give the bits of one part. The widths are multiples of 8, as
+    below the GEMM gate BLAS rounds the last width % 8 columns of a row-cut
+    product differently on some CPUs, which this test is not about; so they
+    are not multiples of 3, and 21 rows make the 2-part row cut uneven."""
+    monkeypatch.setattr(parallel, "GEMM_PART_FLOPS", 1)
+    p = init_params(40, 5, seed=2, hidden1=296, hidden2=136)
+    p.flat[:] += 0.3 * np.random.default_rng(3).standard_normal(p.flat.size)
+    x = np.random.default_rng(4).standard_normal((rows, 40)) * 3.0
+    targets = one_hot(np.arange(rows) % 5, 5)
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        parts = record_parts(monkeypatch)
+        runs[workers] = forward_backward_eval(p, x, targets)
+        if workers > 1:  # 2 layers in train and 2 in eval, 3 passes in each of 2
+            # layer-norm backwards, and the 3 backward GEMMs of parallel.matmul
+            assert parts == [workers] * 13
+    want_logits, want_trace, want_grads, want_eval = runs[1]
+    for workers in (2, 3):
+        logits, trace, grads, eval_logits = runs[workers]
+        assert np.array_equal(logits, want_logits), workers
+        assert_traces_equal(trace, want_trace)
+        for name, g in grads.tensors().items():
+            assert np.array_equal(g, want_grads.tensors()[name]), (workers, name)
+        assert np.array_equal(eval_logits, want_eval), workers
+
+
+def test_a_layer_splits_into_two_columns_a_part_at_least(monkeypatch):
+    # a one-column slice would be summed pairwise in the layer-norm backward
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    monkeypatch.setattr(parallel, "GEMM_PART_FLOPS", 1)
+    assert [mlp._layer_parts(64, 8, h) for h in (2, 3, 4, 5, 6)] == [1, 1, 2, 2, 3]
+    assert [mlp._layer_parts(b, 8, 64) for b in (2, 3, 4, 5, 6)] == [1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("rows", [128, 20, 512])
+def test_lodo_desk_widths_split_no_layer_and_copy_no_generator(monkeypatch, rows):
+    monkeypatch.setattr(parallel, "WORKERS", 8)
+    parts = record_parts(monkeypatch)
+    draws, copies = [], []
+    split_draws = parallel.split_draws
+
+    def logged(rng, starts):
+        draws.append(split_draws(rng, starts))
+        copies.extend(g for g in draws[-1] if g is not rng)
+        return draws[-1]
+
+    monkeypatch.setattr(parallel, "split_draws", logged)
+    p = init_params(64, 6, hidden1=256, hidden2=128)
+    x = np.random.default_rng(0).standard_normal((rows, 64))
+    forward_backward_eval(p, x, one_hot(np.arange(rows) % 6, 6))
+    assert len(draws) == 2 and copies == []
+    assert parts == [1] * 10  # 2 layers in train, 2 in eval, 3 passes in each layer-norm backward
 
 
 def test_backward_error_paths():
