@@ -104,12 +104,6 @@ def init_params(input_dim: int, n_classes: int, seed: int = 0,
     return params
 
 
-def _layer_parts(rows: int, fan_in: int, width: int) -> int:
-    """Parts of a hidden layer: its GEMM's gate, and two columns a part too."""
-    return parallel.parts_for(2 * rows * fan_in * width, parallel.GEMM_PART_FLOPS,
-                              min(rows, width) // 2)
-
-
 def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray,
                 inv_std: np.ndarray, scratch: np.ndarray) -> None:
     """Write gain * xhat + bias over the rows of z (B, H) into out, 1/std into inv_std (B, 1).
@@ -163,21 +157,20 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     allocations would stay in its own malloc arena and add to peak RSS.
     """
     n, h = x.shape[0], w.shape[1]
-    parts = _layer_parts(n, x.shape[1], h)
-    bounds = [n * p // parts for p in range(parts + 1)]
+    parts = parallel.cuts(n, parallel.gemm_parts(n, x.shape[1], h))
     z = np.empty((n, h), dtype=np.result_type(x, w))
     inv_std = np.empty((n, 1), dtype=z.dtype)
     # the layer norm's squares: LN_BLOCK elements shared among the parts (a row if wider)
-    squares = np.empty((parts, min(max(1, LN_BLOCK // (h * parts)), n), h), dtype=z.dtype)
+    n_parts = len(parts)
+    squares = np.empty((n_parts, min(max(1, LN_BLOCK // (h * n_parts)), n), h), dtype=z.dtype)
     if rng is None:
         d = z
     else:
         d, mask, relu = np.empty_like(z), np.empty((n, h)), np.empty((n, h), dtype=bool)
         keep = 1.0 - drop_prob
-        rngs = parallel.split_draws(rng, [lo * h for lo in bounds[:-1]])
+        rngs = parallel.split_draws(rng, [rows.start * h for rows in parts])
 
-    def part(p: int) -> None:
-        rows = slice(bounds[p], bounds[p + 1])
+    def part(p: int, rows: slice) -> None:
         zp, dp = np.matmul(x[rows], w, out=z[rows]), d[rows]
         zp += b
         _layer_norm(zp, gain, bias, dp, inv_std[rows], squares[p])
@@ -237,7 +230,7 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
 
 def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
                          xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
-                         g_gain: np.ndarray, g_bias: np.ndarray, parts: int):
+                         g_gain: np.ndarray, g_bias: np.ndarray, n_parts: int):
     """dz through dropout, ReLU, y = gain * xhat + bias and the norm statistics.
 
     d_out is the gradient w.r.t. the layer's output d; fills g_gain and
@@ -245,7 +238,7 @@ def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
     With d_xhat = d_out * mask * relu * gain, the roundings are those of
     inv_std * (d_xhat - d_xhat.mean(1) - (xhat * (d_xhat * xhat).sum(1)) / H).
 
-    Three passes of `parts` parts. The first and last cut the rows, as
+    Three passes of n_parts parts. The first and last cut the rows, as
     their work is elementwise or per row: the mask, ReLU and xhat products,
     then the rest. The middle one cuts the columns for the g_gain and
     g_bias sums over axis 0, which add each column's rows in row order
@@ -255,24 +248,20 @@ def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
     the helper thread, which raised peak RSS.
     """
     b, h = d_out.shape
-    cols = [h * p // parts for p in range(parts + 1)]
-    rows = [b * p // parts for p in range(parts + 1)]
+    rows, cols = parallel.cuts(b, n_parts), parallel.cuts(h, n_parts)
     scratch = np.empty_like(d_out)
 
-    def products(p: int) -> None:
-        r = slice(rows[p], rows[p + 1])
+    def products(p: int, r: slice) -> None:
         dp = d_out[r]
         dp *= mask[r]
         dp *= relu[r]
         np.multiply(dp, xhat[r], out=scratch[r])
 
-    def column_sums(p: int) -> None:
-        c = slice(cols[p], cols[p + 1])
+    def column_sums(p: int, c: slice) -> None:
         scratch[:, c].sum(axis=0, out=g_gain[c])
         d_out[:, c].sum(axis=0, out=g_bias[c])
 
-    def rest(p: int) -> None:
-        r = slice(rows[p], rows[p + 1])
+    def rest(p: int, r: slice) -> None:
         dp, xp, sp = d_out[r], xhat[r], scratch[r]
         dp *= gain
         mean = dp.sum(axis=1, keepdims=True)
@@ -284,8 +273,8 @@ def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
         dp -= sp
         dp *= inv_std[r]
 
-    for task in (products, column_sums, rest):
-        parallel.run_parts(task, parts)
+    for task, cut in ((products, rows), (column_sums, cols), (rest, rows)):
+        parallel.run_parts(task, cut)
     return d_out
 
 
@@ -317,14 +306,14 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
     b = trace.x.shape[0]
     dz2 = _layer_norm_backward(dd2, trace.mask2, trace.relu2, trace.xhat2, trace.inv_std2,
                                params.ln2_gain, g.ln2_gain, g.ln2_bias,
-                               _layer_parts(b, params.hidden1, params.hidden2))
+                               parallel.gemm_parts(b, params.hidden1, params.hidden2))
     parallel.matmul(trace.d1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
     dd1 = parallel.matmul(dz2, params.w2.T)
 
     dz1 = _layer_norm_backward(dd1, trace.mask1, trace.relu1, trace.xhat1, trace.inv_std1,
                                params.ln1_gain, g.ln1_gain, g.ln1_bias,
-                               _layer_parts(b, params.input_dim, params.hidden1))
+                               parallel.gemm_parts(b, params.input_dim, params.hidden1))
     parallel.matmul(trace.x.T, dz1, out=g.w1)
     dz1.sum(axis=0, out=g.b1)
     return g

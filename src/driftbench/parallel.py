@@ -1,20 +1,23 @@
 """Split independent work across the CPUs this process may run on.
 
 WORKERS is the number of CPUs in the process's affinity mask (`taskset`
-narrows it). `run_parts` calls a task once per part: the caller runs part
-0 itself and a process-wide pool of WORKERS - 1 threads takes the others.
-A part the pool has not started by the time the caller is free runs on
+narrows it). Every parallel stage is a task run over `cuts(n, parts)`,
+the contiguous slices of its rows, columns or elements, by `run_parts`.
+One part is a plain call on the caller. Otherwise the caller runs part 0
+itself and a process-wide pool of WORKERS - 1 threads takes the others;
+a part the pool has not started by the time the caller is free runs on
 the caller too, so a busy pool (say, shared by concurrent hold-outs)
 never leaves a caller waiting idle. Tasks run NumPy kernels that release
 the GIL and write disjoint slices of preallocated arrays.
 
-`matmul` splits a GEMM by output rows. Each row of a @ b comes from that
-row of a and all of b, so where BLAS runs it through the same kernel the
-bits match the unsplit np.matmul; a test pins this at every shape the
-trainer issues at the paper widths. With OpenBLAS on AVX-512 they do not
-where the output width is not a multiple of 8: the last columns round
-differently. Splits by columns were measured to differ at some widths,
-so they are not used.
+`gemm_parts` is the one gate of a GEMM and of the layer work on its
+parts, and `matmul` splits a GEMM by output rows. Each row of a @ b comes
+from that row of a and all of b, so where BLAS runs it through the same
+kernel the bits match the unsplit np.matmul; a test pins this at every
+shape the trainer issues at the paper widths. With OpenBLAS on AVX-512
+the last columns of an output width that is not a multiple of 8 round
+differently, so such a GEMM runs in one part. Splits by columns were
+measured to differ at some widths, so they are not used.
 
 Elementwise work rides on the same parts: mlp runs a hidden layer's
 bias, layer norm, ReLU and dropout on the rows its part of the GEMM
@@ -52,19 +55,40 @@ def parts_for(work: int, per_part: int, limit: int) -> int:
     return max(1, min(WORKERS, limit, work // per_part))
 
 
-def run_parts(task, n_parts: int) -> None:
-    """Call task(0), ..., task(n_parts - 1); return once every call has finished.
+def gemm_parts(m: int, k: int, n: int) -> int:
+    """Row parts of an (m, k) @ (k, n) product, and of the layer work that rides on them.
 
-    Part 0 runs on the calling thread, and so does any other part the pool
-    has not started by then. After an exception the parts not yet started
-    are dropped, and it propagates once no part is running any more.
+    At least GEMM_PART_FLOPS a part, and two rows and two columns: a
+    one-row product takes NumPy's matrix-vector path, whose roundings
+    differ, and NumPy sums a one-column slice pairwise. An output width
+    that is not a multiple of 8 runs in one part, as BLAS rounds the last
+    n % 8 columns of a row-cut product differently.
     """
-    futures = [_POOL.submit(task, k) for k in range(1, n_parts)]
+    return parts_for(2 * m * k * n, GEMM_PART_FLOPS, min(m, n) // 2 if n % 8 == 0 else 1)
+
+
+def cuts(n: int, parts: int) -> list[slice]:
+    """range(n) cut into `parts` contiguous slices, as even as they go, in order."""
+    return [slice(n * p // parts, n * (p + 1) // parts) for p in range(parts)]
+
+
+def run_parts(task, parts: list[slice]) -> None:
+    """Call task(p, parts[p]) for every part; return once every call has finished.
+
+    One part is a plain call on the calling thread. Otherwise part 0 runs
+    on the calling thread, and so does any other part the pool has not
+    started by then. After an exception the parts not yet started are
+    dropped, and it propagates once no part is running any more.
+    """
+    if len(parts) == 1:  # no futures or try: 1.6 us less a call, 13 calls a small step
+        task(0, parts[0])
+        return
+    futures = [_POOL.submit(task, p, part) for p, part in enumerate(parts[1:], start=1)]
     try:
-        task(0)
-        for k, future in enumerate(futures, start=1):
+        task(0, parts[0])
+        for p, future in enumerate(futures, start=1):
             if future.cancel():
-                task(k)
+                task(p, parts[p])
     finally:
         # Wait for the parts the pool started, after an error too, so that
         # none of them still writes once this returns.
@@ -76,25 +100,12 @@ def run_parts(task, n_parts: int) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for 2-D operands, bitwise equal to np.matmul; large ones split by rows.
-
-    Every part gets at least two rows, because a one-row product takes
-    NumPy's matrix-vector path, whose roundings differ.
-    """
+    """a @ b for 2-D operands, bitwise equal to np.matmul; large ones split by rows."""
     m, k = a.shape
     n = b.shape[1]
-    parts = parts_for(2 * m * k * n, GEMM_PART_FLOPS, m // 2)
-    if parts == 1:  # the part machinery costs a small model's step about 2%
-        return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((m, n), dtype=np.result_type(a, b))
-    bounds = [m * p // parts for p in range(parts + 1)]
-
-    def part(p: int) -> None:
-        lo, hi = bounds[p], bounds[p + 1]
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-
-    run_parts(part, parts)
+    run_parts(lambda p, rows: np.matmul(a[rows], b, out=out[rows]), cuts(m, gemm_parts(m, k, n)))
     return out
 
 
@@ -110,8 +121,6 @@ def split_draws(rng: np.random.Generator, starts: list[int]) -> list[np.random.G
     where one rng.random call over the whole would leave it, a buffered
     half of a 64-bit output included.
     """
-    if len(starts) == 1:
-        return [rng]
     bit_gen = rng.bit_generator
     state = bit_gen.state
     copies = []

@@ -54,20 +54,21 @@ class AdamState:
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def _all_finite(flat: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether flat[lo:hi] is finite, checked one ADAM_BLOCK slice at a time."""
-    for b in range(lo, hi, ADAM_BLOCK):
-        if not np.isfinite(flat[b:min(b + ADAM_BLOCK, hi)]).all():
+def _all_finite(flat: np.ndarray) -> bool:
+    """Whether flat is finite, checked one ADAM_BLOCK slice at a time."""
+    for b in range(0, flat.size, ADAM_BLOCK):
+        if not np.isfinite(flat[b:b + ADAM_BLOCK]).all():
             return False
     return True
 
 
 def _adam_range(params: MlpParams, grads: MlpParams, state: AdamState, lr: float,
-                lo: int, hi: int, scratch: np.ndarray) -> None:
-    """Update elements lo:hi in blocks; the first block's intermediates go into scratch."""
+                elements: slice, scratch: np.ndarray) -> None:
+    """Update the elements in blocks; the first block's intermediates go into scratch."""
     t = state.step
     m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
-    start = lo
+    start = lo = elements.start
+    hi = elements.stop
     while lo < hi:
         b = slice(lo, min(lo + scratch.size, hi))
         g, m, v = grads.flat[b], state.m[b], state.v[b]
@@ -107,29 +108,21 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
     size = params.flat.size
-    parts = parallel.parts_for(size, ADAM_PART, size)
-    first = max(1, min(ADAM_BLOCK // parts, size // parts))
-    scratch = np.empty(first * parts, dtype=params.flat.dtype)
-    if parts == 1:  # as in parallel.matmul: the part machinery cost a small step ~30 us
-        finite = _all_finite(grads.flat, 0, size)
-    else:
-        bounds = [size * p // parts for p in range(parts + 1)]
-        checks = [True] * parts
+    parts = parallel.cuts(size, parallel.parts_for(size, ADAM_PART, size))
+    first = max(1, min(ADAM_BLOCK, size) // len(parts))
+    scratch = np.empty(first * len(parts), dtype=params.flat.dtype)
+    checks = [True] * len(parts)
 
-        def check(p: int) -> None:
-            checks[p] = _all_finite(grads.flat, bounds[p], bounds[p + 1])
+    def check(p: int, elements: slice) -> None:
+        checks[p] = _all_finite(grads.flat[elements])
 
-        parallel.run_parts(check, parts)
-        finite = all(checks)
-    if not finite:
+    parallel.run_parts(check, parts)
+    if not all(checks):
         name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
         raise ValueError(f"non-finite gradient in {name} at Adam step {state.step}")
-    if parts == 1:
-        _adam_range(params, grads, state, config.learning_rate, 0, size, scratch)
-    else:
-        parallel.run_parts(lambda p: _adam_range(
-            params, grads, state, config.learning_rate, bounds[p], bounds[p + 1],
-            scratch[p * first:(p + 1) * first]), parts)
+    parallel.run_parts(lambda p, elements: _adam_range(
+        params, grads, state, config.learning_rate, elements,
+        scratch[p * first:(p + 1) * first]), parts)
     return params, state
 
 

@@ -35,9 +35,9 @@ def record_parts(monkeypatch):
     calls = []
     run_parts = parallel.run_parts
 
-    def logged(task, n_parts):
-        calls.append(n_parts)
-        run_parts(task, n_parts)
+    def logged(task, parts):
+        calls.append(len(parts))
+        run_parts(task, parts)
 
     monkeypatch.setattr(parallel, "run_parts", logged)
     return calls

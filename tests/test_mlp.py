@@ -421,16 +421,18 @@ def forward_backward_eval(p, x, targets):
     return logits, trace, backward(p, trace, grad_logits), forward(p, x)
 
 
-@pytest.mark.parametrize("rows", [21, 128])
+@pytest.mark.parametrize("rows,hidden2,split_calls",
+                         [(21, 136, 13), (128, 136, 13), (21, 300, 7), (128, 300, 7)],
+                         ids=["21", "128", "21-width300", "128-width300"])
 def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_switching,
-                                                              rows):
+                                                              rows, hidden2, split_calls):
     """Layers cut in 2 and 3 row parts (and column parts in the layer-norm
-    backward) give the bits of one part. The widths are multiples of 8, as
-    below the GEMM gate BLAS rounds the last width % 8 columns of a row-cut
-    product differently on some CPUs, which this test is not about; so they
-    are not multiples of 3, and 21 rows make the 2-part row cut uneven."""
+    backward) give the bits of one part. 296 and 136 are multiples of 8 but
+    not of 3, and 21 rows make the 2-part row cut uneven. BLAS rounds the
+    last width % 8 columns of a row-cut product differently on some CPUs,
+    so the layer 300 wide, its backward and d1.T@dz2 must run in one part."""
     monkeypatch.setattr(parallel, "GEMM_PART_FLOPS", 1)
-    p = init_params(40, 5, seed=2, hidden1=296, hidden2=136)
+    p = init_params(40, 5, seed=2, hidden1=296, hidden2=hidden2)
     p.flat[:] += 0.3 * np.random.default_rng(3).standard_normal(p.flat.size)
     x = np.random.default_rng(4).standard_normal((rows, 40)) * 3.0
     targets = one_hot(np.arange(rows) % 5, 5)
@@ -439,9 +441,9 @@ def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_
         monkeypatch.setattr(parallel, "WORKERS", workers)
         parts = record_parts(monkeypatch)
         runs[workers] = forward_backward_eval(p, x, targets)
-        if workers > 1:  # 2 layers in train and 2 in eval, 3 passes in each of 2
-            # layer-norm backwards, and the 3 backward GEMMs of parallel.matmul
-            assert parts == [workers] * 13
+        # 2 layers in train and 2 in eval, 3 passes in each of 2 layer-norm
+        # backwards, and the 3 backward GEMMs of parallel.matmul
+        assert len(parts) == 13 and parts.count(workers) == (13 if workers == 1 else split_calls)
     want_logits, want_trace, want_grads, want_eval = runs[1]
     for workers in (2, 3):
         logits, trace, grads, eval_logits = runs[workers]
@@ -454,10 +456,10 @@ def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_
 
 def test_a_layer_splits_into_two_columns_a_part_at_least(monkeypatch):
     # a one-column slice would be summed pairwise in the layer-norm backward
-    monkeypatch.setattr(parallel, "WORKERS", 3)
+    monkeypatch.setattr(parallel, "WORKERS", 12)
     monkeypatch.setattr(parallel, "GEMM_PART_FLOPS", 1)
-    assert [mlp._layer_parts(64, 8, h) for h in (2, 3, 4, 5, 6)] == [1, 1, 2, 2, 3]
-    assert [mlp._layer_parts(b, 8, 64) for b in (2, 3, 4, 5, 6)] == [1, 1, 2, 2, 3]
+    assert [parallel.gemm_parts(64, 8, h) for h in (8, 16, 24)] == [4, 8, 12]
+    assert [parallel.gemm_parts(b, 8, 64) for b in (2, 3, 4, 5, 6)] == [1, 1, 2, 2, 3]
 
 
 @pytest.mark.parametrize("rows", [128, 20, 512])
@@ -477,7 +479,8 @@ def test_lodo_desk_widths_split_no_layer_and_copy_no_generator(monkeypatch, rows
     x = np.random.default_rng(0).standard_normal((rows, 64))
     forward_backward_eval(p, x, one_hot(np.arange(rows) % 6, 6))
     assert len(draws) == 2 and copies == []
-    assert parts == [1] * 10  # 2 layers in train, 2 in eval, 3 passes in each layer-norm backward
+    # 2 layers in train, 2 in eval, 3 passes in each layer-norm backward, 3 backward GEMMs
+    assert parts == [1] * 13
 
 
 def test_backward_error_paths():

@@ -53,10 +53,14 @@ def test_matmul_splits_from_the_flop_gate_and_keeps_two_rows_a_part(monkeypatch)
     rng = np.random.default_rng(0)
     gemms = train_and_eval_gemms(20, rng)
     parallel.matmul(*gemms["x@w1"])  # 2*20*256*4096 flops: under 2**26, one part
-    assert calls == []  # a single part skips the part machinery
+    assert calls == [1]
     parallel.matmul(*gemms["d1@w2"])  # 2*20*4096*512 flops: 2.5 parts' worth
     parallel.matmul(rng.standard_normal((5, 4096)), rng.standard_normal((4096, 4096)))
-    assert calls == [2, 2]  # the last has flops for 8 parts but rows for 2
+    assert calls == [1, 2, 2]  # the last has flops for 8 parts but rows for 2
+    # flops for 8 parts, but BLAS rounds the last 500 % 8 columns of a row cut differently
+    a, b = rng.standard_normal((128, 4096)), rng.standard_normal((4096, 500))
+    assert np.array_equal(parallel.matmul(a, b), np.matmul(a, b))
+    assert calls == [1, 2, 2, 1]
 
 
 def test_run_parts_runs_parts_the_pool_has_not_started_on_the_caller(monkeypatch):
@@ -71,7 +75,8 @@ def test_run_parts_runs_parts_the_pool_has_not_started_on_the_caller(monkeypatch
     try:
         assert started.wait(30)
         ran_on = {}
-        parallel.run_parts(lambda k: ran_on.setdefault(k, threading.get_ident()), 4)
+        parallel.run_parts(lambda k, part: ran_on.setdefault(k, threading.get_ident()),
+                           parallel.cuts(4, 4))
         assert ran_on == dict.fromkeys(range(4), threading.get_ident())
         assert not any(blocker.done() for blocker in blockers)  # did not wait for them
     finally:
@@ -84,7 +89,7 @@ def test_run_parts_raises_only_once_no_part_is_running(monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", 2)
     started, finished = threading.Event(), []
 
-    def task(k):
+    def task(k, part):
         if k == 0:
             assert started.wait(30)  # part 1 is running on the pool
             raise RuntimeError("part 0 failed")
@@ -93,15 +98,32 @@ def test_run_parts_raises_only_once_no_part_is_running(monkeypatch):
         finished.append(k)
 
     with pytest.raises(RuntimeError, match="part 0 failed"):
-        parallel.run_parts(task, 2)
+        parallel.run_parts(task, parallel.cuts(2, 2))
     assert finished == [1]
+
+
+def test_one_part_is_a_plain_call_on_the_caller(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("one part went to the pool")
+
+    monkeypatch.setattr(parallel._POOL, "submit", refuse)
+    ran = []
+    parallel.run_parts(lambda k, part: ran.append((k, part, threading.get_ident())),
+                       parallel.cuts(5, 1))
+    assert ran == [(0, slice(0, 5), threading.get_ident())]
+
+    def fail(k, part):
+        raise RuntimeError("the one part failed")
+
+    with pytest.raises(RuntimeError, match="the one part failed"):
+        parallel.run_parts(fail, parallel.cuts(5, 1))
 
 
 def test_workers_follow_the_affinity_mask():
     assert parallel.WORKERS == len(os.sched_getaffinity(0))
 
 
-@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("parts", [1, 2, 3])
 @pytest.mark.parametrize("rows", [128, 20, 7])
 def test_split_draws_are_one_random_call_and_leave_rng_where_it_would(parts, rows):
     width = 37
@@ -109,12 +131,12 @@ def test_split_draws_are_one_random_call_and_leave_rng_where_it_would(parts, row
     for r in (want_rng, rng):
         r.integers(0, 1000, 3, dtype=np.uint32)  # leaves half a 64-bit output buffered
     want = want_rng.random((rows, width))
-    bounds = [rows * p // parts for p in range(parts + 1)]
-    draws = parallel.split_draws(rng, [lo * width for lo in bounds[:-1]])
+    cut = parallel.cuts(rows, parts)
+    draws = parallel.split_draws(rng, [r.start * width for r in cut])
     assert len(draws) == parts and draws[-1] is rng
     got = np.full((rows, width), np.nan)
     for p in reversed(range(parts)):  # the order the parts draw in does not matter
-        draws[p].random(out=got[bounds[p]:bounds[p + 1]])
+        draws[p].random(out=got[cut[p]])
     assert np.array_equal(got, want)
     assert np.array_equal(rng.integers(0, 1000, 5, dtype=np.uint32),
                           want_rng.integers(0, 1000, 5, dtype=np.uint32))
