@@ -137,24 +137,17 @@ def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarr
         out += bias
 
 
-def _as_prob_pair(drop_prob) -> tuple[float, float]:
-    p1, p2 = (drop_prob, drop_prob) if np.isscalar(drop_prob) else drop_prob
-    for p in (p1, p2):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"drop probability must be in [0, 1), got {p}")
-    return float(p1), float(p2)
-
-
 def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     """linear -> layer norm -> ReLU -> dropout over the rows of x.
 
     Returns d (B, H) and, when rng is given (train mode), the trace
-    fields (xhat, inv_std, relu, mask, d). The rows are cut into the
-    parts of the layer's GEMM; each part runs the whole chain on its rows,
-    into arrays allocated here, and draws its dropout doubles from
-    parallel.split_draws, so the masks are those of one rng.random call.
-    The parts allocate nothing large themselves: a helper thread's
-    allocations would stay in its own malloc arena and add to peak RSS.
+    fields (xhat, inv_std, relu, mask, d). The whole layer's dropout
+    doubles are one rng.random call here, on the calling thread. The rows
+    are then cut into the parts of the layer's GEMM; each part runs the
+    whole chain on its rows, into arrays allocated here, and turns its
+    rows of the doubles into the mask. The parts allocate nothing large
+    themselves: a helper thread's allocations would stay in its own
+    malloc arena and add to peak RSS.
     """
     n, h = x.shape[0], w.shape[1]
     parts = parallel.cuts(n, parallel.gemm_parts(n, x.shape[1], h))
@@ -166,9 +159,9 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     if rng is None:
         d = z
     else:
-        d, mask, relu = np.empty_like(z), np.empty((n, h)), np.empty((n, h), dtype=bool)
-        keep = 1.0 - drop_prob
-        rngs = parallel.split_draws(rng, [rows.start * h for rows in parts])
+        d, relu = np.empty_like(z), np.empty((n, h), dtype=bool)
+        mask = rng.random(out=np.empty((n, h)))
+        keep = 1.0 - float(drop_prob)
 
     def part(p: int, rows: slice) -> None:
         zp, dp = np.matmul(x[rows], w, out=z[rows]), d[rows]
@@ -178,7 +171,7 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
         if rng is None:
             return
         np.greater(dp, 0.0, out=relu[rows])
-        mp = rngs[p].random(out=mask[rows])
+        mp = mask[rows]
         np.less(mp, keep, out=mp)  # 1.0 or 0.0, then 1/keep or 0 as (r < keep) * (1/keep)
         mp *= 1.0 / keep
         dp *= mp
@@ -188,16 +181,13 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
 
 
 def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
-            drop_prob: float | tuple[float, float] = 0.9,
-            rng: np.random.Generator | None = None):
+            drop_prob: float = 0.9, rng: np.random.Generator | None = None):
     """Compute logits (B, C); train mode also returns the ForwardTrace.
 
-    Train mode draws seeded dropout masks from rng (layer 1 first), as
-    rng.random((B, H)) calls would. Each hidden layer runs on the row
-    parts of its GEMM, and each part draws its own rows' doubles from a
-    copy of rng advanced to them; that jump needs PCG64 (what
-    np.random.default_rng gives), so any other bit generator is refused.
-    Eval mode applies no dropout and is a pure function of (params, batch).
+    Train mode drops each hidden unit with probability drop_prob, with
+    masks drawn from rng, any np.random.Generator: one rng.random((B, H))
+    call per layer, layer 1 first. Eval mode applies no dropout and is a
+    pure function of (params, batch).
     """
     batch = np.asarray(batch, dtype=params.w1.dtype)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
@@ -211,16 +201,16 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
     train = mode == "train"
     if train and rng is None:
         raise ValueError("train mode requires an rng for the dropout masks")
-    if train and not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
-        raise ValueError("train mode needs an np.random.Generator on PCG64 "
-                         f"(np.random.default_rng), got {rng!r}")
-    p1, p2 = _as_prob_pair(drop_prob)
+    if train and not isinstance(rng, np.random.Generator):
+        raise ValueError(f"train mode needs an np.random.Generator, got {rng!r}")
+    if not 0.0 <= drop_prob < 1.0:
+        raise ValueError(f"drop probability must be in [0, 1), got {drop_prob}")
     rng = rng if train else None
 
     d1, cache1 = _hidden_layer(batch, params.w1, params.b1, params.ln1_gain,
-                               params.ln1_bias, p1, rng)
+                               params.ln1_bias, drop_prob, rng)
     d2, cache2 = _hidden_layer(d1, params.w2, params.b2, params.ln2_gain,
-                               params.ln2_bias, p2, rng)
+                               params.ln2_bias, drop_prob, rng)
     logits = d2 @ params.head_w.T
     logits += params.head_b
     if not train:

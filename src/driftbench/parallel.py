@@ -21,10 +21,9 @@ measured to differ at some widths, so they are not used.
 
 Elementwise work rides on the same parts: mlp runs a hidden layer's
 bias, layer norm, ReLU and dropout on the rows its part of the GEMM
-wrote, and `split_draws` lets those parts draw the dropout doubles of
-one stream, each from where its rows start. Work that reduces over rows
-(a column sum) splits by columns instead; either way each output element
-is computed by the same operations, in the same order, as on one thread.
+wrote. Work that reduces over rows (a column sum) splits by columns
+instead; either way each output element is computed by the same
+operations, in the same order, as on one thread.
 """
 from __future__ import annotations
 
@@ -108,27 +107,3 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     run_parts(lambda p, rows: np.matmul(a[rows], b, out=out[rows]), cuts(m, gemm_parts(m, k, n)))
     return out
 
-
-def split_draws(rng: np.random.Generator, starts: list[int]) -> list[np.random.Generator]:
-    """One generator per part: the stream of rng's doubles, cut at starts.
-
-    starts[0] is 0 and starts rise; rng's bit generator is PCG64, which
-    spends one 64-bit output per double. Generator p draws rng's doubles
-    from the starts[p]-th on: a copy of rng advanced by starts[p], except
-    the last, which is rng itself advanced in place. So one part draws
-    from rng with no copy (a copy costs about 30 us), and once each part
-    has drawn up to the next start and the last to the end, rng stands
-    where one rng.random call over the whole would leave it, a buffered
-    half of a 64-bit output included.
-    """
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    copies = []
-    for start in starts[:-1]:
-        copy = np.random.PCG64()
-        copy.state = state
-        copies.append(np.random.Generator(copy.advance(start)))
-    bit_gen.advance(starts[-1])  # advance drops a buffered 32-bit output: put it back
-    if state["has_uint32"]:
-        bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": state["uinteger"]}
-    return copies + [rng]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import kmeans_fit
+from .clustering import _pairwise_sq_dists, kmeans_fit
 from .dataset import write_json
 
 DEFAULT_TAU = 2.0
@@ -109,7 +109,7 @@ def shift_scores(keys: list[GroupKey], member_counts: list[int],
         raise ValueError(f"need >= 2 groups to compare, got {n_groups}")
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    full = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
+    full = np.sqrt(_pairwise_sq_dists(P, P))
     deltas = full[~np.eye(n_groups, dtype=bool)].reshape(n_groups, n_groups - 1)
     mu = deltas.mean(axis=1)
     sigma = np.sqrt(((deltas - mu[:, None]) ** 2).mean(axis=1))  # population divisor

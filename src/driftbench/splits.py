@@ -98,9 +98,11 @@ def write_split_file(split: SplitSpec, path: str | Path) -> None:
 def read_split_file(path: str | Path, manifest: Manifest) -> SplitSpec:
     """Rebuild a SplitSpec from a split file plus the manifest it indexes.
 
-    Ids come back in manifest order; a repeated or unknown clip_id is refused.
+    Ids come back in manifest order; a repeated or unknown clip_id is
+    refused, and so is a train or val clip of the test domain.
     """
     roles: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -113,6 +115,7 @@ def read_split_file(path: str | Path, manifest: Manifest) -> SplitSpec:
             if parts[0] in roles:
                 raise ValueError(f"{path}:{lineno}: duplicate clip_id {parts[0]!r}")
             roles[parts[0]] = parts[1]
+            linenos[parts[0]] = lineno
 
     by_id = manifest.by_id()
     unknown = sorted(set(roles) - set(by_id))
@@ -123,13 +126,18 @@ def read_split_file(path: str | Path, manifest: Manifest) -> SplitSpec:
         raise ValueError(
             f"test rows must cover exactly one domain, found {sorted(test_domains)}"
         )
+    held_out = next(iter(test_domains))
+    for cid, role in roles.items():
+        if role != "test" and by_id[cid].domain == held_out:
+            raise ValueError(f"{path}:{linenos[cid]}: {role} clip {cid!r} is from "
+                             f"the held-out domain {held_out!r}")
     grouped: dict[str, list[str]] = {role: [] for role in ROLES}
     for r in manifest.records:
         role = roles.get(r.clip_id)
         if role is not None:
             grouped[role].append(r.clip_id)
     return SplitSpec(
-        held_out_domain=next(iter(test_domains)),
+        held_out_domain=held_out,
         train_ids=tuple(grouped["train"]),
         val_ids=tuple(grouped["val"]),
         test_ids=tuple(grouped["test"]),

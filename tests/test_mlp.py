@@ -124,20 +124,7 @@ def test_forward_error_paths():
     with pytest.raises(ValueError, match="drop probability"):
         forward(p, x, mode="train", drop_prob=1.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="drop probability"):
-        forward(p, x, mode="train", drop_prob=(0.2, -0.1),
-                rng=np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("make", [lambda: np.random.Generator(np.random.MT19937(0)),
-                                  lambda: np.random.Generator(np.random.PCG64DXSM(0)),
-                                  lambda: np.random.RandomState(0)])
-def test_train_forward_refuses_a_generator_it_cannot_split(make):
-    p, rng = tiny_params(), make()
-    with pytest.raises(ValueError, match="PCG64") as err:
-        forward(p, np.zeros((3, 4)), mode="train", drop_prob=0.5, rng=rng)
-    assert "\n" not in str(err.value)
-    assert rng.random() == make().random()  # nothing was drawn
-    forward(p, np.zeros((3, 4)), mode="eval", rng=rng)  # eval mode draws nothing
+        forward(p, x, mode="train", drop_prob=-0.1, rng=np.random.default_rng(0))
 
 
 def test_layer_norm_statistics():
@@ -166,17 +153,17 @@ def test_dropout_mask_values():
 def test_dropout_scaling_preserves_expectation():
     p = tiny_params(seed=2)
     x = np.random.default_rng(3).standard_normal((4, 4))
-    # drop only at layer 2 so the clean layer-2 activation is the target
+    # layer 1's output: the clean activation is its dropout's target
     _, clean = forward(p, x, mode="train", drop_prob=0.0,
                        rng=np.random.default_rng(0))
-    target = clean.d2
+    target = clean.d1
     drop = 0.5
     rng = np.random.default_rng(42)
     n = 10000
     acc = np.zeros_like(target)
     for _ in range(n):
-        _, trace = forward(p, x, mode="train", drop_prob=(0.0, drop), rng=rng)
-        acc += trace.d2
+        _, trace = forward(p, x, mode="train", drop_prob=drop, rng=rng)
+        acc += trace.d1
     mean = acc / n
     # per-element SE of the inverted-dropout estimator is |target| / sqrt(n)
     tol = 3.0 * np.abs(target) / np.sqrt(n) + 1e-12
@@ -305,17 +292,16 @@ def expression_dropout_mask(shape, drop_prob, rng):
 def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None):
     """forward with one fresh array per expression: the bitwise reference."""
     train = mode == "train"
-    p1, p2 = (drop_prob, drop_prob) if np.isscalar(drop_prob) else drop_prob
     z1 = batch @ params.w1 + params.b1
     a1, xhat1, inv_std1 = expression_layer_norm(z1, params.ln1_gain, params.ln1_bias)
     r1 = np.maximum(a1, 0.0)
-    mask1 = expression_dropout_mask(r1.shape, p1, rng) if train else None
+    mask1 = expression_dropout_mask(r1.shape, drop_prob, rng) if train else None
     d1 = r1 * mask1 if train else r1
 
     z2 = d1 @ params.w2 + params.b2
     a2, xhat2, inv_std2 = expression_layer_norm(z2, params.ln2_gain, params.ln2_bias)
     r2 = np.maximum(a2, 0.0)
-    mask2 = expression_dropout_mask(r2.shape, p2, rng) if train else None
+    mask2 = expression_dropout_mask(r2.shape, drop_prob, rng) if train else None
     d2 = r2 * mask2 if train else r2
 
     logits = d2 @ params.head_w.T + params.head_b
@@ -348,7 +334,7 @@ def assert_traces_equal(got, want):
 
 
 @pytest.mark.parametrize("case", range(8))
-@pytest.mark.parametrize("drop_prob", ["eval", 0.0, 0.5, 0.9, (0.0, 0.9)])
+@pytest.mark.parametrize("drop_prob", ["eval", 0.0, 0.5, 0.9])
 def test_forward_matches_expression_form_bitwise(case, drop_prob):
     p, x = random_problem(case)
     flat_before, x_before = p.flat.copy(), x.copy()
@@ -415,7 +401,7 @@ def test_layer_norm_row_blocks_keep_the_bits(case, drop_prob, ln_block, monkeypa
 
 
 def forward_backward_eval(p, x, targets):
-    logits, trace = forward(p, x, mode="train", drop_prob=(0.5, 0.3),
+    logits, trace = forward(p, x, mode="train", drop_prob=0.5,
                             rng=np.random.default_rng(5))
     _, grad_logits = ova_bce_loss(logits, targets)
     return logits, trace, backward(p, trace, grad_logits), forward(p, x)
@@ -454,6 +440,32 @@ def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_
         assert np.array_equal(eval_logits, want_eval), workers
 
 
+def test_train_forward_takes_any_generator_whatever_the_worker_count(monkeypatch):
+    """Each layer's mask is one draw on the caller, so any bit generator
+    gives the masks of the expression form, in one part or in several."""
+    monkeypatch.setattr(parallel, "GEMM_PART_FLOPS", 1)
+    p = init_params(40, 5, seed=2, hidden1=296, hidden2=136)
+    x = np.random.default_rng(4).standard_normal((21, 40))
+    for bit_generator in (np.random.MT19937, np.random.PCG64DXSM):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "WORKERS", workers)
+            parts = record_parts(monkeypatch)
+            rng, want_rng = (np.random.Generator(bit_generator(7)) for _ in range(2))
+            got, trace = forward(p, x, mode="train", drop_prob=0.5, rng=rng)
+            want, want_trace = expression_forward(p, x, mode="train", drop_prob=0.5,
+                                                  rng=want_rng)
+            assert parts == [workers] * 2, (bit_generator, workers)
+            assert np.array_equal(got, want), (bit_generator, workers)
+            assert_traces_equal(trace, want_trace)
+            assert np.array_equal(rng.random(9), want_rng.random(9))  # rng left where it would
+    rng = np.random.RandomState(0)  # no random(out=)
+    with pytest.raises(ValueError, match="np.random.Generator") as err:
+        forward(p, x, mode="train", drop_prob=0.5, rng=rng)
+    assert "\n" not in str(err.value)
+    assert rng.random() == np.random.RandomState(0).random()  # nothing was drawn
+    forward(p, x, mode="eval", rng=rng)  # eval mode draws nothing
+
+
 def test_a_layer_splits_into_two_columns_a_part_at_least(monkeypatch):
     # a one-column slice would be summed pairwise in the layer-norm backward
     monkeypatch.setattr(parallel, "WORKERS", 12)
@@ -463,22 +475,12 @@ def test_a_layer_splits_into_two_columns_a_part_at_least(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [128, 20, 512])
-def test_lodo_desk_widths_split_no_layer_and_copy_no_generator(monkeypatch, rows):
+def test_lodo_desk_widths_split_no_layer(monkeypatch, rows):
     monkeypatch.setattr(parallel, "WORKERS", 8)
     parts = record_parts(monkeypatch)
-    draws, copies = [], []
-    split_draws = parallel.split_draws
-
-    def logged(rng, starts):
-        draws.append(split_draws(rng, starts))
-        copies.extend(g for g in draws[-1] if g is not rng)
-        return draws[-1]
-
-    monkeypatch.setattr(parallel, "split_draws", logged)
     p = init_params(64, 6, hidden1=256, hidden2=128)
     x = np.random.default_rng(0).standard_normal((rows, 64))
     forward_backward_eval(p, x, one_hot(np.arange(rows) % 6, 6))
-    assert len(draws) == 2 and copies == []
     # 2 layers in train, 2 in eval, 3 passes in each layer-norm backward, 3 backward GEMMs
     assert parts == [1] * 13
 
@@ -531,7 +533,7 @@ def test_fully_dropped_second_layer_blocks_upstream_gradient():
     targets = one_hot(np.array([0, 0]), 2)
     trace = None
     for seed in range(200):
-        logits, tr = forward(p, x, mode="train", drop_prob=(0.0, 0.9),
+        logits, tr = forward(p, x, mode="train", drop_prob=0.9,
                              rng=np.random.default_rng(seed))
         if np.all(tr.mask2 == 0.0):
             trace = tr

@@ -122,29 +122,3 @@ def test_one_part_is_a_plain_call_on_the_caller(monkeypatch):
 def test_workers_follow_the_affinity_mask():
     assert parallel.WORKERS == len(os.sched_getaffinity(0))
 
-
-@pytest.mark.parametrize("parts", [1, 2, 3])
-@pytest.mark.parametrize("rows", [128, 20, 7])
-def test_split_draws_are_one_random_call_and_leave_rng_where_it_would(parts, rows):
-    width = 37
-    want_rng, rng = np.random.default_rng(rows), np.random.default_rng(rows)
-    for r in (want_rng, rng):
-        r.integers(0, 1000, 3, dtype=np.uint32)  # leaves half a 64-bit output buffered
-    want = want_rng.random((rows, width))
-    cut = parallel.cuts(rows, parts)
-    draws = parallel.split_draws(rng, [r.start * width for r in cut])
-    assert len(draws) == parts and draws[-1] is rng
-    got = np.full((rows, width), np.nan)
-    for p in reversed(range(parts)):  # the order the parts draw in does not matter
-        draws[p].random(out=got[cut[p]])
-    assert np.array_equal(got, want)
-    assert np.array_equal(rng.integers(0, 1000, 5, dtype=np.uint32),
-                          want_rng.integers(0, 1000, 5, dtype=np.uint32))
-    assert np.array_equal(rng.random(9), want_rng.random(9))
-
-
-def test_one_split_draw_is_rng_itself():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    assert parallel.split_draws(rng, [0])[0] is rng
-    assert rng.bit_generator.state == state

@@ -224,6 +224,18 @@ def test_split_file_needs_exactly_one_test_domain(tmp_path):
         read_split_file(path, man)
 
 
+@pytest.mark.parametrize("role", ["train", "val"])
+def test_split_file_refuses_a_held_out_clip_outside_test(tmp_path, role):
+    man = grid_manifest(["A", "B"], ["x"], 2)
+    path = tmp_path / "s.tsv"
+    path.write_text(f"A-x-000\ttrain\nB-x-000\ttest\nB-x-001\t{role}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_split_file(path, man)
+    assert str(err.value) == (f"{path}:3: {role} clip 'B-x-001' is from "
+                              "the held-out domain 'B'")
+
+
 def test_splitspec_is_frozen():
     man = grid_manifest(["A", "B"], ["x"], 2)
     split = build_lodo_split(man, "B")
