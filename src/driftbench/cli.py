@@ -144,19 +144,17 @@ def _cmd_train(args) -> str:
             f"wrote {args.out} {history_path}")
 
 
-def _read_id_file(path: str | Path) -> list[str]:
-    """Clip ids, one per line; blank lines are skipped, a repeated id is refused."""
-    ids: dict[str, int] = {}  # id -> line it first appears on
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
+def _read_id_file(path: str | Path, known) -> list[str]:
+    """Clip ids, one per line, each in known; a repeated id is refused."""
+    def parse(line: str) -> tuple[str, None]:
         cid = line.strip()
-        if cid in ids:
-            raise ValueError(f"{path}:{lineno}: duplicate clip id {cid!r} "
-                             f"(first on line {ids[cid]})")
-        if cid:
-            ids[cid] = lineno
+        if cid not in known:
+            raise ValueError(f"unknown clip id {cid!r}")
+        return cid, None
+
+    ids = dataset.read_lines(path, parse, "clip id")[0]
     if not ids:
-        raise ValueError(f"{path}: no clip ids found")
+        raise ValueError(f"{Path(path)}: no clip ids found")
     return list(ids)
 
 
@@ -165,7 +163,7 @@ def _cmd_eval(args) -> str:
     data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
     params = load_checkpoint(args.checkpoint)
     if args.ids:
-        ids = _read_id_file(args.ids)
+        ids = _read_id_file(args.ids, data.row_of)
         split_id = str(args.ids)
     else:
         split = splits.read_split_file(args.split, manifest)

@@ -5,6 +5,10 @@ object per line: clip_id, domain, category, row_index) and a binary
 feature pack holding an N x T x D float32 tensor. The manifest addresses
 rows of the pack via row_index, so the two can be validated independently
 and joined late.
+
+Every line-based text input (manifest, category map, split file, id list)
+goes through read_lines: UTF-8, blank lines skipped, a repeated key refused
+with the line of the first, and every error one line naming file and line.
 """
 from __future__ import annotations
 
@@ -82,56 +86,75 @@ def write_json(obj, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
-    """Parse and validate a line-delimited JSON manifest.
+def read_lines(path: str | Path, parse, key: str) -> tuple[dict, dict[object, int]]:
+    """({k: value}, {k: line}) in file order, where parse(line) returns (k, value).
 
-    Records come back in file order. clip_ids must be unique, every
-    row_index must be a nonnegative integer (and < n_rows when the pack
-    size is known), and no two clips may share a row_index. Raises
-    ValueError naming the offending line or id.
+    parse gets each line that is not blank, without its newline, and raises
+    ValueError to refuse it. A repeated k is refused, named as `key`.
     """
     path = Path(path)
-    records: list[ClipRecord] = []
-    seen: set[str] = set()
-    owner_of_row: dict[int, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    # Two dicts, not a (line, value) tuple per line: freed tuples would raise peak RSS.
+    values, lines = {}, {}
+    # A byte that is not UTF-8 reads as a lone surrogate, which cannot be
+    # encoded back; isascii() is O(1), so ASCII lines pay nothing more.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+            if line.isspace():  # every line but the last ends in "\n"; none is ""
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed manifest line: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: manifest line is not an object")
-            missing = [f for f in MANIFEST_FIELDS if f not in obj]
-            if missing:
-                raise ValueError(f"{path}:{lineno}: missing field(s) {missing}")
-            clip_id = obj["clip_id"]
+                k, value = parse(line.rstrip("\n"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if k in values:
+                raise ValueError(f"{path}:{lineno}: duplicate {key} {k!r} "
+                                 f"(first on line {lines[k]})")
+            values[k] = value
+            lines[k] = lineno
+    return values, lines
+
+
+def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
+    """Parse and validate a line-delimited JSON manifest; records keep file order.
+
+    clip_ids are unique, and every row_index is a nonnegative integer (< n_rows
+    when the pack size is known) that no other clip shares.
+    """
+    owner_of_row: dict[int, str] = {}
+    limit = float("inf") if n_rows is None else n_rows
+
+    def parse(line: str) -> tuple[str, ClipRecord]:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed manifest line: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError("manifest line is not an object")
+        try:
+            clip_id, domain, category = obj["clip_id"], obj["domain"], obj["category"]
             row_index = obj["row_index"]
-            if not isinstance(clip_id, str) or not isinstance(obj["domain"], str) \
-                    or not isinstance(obj["category"], str):
-                raise ValueError(f"{path}:{lineno}: clip_id/domain/category must be strings")
-            if not isinstance(row_index, int) or isinstance(row_index, bool):
-                raise ValueError(f"{path}:{lineno}: row_index must be an integer")
-            if clip_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate clip_id {clip_id!r}")
-            if row_index < 0 or (n_rows is not None and row_index >= n_rows):
-                bound = f"[0, {n_rows})" if n_rows is not None else "[0, inf)"
-                raise ValueError(
-                    f"{path}:{lineno}: row_index {row_index} out of range {bound} "
-                    f"for clip {clip_id!r}"
-                )
-            if row_index in owner_of_row:
-                raise ValueError(
-                    f"{path}:{lineno}: clip {clip_id!r} shares row_index {row_index} "
-                    f"with clip {owner_of_row[row_index]!r}"
-                )
-            owner_of_row[row_index] = clip_id
-            seen.add(clip_id)
-            records.append(ClipRecord(clip_id, obj["domain"], obj["category"], row_index))
-    return Manifest(tuple(records))
+        except KeyError:
+            missing = [f for f in MANIFEST_FIELDS if f not in obj]
+            raise ValueError(f"missing field(s) {missing}") from None
+        if not (isinstance(clip_id, str) and isinstance(domain, str)
+                and isinstance(category, str)):
+            raise ValueError("clip_id/domain/category must be strings")
+        if not isinstance(row_index, int) or isinstance(row_index, bool):
+            raise ValueError("row_index must be an integer")
+        if not 0 <= row_index < limit:
+            raise ValueError(f"row_index {row_index} out of range [0, {limit}) "
+                             f"for clip {clip_id!r}")
+        if row_index in owner_of_row:
+            raise ValueError(f"clip {clip_id!r} shares row_index {row_index} "
+                             f"with clip {owner_of_row[row_index]!r}")
+        owner_of_row[row_index] = clip_id
+        return clip_id, ClipRecord(clip_id, domain, category, row_index)
+
+    return Manifest(tuple(read_lines(path, parse, "clip_id")[0].values()))
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -189,27 +212,14 @@ def pool_temporal(features: FeatureSet, mode: str = "mean") -> np.ndarray:
 
 
 def load_category_mapping(path: str | Path) -> dict[str, str]:
-    """Read a two-column tab-separated fine-label -> category mapping.
+    """A two-column tab-separated fine-label -> category mapping; a repeated label is refused."""
+    def parse(line: str) -> tuple[str, str]:
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected 2 tab-separated columns")
+        return parts[0], parts[1]
 
-    Each fine label may appear once; a repeat is refused with its line.
-    """
-    path = Path(path)
-    mapping: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
-            if parts[0] in mapping:
-                raise ValueError(f"{path}:{lineno}: duplicate label {parts[0]!r} "
-                                 f"(first on line {first_line[parts[0]]})")
-            mapping[parts[0]] = parts[1]
-            first_line[parts[0]] = lineno
-    return mapping
+    return read_lines(path, parse, "label")[0]
 
 
 def apply_category_mapping(manifest: Manifest, mapping: dict[str, str]) -> Manifest:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Manifest
+from .dataset import Manifest, read_lines
 
 ROLES = ("train", "val", "test")
 DEFAULT_VAL_FRACTION = 0.24
@@ -96,49 +96,39 @@ def write_split_file(split: SplitSpec, path: str | Path) -> None:
 
 
 def read_split_file(path: str | Path, manifest: Manifest) -> SplitSpec:
-    """Rebuild a SplitSpec from a split file plus the manifest it indexes.
+    """Rebuild a SplitSpec, ids in manifest order, from a split file and its manifest.
 
-    Ids come back in manifest order; a repeated or unknown clip_id is
-    refused, and so is a train or val clip of the test domain.
+    Refused: a repeated or unknown clip_id, test rows of no domain or of two,
+    and a train or val clip of the test domain.
     """
-    roles: dict[str, str] = {}
-    linenos: dict[str, int] = {}
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in ROLES:
-                raise ValueError(f"{path}:{lineno}: expected 'clip_id<TAB>train|val|test'")
-            if parts[0] in roles:
-                raise ValueError(f"{path}:{lineno}: duplicate clip_id {parts[0]!r}")
-            roles[parts[0]] = parts[1]
-            linenos[parts[0]] = lineno
+    path, by_id = Path(path), manifest.by_id()
+    held_out = None  # the domain of the first test row
 
-    by_id = manifest.by_id()
-    unknown = sorted(set(roles) - set(by_id))
-    if unknown:
-        raise ValueError(f"split references clip_ids missing from manifest: {unknown[:5]}")
-    test_domains = {by_id[cid].domain for cid, role in roles.items() if role == "test"}
-    if len(test_domains) != 1:
-        raise ValueError(
-            f"test rows must cover exactly one domain, found {sorted(test_domains)}"
-        )
-    held_out = next(iter(test_domains))
+    def parse(line: str) -> tuple[str, str]:
+        nonlocal held_out
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] not in ROLES:
+            raise ValueError("expected 'clip_id<TAB>train|val|test'")
+        cid, role = parts
+        if cid not in by_id:
+            raise ValueError(f"clip_id {cid!r} missing from manifest")
+        if role == "test" and held_out is None:
+            held_out = by_id[cid].domain
+        elif role == "test" and by_id[cid].domain != held_out:
+            raise ValueError(f"test rows must cover exactly one domain, found "
+                             f"{by_id[cid].domain!r} after {held_out!r}")
+        return cid, role
+
+    roles, lines = read_lines(path, parse, "clip_id")
+    if held_out is None:
+        raise ValueError(f"{path}: test rows must cover exactly one domain, found none")
     for cid, role in roles.items():
         if role != "test" and by_id[cid].domain == held_out:
-            raise ValueError(f"{path}:{linenos[cid]}: {role} clip {cid!r} is from "
+            raise ValueError(f"{path}:{lines[cid]}: {role} clip {cid!r} is from "
                              f"the held-out domain {held_out!r}")
     grouped: dict[str, list[str]] = {role: [] for role in ROLES}
     for r in manifest.records:
         role = roles.get(r.clip_id)
         if role is not None:
             grouped[role].append(r.clip_id)
-    return SplitSpec(
-        held_out_domain=held_out,
-        train_ids=tuple(grouped["train"]),
-        val_ids=tuple(grouped["val"]),
-        test_ids=tuple(grouped["test"]),
-    )
+    return SplitSpec(held_out, *(tuple(grouped[role]) for role in ROLES))

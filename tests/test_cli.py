@@ -431,24 +431,61 @@ def test_growing_offsets_correlate_negatively(tmp_path, capsys):
     assert json.loads((tmp_path / "c.json").read_text())["pearson"] < 0
 
 
-def test_eval_with_ids_file(workdir, capsys):
+def test_eval_with_ids_file(workdir, tmp_path, capsys):
     args = data_args(workdir)
-    ckpt = workdir / "pipe_model.emlp"
-    if not ckpt.exists():
-        pytest.skip("needs the checkpoint from the pipeline test")
-    ids = workdir / "some_ids.txt"
+    ckpt = tmp_path / "model.emlp"
+    save_checkpoint(init_params(8, 3, hidden1=8, hidden2=4), ckpt)
+    ids = tmp_path / "some_ids.txt"
     man = load_manifest(workdir / "data" / "manifest.jsonl")
     ids.write_text("\n".join(r.clip_id for r in man.records[:10]) + "\n")
-    out = workdir / "ids_eval.json"
+    out = tmp_path / "ids_eval.json"
     assert cli.main(["eval", *args, "--checkpoint", str(ckpt),
                      "--ids", str(ids), "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["n_evaluated"] == 10
 
-    ids.write_text("ghost-clip\n")
+    out.unlink()
+    ids.write_text(f"{man.records[0].clip_id}\n\nghost-clip\n")
     assert cli.main(["eval", *args, "--checkpoint", str(ckpt),
                      "--ids", str(ids), "--out", str(out)]) == 1
-    assert "unknown clip id" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"driftbench: error: eval: {ids}:3: unknown clip id 'ghost-clip'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("damaged", ["manifest", "category-map", "split", "ids"])
+def test_non_utf8_text_input_names_its_file_and_line(workdir, tmp_path, damaged, newline,
+                                                     capsys):
+    man = load_manifest(workdir / "data" / "manifest.jsonl")
+    lines = {
+        "manifest": (workdir / "data" / "manifest.jsonl").read_text().splitlines(),
+        "category-map": [f"{c}\t{c}" for c in man.categories],
+        "split": [f"{r.clip_id}\t{'test' if r.domain == 'dom02' else 'train'}"
+                  for r in man.records],
+        "ids": [r.clip_id for r in man.records[:5]],
+    }
+    paths = {name: tmp_path / name for name in lines}
+    for name, path in paths.items():
+        text = newline.join(lines[name]) + newline
+        raw = text.encode("utf-8")
+        if name == damaged:  # one bad byte in the middle of line 3
+            at = sum(len(line) + len(newline) for line in lines[name][:2]) + 2
+            raw = raw[:at] + b"\xff" + raw[at:]
+        path.write_bytes(raw)
+    ckpt = tmp_path / "model.emlp"
+    save_checkpoint(init_params(8, 3, hidden1=8, hidden2=4), ckpt)
+    out = tmp_path / "eval.json"
+    role = ["--split", str(paths["split"])] if damaged == "split" else \
+        ["--ids", str(paths["ids"])]
+    code = cli.main(["eval", "--manifest", str(paths["manifest"]),
+                     "--features", str(workdir / "data" / "features.egf"),
+                     "--category-map", str(paths["category-map"]),
+                     "--checkpoint", str(ckpt), *role, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"driftbench: error: eval: {paths[damaged]}:3: not UTF-8 text\n"
+    assert not out.exists()
 
 
 def test_eval_ids_file_rejects_a_repeated_id(workdir, tmp_path, capsys):

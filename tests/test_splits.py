@@ -224,6 +224,36 @@ def test_split_file_needs_exactly_one_test_domain(tmp_path):
         read_split_file(path, man)
 
 
+def split_error(path, man, text):
+    """The one-line error read_split_file raises on a file holding text."""
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_split_file(path, man)
+    return str(err.value)
+
+
+def test_split_file_unknown_id_names_its_line(tmp_path):
+    man = grid_manifest(["A", "B"], ["x"], 2)
+    path = tmp_path / "s.tsv"
+    assert split_error(path, man, "B-x-000\ttest\nA-x-000\ttrain\nghost\ttrain\n") == \
+        f"{path}:3: clip_id 'ghost' missing from manifest"
+
+
+def test_split_file_without_test_rows_names_the_file(tmp_path):
+    man = grid_manifest(["A", "B"], ["x"], 2)
+    path = tmp_path / "s.tsv"
+    assert split_error(path, man, "A-x-000\ttrain\n\nB-x-000\tval\n") == \
+        f"{path}: test rows must cover exactly one domain, found none"
+
+
+def test_split_file_second_test_domain_names_its_first_row(tmp_path):
+    man = grid_manifest(["A", "B", "C"], ["x"], 2)
+    path = tmp_path / "s.tsv"
+    text = "A-x-000\ttest\nC-x-000\ttrain\nA-x-001\ttest\nB-x-000\ttest\nB-x-001\ttest\n"
+    assert split_error(path, man, text) == \
+        f"{path}:4: test rows must cover exactly one domain, found 'B' after 'A'"
+
+
 @pytest.mark.parametrize("role", ["train", "val"])
 def test_split_file_refuses_a_held_out_clip_outside_test(tmp_path, role):
     man = grid_manifest(["A", "B"], ["x"], 2)
