@@ -4,23 +4,24 @@ Subcommands wire the library modules into file-in, file-out pipelines.
 Every command writes its results to files and prints a single summary
 line to stdout; errors come out as one line on stderr. Exit codes:
 0 success, 1 pipeline error, 2 usage error.
+
+A command loads only the modules it runs: the module level imports the
+standard library, NumPy and `dataset`, each handler imports the rest, and
+`main` builds the arguments of the one command it runs (`build_parser()`
+with no argument builds them all). So `score` never loads the training
+modules, and `synth` neither those nor the clustering ones.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, dataset, shift_metric, splits, synth, training
-from .mlp import DEFAULT_HIDDEN1, DEFAULT_HIDDEN2, load_checkpoint, save_checkpoint
-from .shift_metric import DEFAULT_K_CLUSTERS, DEFAULT_TAU, GroupingMode
-from .splits import DEFAULT_VAL_FRACTION
-from .training import TrainConfig, TrainingData
+from . import dataset
 
 PROG = "driftbench"
 
@@ -28,8 +29,22 @@ PROG = "driftbench"
 # there are more groups than this (the closed form is in the README).
 SMALL_G = 6
 
-COMMANDS = ("validate", "score", "splits", "train", "train-all", "eval",
-            "correlate", "synth", "check-fixtures")
+
+def __getattr__(name: str):
+    """`save_checkpoint` and `load_checkpoint` of mlp, imported on first use.
+
+    Handlers call them through this module's attribute (`_this()`), so a
+    wrapper set on `cli.save_checkpoint` is what they run.
+    """
+    if name in ("save_checkpoint", "load_checkpoint"):
+        from . import mlp
+        return getattr(mlp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _this():
+    """This module as callers see it: `__main__` under `python -m`."""
+    return sys.modules[__name__]
 
 
 def _load_manifest(args: argparse.Namespace, n_rows: int | None = None):
@@ -72,6 +87,7 @@ def _cmd_validate(args) -> str:
 
 
 def _cmd_score(args) -> str:
+    from . import shift_metric
     manifest, features = _load_inputs(args)
     # Rows in pack order, so the report depends on which rows the manifest
     # names, not on the order of its lines.
@@ -79,7 +95,7 @@ def _cmd_score(args) -> str:
     X = dataset.pool_temporal(features, args.pool)[[r.row_index for r in records]]
     report = shift_metric.score_dataset(
         X, records, k_clusters=args.k_clusters,
-        seed=args.seed, mode=GroupingMode(args.grouping), tau=args.tau)
+        seed=args.seed, mode=shift_metric.GroupingMode(args.grouping), tau=args.tau)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "shift_report.csv"
@@ -96,6 +112,7 @@ def _cmd_score(args) -> str:
 
 
 def _cmd_splits(args) -> str:
+    from . import splits
     manifest = _load_manifest(args)
     split = splits.build_lodo_split(
         manifest, args.hold_out, val_fraction=args.val_fraction, seed=args.seed)
@@ -106,6 +123,7 @@ def _cmd_splits(args) -> str:
 
 
 def _best_epoch_line(history) -> str:
+    from . import training
     if not history:
         return "no epoch ran, kept the initial weights"
     best = training.best_epoch(history)
@@ -116,18 +134,20 @@ def _best_epoch_line(history) -> str:
 
 def _fit(args, data, split, seed: int, checkpoint, history_path):
     """Train on split with the training flags, save the checkpoint and history."""
-    config = TrainConfig(
+    from . import training
+    config = training.TrainConfig(
         learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
         drop_prob=args.drop_prob, seed=seed)
     params, history = training.train(
         data, split, config, hidden1=args.hidden1, hidden2=args.hidden2)
-    save_checkpoint(params, checkpoint)
+    _this().save_checkpoint(params, checkpoint)
     training.write_history_csv(history, history_path)
     return params, history
 
 
-def _evaluate(params, data, ids, split_id: str, out) -> training.EvalReport:
+def _evaluate(params, data, ids, split_id: str, out):
     """Evaluate params on ids and write the report, labelled split_id."""
+    from . import training
     report = training.evaluate(params, data, ids)
     report.split_id = split_id
     training.write_eval_report(report, out)
@@ -135,8 +155,9 @@ def _evaluate(params, data, ids, split_id: str, out) -> training.EvalReport:
 
 
 def _cmd_train(args) -> str:
+    from . import splits, training
     manifest, features = _load_inputs(args)
-    data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
+    data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     split = splits.read_split_file(args.split, manifest)
     history_path = args.history or f"{args.out}.history.csv"
     _, history = _fit(args, data, split, args.seed, args.out, history_path)
@@ -159,9 +180,10 @@ def _read_id_file(path: str | Path, known) -> list[str]:
 
 
 def _cmd_eval(args) -> str:
+    from . import splits, training
     manifest, features = _load_inputs(args)
-    data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
-    params = load_checkpoint(args.checkpoint)
+    data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
+    params = _this().load_checkpoint(args.checkpoint)
     if args.ids:
         ids = _read_id_file(args.ids, data.row_of)
         split_id = str(args.ids)
@@ -195,6 +217,7 @@ def _read_values(path: str, field: str, items) -> dict[str, float]:
 
 
 def _cmd_correlate(args) -> str:
+    from . import analysis
     scores = _read_values(args.shift_report, "groups",
                           lambda groups: ((g["group"], g["score"]) for g in groups))
     accuracies: dict[str, float] = {}
@@ -217,6 +240,7 @@ def _cmd_correlate(args) -> str:
 
 
 def _parse_offsets(pairs: list[str], dim: int) -> dict[str, np.ndarray]:
+    from . import synth
     offsets: dict[str, np.ndarray] = {}
     for item in pairs:
         name, sep, raw = item.partition("=")
@@ -235,6 +259,7 @@ def _parse_offsets(pairs: list[str], dim: int) -> dict[str, np.ndarray]:
 
 
 def _cmd_synth(args) -> str:
+    from . import synth
     spec = synth.SyntheticSpec(
         n_domains=args.domains, n_classes=args.classes,
         samples_per_cell=args.per_cell, feature_dim=args.dim,
@@ -252,6 +277,7 @@ def _cmd_synth(args) -> str:
 
 
 def _cmd_check_fixtures(args) -> str:
+    from . import analysis
     rows = analysis.check_table3_consistency()
     for row in rows:
         status = "pass" if row.passed else "FAIL"
@@ -274,10 +300,14 @@ def _cmd_check_fixtures(args) -> str:
 
 
 def _cmd_train_all(args) -> str:
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import splits, training
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
     manifest, features = _load_inputs(args)
-    data = TrainingData.from_features(manifest, features, pool_mode=args.pool)
+    data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     lodo = splits.build_all_lodo_splits(
         manifest, val_fraction=args.val_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
@@ -315,6 +345,8 @@ def _cmd_train_all(args) -> str:
 
 
 # ------------------------------------------------------------------ parser
+# One argument function per command; each imports the defaults it shows
+# from the module that owns them.
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -331,21 +363,26 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
     _add_category_map(p)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="Covariate-shift scoring and leave-one-domain-out "
-                    "benchmarking on packed clip features.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    from .mlp import DEFAULT_HIDDEN1, DEFAULT_HIDDEN2
+    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--drop-prob", type=float, default=0.9)
+    p.add_argument("--hidden1", type=int, default=DEFAULT_HIDDEN1)
+    p.add_argument("--hidden2", type=int, default=DEFAULT_HIDDEN2)
+    p.add_argument("--pool", choices=["mean", "flatten"], default="flatten")
 
-    p = sub.add_parser("validate", help="check a manifest and feature pack")
+
+def _args_validate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", default=None)
     _add_category_map(p)
     p.add_argument("--out", default=None, help="optional JSON summary path")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("score", help="cluster features and report shift scores")
+
+def _args_score(p: argparse.ArgumentParser) -> None:
+    from .shift_metric import DEFAULT_K_CLUSTERS, DEFAULT_TAU, GroupingMode
     _add_inputs(p)
     p.add_argument("--grouping", choices=[m.value for m in GroupingMode],
                    default=GroupingMode.DOMAIN.value)
@@ -354,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", choices=["mean", "flatten"], default="mean")
     p.add_argument("--out-dir", default=".")
     _add_seed(p)
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("splits", help="build one leave-one-domain-out split")
+
+def _args_splits(p: argparse.ArgumentParser) -> None:
+    from .splits import DEFAULT_VAL_FRACTION
     p.add_argument("--manifest", required=True)
     _add_category_map(p)
     p.add_argument("--hold-out", required=True, metavar="DOMAIN")
@@ -364,32 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="split file path (default split_<domain>.tsv)")
     _add_seed(p)
-    p.set_defaults(func=_cmd_splits)
 
-    def add_train_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--epochs", type=int, default=100)
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--batch", type=int, default=128)
-        p.add_argument("--drop-prob", type=float, default=0.9)
-        p.add_argument("--hidden1", type=int, default=DEFAULT_HIDDEN1)
-        p.add_argument("--hidden2", type=int, default=DEFAULT_HIDDEN2)
-        p.add_argument("--pool", choices=["mean", "flatten"], default="flatten")
 
-    p = sub.add_parser("train", help="train the two-layer model on one split")
+def _args_train(p: argparse.ArgumentParser) -> None:
     _add_inputs(p)
     p.add_argument("--split", required=True)
-    add_train_flags(p)
+    _add_train_flags(p)
     p.add_argument("--out", required=True, metavar="CHECKPOINT")
     p.add_argument("--history", default=None,
                    help="epoch-stats CSV (default <checkpoint>.history.csv)")
     _add_seed(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("train-all",
-                       help="train and evaluate every hold-out domain")
+
+def _args_train_all(p: argparse.ArgumentParser) -> None:
+    from .splits import DEFAULT_VAL_FRACTION
     _add_inputs(p)
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
-    add_train_flags(p)
+    _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
                    help="hold-outs trained concurrently (default 1); "
@@ -397,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="one line per hold-out on stderr")
-    p.set_defaults(func=_cmd_train_all)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on chosen clips")
+
+def _args_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     _add_inputs(p)
     group = p.add_mutually_exclusive_group(required=True)
@@ -408,18 +437,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", choices=["train", "val", "test"], default="test")
     p.add_argument("--pool", choices=["mean", "flatten"], default="flatten")
     p.add_argument("--out", required=True, metavar="REPORT_JSON")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("correlate",
-                       help="rank-correlate shift scores with accuracies")
+
+def _args_correlate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shift-report", required=True, metavar="JSON")
     p.add_argument("--eval-report", required=True, action="append",
                    metavar="JSON", help="repeatable; per-domain accuracies "
                    "are merged across reports")
     p.add_argument("--out", default="correlation.json")
-    p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
+
+def _args_synth(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domains", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-cell", type=int, required=True,
@@ -434,23 +462,68 @@ def build_parser() -> argparse.ArgumentParser:
                    "norm for one domain")
     p.add_argument("--out-dir", required=True)
     _add_seed(p)
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("check-fixtures",
-                       help="verify the published-table fixtures")
+
+def _args_check_fixtures(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="optional JSON results path")
-    p.set_defaults(func=_cmd_check_fixtures)
 
+
+# command -> (help line, argument function, handler), in --help order
+_PARSERS = {
+    "validate": ("check a manifest and feature pack", _args_validate, _cmd_validate),
+    "score": ("cluster features and report shift scores", _args_score, _cmd_score),
+    "splits": ("build one leave-one-domain-out split", _args_splits, _cmd_splits),
+    "train": ("train the two-layer model on one split", _args_train, _cmd_train),
+    "train-all": ("train and evaluate every hold-out domain", _args_train_all,
+                  _cmd_train_all),
+    "eval": ("evaluate a checkpoint on chosen clips", _args_eval, _cmd_eval),
+    "correlate": ("rank-correlate shift scores with accuracies", _args_correlate,
+                  _cmd_correlate),
+    "synth": ("generate a synthetic benchmark dataset", _args_synth, _cmd_synth),
+    "check-fixtures": ("verify the published-table fixtures", _args_check_fixtures,
+                       _cmd_check_fixtures),
+}
+COMMANDS = tuple(_PARSERS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command alone (as `main` builds it)."""
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="Covariate-shift scoring and leave-one-domain-out "
+                    "benchmarking on packed clip features.")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (help_line, add_arguments, handler) in _PARSERS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command and return its exit code; argv None reads sys.argv.
+
+    With argv None, main runs as the program (`driftbench`, `python -m
+    driftbench.cli`) and the process exits next. It then freezes the
+    garbage collector's objects first, so that the collections of
+    interpreter exit skip every object already alive: with NumPy's random
+    module loaded they took about 40 ms of a 300 ms `score`. Every file a
+    command writes is closed by the time it returns.
+    """
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    gc.freeze()
+    return code
+
+
+def _run(argv: list[str]) -> int:
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"{PROG}: error: unknown subcommand {argv[0]!r} "
               f"(choose from {', '.join(COMMANDS)})", file=sys.stderr)
         return 2
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors

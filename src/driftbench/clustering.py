@@ -12,6 +12,9 @@ import numpy as np
 
 MAX_ITER = 300
 REL_TOL = 1e-6
+# Float64 elements per leaf of the inertia's summation tree; the scratch a
+# fit reuses for seeding and inertia holds one leaf's rows.
+BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,43 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first centroid uniform, rest D^2-weighted."""
+def _scratch(n: int, d: int) -> np.ndarray:
+    """The row blocks one fit reuses, enough rows for any leaf of `_inertia`.
+
+    A leaf of at most max(BLOCK, 128) elements covers the whole rows inside
+    it plus at most two rows it cuts at its ends.
+    """
+    return np.empty((min(n, max(BLOCK, 128) // max(d, 1) + 2), d))
+
+
+def _sq_dists_to(X: np.ndarray, point: np.ndarray, scratch: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """((X - point) ** 2).sum(axis=1) into out, bit for bit, a row block at a time.
+
+    Each row's sum is the same pairwise sum over its D squares whichever
+    block it sits in, so no bit depends on the block size.
+    """
+    rows = len(scratch)
+    for lo in range(0, len(X), rows):
+        block = scratch[:min(rows, len(X) - lo)]
+        np.subtract(X[lo:lo + rows], point, out=block)
+        np.square(block, out=block)
+        np.add.reduce(block, axis=1, out=out[lo:lo + rows])
+    return out
+
+
+def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator,
+                   scratch: np.ndarray) -> np.ndarray:
+    """k-means++ seeding: first centroid uniform, rest D^2-weighted.
+
+    Arthur and Vassilvitskii, "k-means++" (SODA 2007). Each pass writes the
+    squared distances to the new centroid through row blocks of scratch
+    and folds them into sq_d in place, so no pass builds an N x D array.
+    """
     n = X.shape[0]
     indices = [int(rng.integers(n))]
-    sq_d = ((X - X[indices[0]]) ** 2).sum(axis=1)
+    sq_d = _sq_dists_to(X, X[indices[0]], scratch, np.empty(n))
+    dists = np.empty(n)
     for _ in range(1, k):
         total = sq_d.sum()
         if total > 0:
@@ -105,8 +140,56 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             # All remaining mass sits on already-chosen points (duplicates).
             idx = int(rng.integers(n))
         indices.append(idx)
-        sq_d = np.minimum(sq_d, ((X - X[idx]) ** 2).sum(axis=1))
-    return X[indices].copy()
+        np.minimum(sq_d, _sq_dists_to(X, X[idx], scratch, dists), out=sq_d)
+    return X[indices]
+
+
+def _inertia(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+             scratch: np.ndarray) -> float:
+    """float(((X - centroids[labels]) ** 2).sum()), bit for bit, through scratch.
+
+    NumPy sums a contiguous float64 array along a pairwise tree (Higham,
+    "The accuracy of floating point summation", SIAM J. Sci. Comput. 1993):
+    a node of n > 128 elements splits at n // 2 rounded down to a multiple
+    of 8, and a node of at most 128 is one unrolled loop. This walks the
+    same tree over the flat N*D squares and sums each node of at most
+    max(BLOCK, 128) elements with np.add.reduce, after building the rows it
+    covers in scratch; a row cut by a node boundary is built for both
+    nodes. tests/test_clustering_properties.py pins this against the full
+    sum, so a change of that NumPy internal fails loudly.
+    """
+    d = X.shape[1]
+    leaf = max(BLOCK, 128)
+
+    def node(lo: int, size: int) -> float:
+        if size > leaf:
+            half = size // 2 - size // 2 % 8
+            return node(lo, half) + node(lo + half, size - half)
+        first, last = lo // d, (lo + size - 1) // d + 1
+        rows = scratch[:last - first]
+        np.take(centroids, labels[first:last], axis=0, out=rows, mode="clip")
+        np.subtract(X[first:last], rows, out=rows)
+        np.square(rows, out=rows)
+        start = lo - first * d
+        return float(np.add.reduce(rows.reshape(-1)[start:start + size]))
+
+    return node(0, X.size) if X.size else 0.0
+
+
+def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Row j is X[labels == j].mean(axis=0), bit for bit, for each of k clusters.
+
+    One stable argsort lists every cluster's rows in row order, so each
+    gather by index holds the rows the boolean mask would, in the same
+    order, and no mask or N x D array is built.
+    """
+    order = np.argsort(labels, kind="stable")
+    means = np.empty((k, X.shape[1]))
+    start = 0
+    for j, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
+        means[j] = X[order[start:end]].mean(axis=0)
+        start = end
+    return means
 
 
 def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
@@ -157,7 +240,8 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
         raise ValueError(f"k_clusters={k_clusters} exceeds sample count {n}")
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(X, k_clusters, rng)
+    scratch = _scratch(n, X.shape[1])
+    centroids = _kmeanspp_init(X, k_clusters, rng, scratch)
     labels = assign_nearest(X, centroids)
     labels = _repair_empty(X, labels, centroids, k_clusters)
 
@@ -165,14 +249,11 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         # M-step: centroid = mean of members (repair guarantees none empty).
-        new_centroids = np.empty_like(centroids)
-        for j in range(k_clusters):
-            new_centroids[j] = X[labels == j].mean(axis=0)
-        centroids = new_centroids
+        centroids = _cluster_means(X, labels, k_clusters)
         # E-step against the fresh centroids.
         new_labels = assign_nearest(X, centroids)
         new_labels = _repair_empty(X, new_labels, centroids, k_clusters)
-        inertia = float(((X - centroids[new_labels]) ** 2).sum())
+        inertia = _inertia(X, centroids, new_labels, scratch)
         if not inertia <= prev_inertia * (1 + 1e-12) + 1e-12:
             raise RuntimeError(
                 f"inertia rose {prev_inertia} -> {inertia} at iteration {iterations}")

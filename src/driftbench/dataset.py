@@ -121,8 +121,9 @@ def read_lines(path: str | Path, parse, key: str) -> tuple[dict, dict[object, in
 def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
     """Parse and validate a line-delimited JSON manifest; records keep file order.
 
-    clip_ids are unique, and every row_index is a nonnegative integer (< n_rows
-    when the pack size is known) that no other clip shares.
+    clip_ids are unique and hold no tab, CR or LF, and every row_index is a
+    nonnegative integer (< n_rows when the pack size is known) that no other
+    clip shares.
     """
     owner_of_row: dict[int, str] = {}
     limit = float("inf") if n_rows is None else n_rows
@@ -143,6 +144,9 @@ def load_manifest(path: str | Path, n_rows: int | None = None) -> Manifest:
         if not (isinstance(clip_id, str) and isinstance(domain, str)
                 and isinstance(category, str)):
             raise ValueError("clip_id/domain/category must be strings")
+        if any(c in clip_id for c in "\t\r\n"):
+            # split files are clip_id<TAB>role lines and --ids files one id a line
+            raise ValueError(f"clip_id {clip_id!r} holds a tab or line break")
         if not isinstance(row_index, int) or isinstance(row_index, bool):
             raise ValueError("row_index must be an integer")
         if not 0 <= row_index < limit:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, and messages."""
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_unknown_subcommand(capsys):
 def test_help_exits_zero(command, capsys):
     assert cli.main([command, "--help"]) == 0
     assert command in capsys.readouterr().out
+
+
+def test_only_the_program_freezes_the_collector(monkeypatch, capsys):
+    # main(None) is the process's last act; a caller passing argv keeps a live heap
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    assert cli.main(["check-fixtures"]) == 0
+    assert frozen == []
+    monkeypatch.setattr(sys, "argv", ["driftbench", "check-fixtures"])
+    assert cli.main() == 0
+    assert frozen == [True]
+    capsys.readouterr()
 
 
 def test_missing_required_flag_is_usage_error(workdir, capsys):
@@ -180,6 +193,23 @@ def test_splits_unknown_domain(workdir, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "driftbench: error: splits: unknown domain 'mars'")
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+def test_splits_refuses_a_clip_id_no_split_file_can_hold(workdir, tmp_path, char, capsys):
+    # a split file is clip_id<TAB>role lines: such an id would not read back
+    lines = (workdir / "data" / "manifest.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["clip_id"] = f"a{char}b"
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    out = tmp_path / "s.tsv"
+    code = cli.main(["splits", "--manifest", str(manifest), "--hold-out", "dom01",
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"driftbench: error: splits: {manifest}:2: clip_id "
+                                       f"{'a' + char + 'b'!r} holds a tab or line break\n")
+    assert not out.exists()
 
 
 def test_full_pipeline_chain(workdir, capsys):

@@ -11,7 +11,15 @@ stay distinguishable (grid values, so no squared distance underflows) and
 with k at most the number of distinct rows: no empty cluster, labels equal
 `assign_nearest` of the returned centroids, the stored inertia equals the
 recomputed sum, and ties go to the lowest index.
+
+The k-means++ seeding, the inertia walk and the M-step are checked bit for
+bit against the one-expression forms they replace. The inertia walk
+follows NumPy's pairwise summation, an internal; these tests are what
+make a change of it fail loudly.
 """
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -96,3 +104,125 @@ def test_kmeans_fit_invariants(fit):
     for row in np.unique(X, axis=0):
         same = (X == row).all(axis=1)
         assert len(set(labels[same])) == 1, "duplicated rows split across clusters"
+
+
+# The forms kmeans_fit used before it reused one scratch per fit: one fresh
+# array per expression. The scratch forms must match them bit for bit.
+
+def expression_kmeanspp_init(X, k, rng):
+    n = X.shape[0]
+    indices = [int(rng.integers(n))]
+    sq_d = ((X - X[indices[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = sq_d.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=sq_d / total))
+        else:
+            idx = int(rng.integers(n))
+        indices.append(idx)
+        sq_d = np.minimum(sq_d, ((X - X[idx]) ** 2).sum(axis=1))
+    return X[indices].copy()
+
+
+def expression_inertia(X, centroids, labels):
+    return float(((X - centroids[labels]) ** 2).sum())
+
+
+def expression_cluster_means(X, labels, k):
+    means = np.empty((k, X.shape[1]))
+    for j in range(k):
+        means[j] = X[labels == j].mean(axis=0)
+    return means
+
+
+def spread_values(seed, shape):
+    """Values over six decades, so that a sum in another order rounds differently."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+# BLOCK as shipped, and patched down to 8 and 24: below NumPy's unrolled
+# leaf of 128, so the walk then reaches every node NumPy sums in one loop.
+BLOCKS = [clustering.BLOCK, 8, 24]
+
+
+@st.composite
+def flat_sizes(draw, block):
+    """(n, d) with n*d below 8, not a multiple of 8, at block and 128 or one
+    either side, or anywhere up to a few leaves."""
+    total = draw(st.one_of(
+        st.integers(1, 7),
+        st.integers(1, 3 * max(block, 128)).filter(lambda t: t % 8),
+        st.sampled_from([t + e for t in (block, 128) for e in (-1, 0, 1)]),
+        st.integers(1, 3 * max(block, 128))))
+    d = draw(st.sampled_from([d for d in range(1, 65) if total % d == 0]))
+    return total // d, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BLOCKS).flatmap(lambda b: st.tuples(st.just(b), flat_sizes(b))),
+       st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_inertia_walk_matches_the_full_sum_bitwise(block_shape, k, seed):
+    block, (n, d) = block_shape
+    X = spread_values(seed, (n, d))
+    centroids = spread_values(seed + 1, (k, d))
+    labels = np.random.default_rng(seed).integers(0, k, n)
+    with mock.patch.object(clustering, "BLOCK", block):
+        got = clustering._inertia(X, centroids, labels, clustering._scratch(n, d))
+    assert got == expression_inertia(X, centroids, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BLOCKS), st.integers(1, 200), st.integers(1, 40),
+       st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_kmeanspp_seeding_matches_the_expression_form_bitwise(block, n, d, k, repeats,
+                                                              seed):
+    X = spread_values(seed, (n, d))
+    if repeats:  # a few distinct rows: the draws run out of mass and fall back
+        X = X[np.random.default_rng(seed).integers(0, min(n, 3), n)]
+    k = min(k, n)
+    with mock.patch.object(clustering, "BLOCK", block):
+        rng = np.random.default_rng(seed)
+        got = clustering._kmeanspp_init(X, k, rng, clustering._scratch(n, d))
+    want_rng = np.random.default_rng(seed)
+    want = expression_kmeanspp_init(X, k, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 40), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_cluster_means_match_the_mask_loop_bitwise(n, d, k, seed):
+    # above 16 rows NumPy's default sort is not stable; the means would notice
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    X = spread_values(seed, (n, d))
+    labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    got = clustering._cluster_means(X, labels, k)
+    assert got.tobytes() == expression_cluster_means(X, labels, k).tobytes()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cluster_means_gather_one_cluster_at_a_time():
+    n, d, k = 4096, 32, 8
+    X = spread_values(0, (n, d))
+    labels = np.arange(n) % k
+    assert traced_peak(clustering._cluster_means, X, labels, k) < X.nbytes / 4
+
+
+def test_kmeans_fit_builds_no_n_by_d_temporary():
+    # four equal, well-apart blobs: each cluster's gather is N/4 x D, and the
+    # E-step's arrays are N x K with K << D; a float64 X is used in place
+    n, d, k = 4000, 64, 4
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((n, d)) + 100.0 * np.eye(k, d)[np.arange(n) % k]
+    assert traced_peak(kmeans_fit, X, k, 0) < X.nbytes / 2
