@@ -300,10 +300,7 @@ def _cmd_check_fixtures(args) -> str:
 
 
 def _cmd_train_all(args) -> str:
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import splits, training
+    from . import parallel, splits, training
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
     manifest, features = _load_inputs(args)
@@ -312,19 +309,9 @@ def _cmd_train_all(args) -> str:
         manifest, val_fraction=args.val_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    accuracies = dict.fromkeys(lodo, 0.0)  # in hold-out order, whatever order they end in
 
-    failed = threading.Event()  # set by the first hold-out that raises
-
-    def run_one(item: tuple[int, str]) -> tuple[str, float] | None:
-        if failed.is_set():
-            return None  # pool.map raises the earlier failure before reading this
-        try:
-            return fit_and_evaluate(*item)
-        except BaseException:
-            failed.set()
-            raise
-
-    def fit_and_evaluate(index: int, domain: str) -> tuple[str, float]:
+    def train_hold_out(index: int, domain: str) -> None:
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
         params, _ = _fit(args, data, split, args.seed + index,
@@ -333,10 +320,18 @@ def _cmd_train_all(args) -> str:
                            out_dir / f"eval_{domain}.json")
         if args.verbose:
             print(f"train-all: {domain} top1 {report.overall_top1:.2f}%", file=sys.stderr)
-        return domain, report.overall_top1
+        accuracies[domain] = report.overall_top1
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        accuracies = dict(pool.map(run_one, enumerate(lodo)))
+    def train_hold_outs(p: int, part: slice) -> None:
+        for index, domain in list(enumerate(lodo))[part]:
+            train_hold_out(index, domain)  # its own frame: one hold-out's weights at a time
+
+    # One part per hold-out only where no step splits, else one part for all.
+    # The main thread only waits: training on it ran slower (glibc's main arena).
+    step_parts = max(parallel.gemm_parts(args.batch, data.X.shape[1], args.hidden1),
+                     parallel.gemm_parts(args.batch, args.hidden1, args.hidden2))
+    parts = parallel.cuts(len(lodo), len(lodo) if args.threads > 1 and step_parts == 1 else 1)
+    parallel.POOL.submit(parallel.run_parts, train_hold_outs, parts).result()
     acc_path = out_dir / "accuracies.json"
     dataset.write_json(accuracies, acc_path)
     mean_acc = float(np.mean(list(accuracies.values())))
@@ -421,8 +416,8 @@ def _args_train_all(p: argparse.ArgumentParser) -> None:
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="hold-outs trained concurrently (default 1); "
-                   "outputs do not depend on it")
+                   help="above 1, hold-outs whose steps do not split share the CPUs "
+                   "(default 1: one at a time); outputs do not depend on it")
     _add_seed(p)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="one line per hold-out on stderr")

@@ -103,17 +103,19 @@ def _scratch(n: int, d: int) -> np.ndarray:
     return np.empty((min(n, max(BLOCK, 128) // max(d, 1) + 2), d))
 
 
-def _sq_dists_to(X: np.ndarray, point: np.ndarray, scratch: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """((X - point) ** 2).sum(axis=1) into out, bit for bit, a row block at a time.
+def _sq_dists_to(X: np.ndarray, points: np.ndarray, scratch: np.ndarray,
+                 out: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+    """((X - points) ** 2).sum(axis=1) into out, bit for bit, a row block at a time.
 
-    Each row's sum is the same pairwise sum over its D squares whichever
-    block it sits in, so no bit depends on the block size.
+    points is one point, or the centroids that labels picks per row. Each
+    row's D squares sum the same way in any block, so no bit depends on its size.
     """
     rows = len(scratch)
     for lo in range(0, len(X), rows):
         block = scratch[:min(rows, len(X) - lo)]
-        np.subtract(X[lo:lo + rows], point, out=block)
+        if labels is not None:
+            np.take(points, labels[lo:lo + rows], axis=0, out=block, mode="clip")
+        np.subtract(X[lo:lo + rows], points if labels is None else block, out=block)
         np.square(block, out=block)
         np.add.reduce(block, axis=1, out=out[lo:lo + rows])
     return out
@@ -193,18 +195,18 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
-                  k: int) -> np.ndarray:
+                  k: int, scratch: np.ndarray) -> np.ndarray:
     """Give each empty cluster the point currently farthest from its centroid.
 
     Donor points are only taken from clusters with >= 2 members so the
-    repair never empties another cluster.
+    repair never empties another cluster. The distances go through scratch.
     """
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k)
     empties = np.flatnonzero(counts == 0)
     if empties.size == 0:
         return labels
-    dists = ((X - centroids[labels]) ** 2).sum(axis=1)
+    dists = _sq_dists_to(X, centroids, scratch, np.empty(len(X)), labels)
     for empty in empties:
         donors = counts[labels] >= 2
         mover = int(np.where(donors, dists, -1.0).argmax())
@@ -232,7 +234,7 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     n = X.shape[0]
-    if not np.isfinite(X).all():
+    if not (np.isfinite(X.min(initial=0.0)) and np.isfinite(X.max(initial=0.0))):
         raise ValueError("X contains non-finite values")
     if k_clusters < 1:
         raise ValueError(f"k_clusters must be >= 1, got {k_clusters}")
@@ -243,7 +245,7 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     scratch = _scratch(n, X.shape[1])
     centroids = _kmeanspp_init(X, k_clusters, rng, scratch)
     labels = assign_nearest(X, centroids)
-    labels = _repair_empty(X, labels, centroids, k_clusters)
+    labels = _repair_empty(X, labels, centroids, k_clusters, scratch)
 
     prev_inertia = np.inf
     iterations = 0
@@ -252,7 +254,7 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
         centroids = _cluster_means(X, labels, k_clusters)
         # E-step against the fresh centroids.
         new_labels = assign_nearest(X, centroids)
-        new_labels = _repair_empty(X, new_labels, centroids, k_clusters)
+        new_labels = _repair_empty(X, new_labels, centroids, k_clusters, scratch)
         inertia = _inertia(X, centroids, new_labels, scratch)
         if not inertia <= prev_inertia * (1 + 1e-12) + 1e-12:
             raise RuntimeError(

@@ -2,13 +2,13 @@
 
 WORKERS is the number of CPUs in the process's affinity mask (`taskset`
 narrows it). Every parallel stage is a task run over `cuts(n, parts)`,
-the contiguous slices of its rows, columns or elements, by `run_parts`.
-One part is a plain call on the caller. Otherwise the caller runs part 0
-itself and a process-wide pool of WORKERS - 1 threads takes the others;
-a part the pool has not started by the time the caller is free runs on
-the caller too, so a busy pool (say, shared by concurrent hold-outs)
-never leaves a caller waiting idle. Tasks run NumPy kernels that release
-the GIL and write disjoint slices of preallocated arrays.
+the contiguous slices of its rows, columns or elements, by `run_parts`
+on the one process-wide POOL. The caller runs part 0 and any part the
+pool has not started by the time it is free, so it never waits on a part
+nobody runs and parts nest: `train-all` hands the pool one task whose
+parts are hold-outs, and their row parts share the same WORKERS threads.
+Tasks run NumPy kernels that release the GIL and write disjoint slices
+of preallocated arrays.
 
 `gemm_parts` is the one gate of a GEMM and of the layer work on its
 parts, and `matmul` splits a GEMM by output rows. Each row of a @ b comes
@@ -28,7 +28,7 @@ operations, in the same order, as on one thread.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -45,8 +45,7 @@ WORKERS = _cpus()
 # parts lose more to the hand-off than they gain, and much smaller ones
 # reach BLAS paths whose roundings differ (measured at 2**20 flops).
 GEMM_PART_FLOPS = 1 << 25
-_POOL = ThreadPoolExecutor(max_workers=max(1, WORKERS - 1),
-                           thread_name_prefix="driftbench-part")
+POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="driftbench-part")
 
 
 def parts_for(work: int, per_part: int, limit: int) -> int:
@@ -76,26 +75,30 @@ def run_parts(task, parts: list[slice]) -> None:
 
     One part is a plain call on the calling thread. Otherwise part 0 runs
     on the calling thread, and so does any other part the pool has not
-    started by then. After an exception the parts not yet started are
-    dropped, and it propagates once no part is running any more.
+    started by then. Once a part has raised, on the caller or in the pool,
+    no other part starts, and the exception propagates once none is running.
     """
-    if len(parts) == 1:  # no futures or try: 1.6 us less a call, 13 calls a small step
+    if len(parts) == 1:  # no closure or futures: 1.6 us less a call, 13 calls a small step
         task(0, parts[0])
         return
-    futures = [_POOL.submit(task, p, part) for p, part in enumerate(parts[1:], start=1)]
-    try:
-        task(0, parts[0])
-        for p, future in enumerate(futures, start=1):
-            if future.cancel():
+    errors = []  # what a part raised; once it holds one, no part starts
+
+    def run(p: int) -> None:
+        if not errors:
+            try:
                 task(p, parts[p])
-    finally:
-        # Wait for the parts the pool started, after an error too, so that
-        # none of them still writes once this returns.
-        started = [future for future in futures if not future.cancel()]
-        for future in started:
-            future.exception()
-    for future in started:
-        future.result()
+            except BaseException as exc:
+                errors.append(exc)
+
+    futures = [POOL.submit(run, p) for p in range(1, len(parts))]
+    run(0)
+    for p, future in enumerate(futures, start=1):
+        if future.cancel():
+            run(p)
+    # Wait for the parts the pool started, so that none writes after this returns.
+    wait([future for future in futures if not future.cancelled()])
+    if errors:
+        raise errors[0]
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -2,11 +2,14 @@
 import json
 import re
 import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from driftbench import cli, shift_metric, training
+from driftbench import cli, parallel, shift_metric, training
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
 from driftbench.mlp import init_params, save_checkpoint
 from driftbench.synth import SyntheticSpec, generate
@@ -743,6 +746,112 @@ def test_train_all_starts_no_hold_out_after_a_failure(tmp_path, monkeypatch, cap
     assert (out_dir / "ckpt_dom00.emlp").exists()
     assert sorted(p.name for p in out_dir.iterdir() if "dom02" in p.name
                   or "dom03" in p.name) == []
+
+
+def test_train_all_starts_no_hold_out_after_a_failure_on_the_pool(tmp_path, monkeypatch,
+                                                                   capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--domains", "4", "--classes", "3", "--per-cell", "6",
+                     "--dim", "8", "--seed", "0", "--out-dir", str(data)]) == 0
+    # two pool threads: train-all's task holds one and trains dom00 on it,
+    # dom01 runs on the other, and dom02 and dom03 queue behind dom01
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(parallel, "POOL", pool)
+    real_train, dom00_started, dom01_failing = training.train, threading.Event(), threading.Event()
+
+    def train_failing_dom01(data, split, *args, **kwargs):
+        if split.held_out_domain == "dom01":
+            assert dom00_started.wait(30)
+            dom01_failing.set()
+            raise ValueError("training dom01 failed")
+        dom00_started.set()
+        assert dom01_failing.wait(30)
+        # the queue is in order: the other thread takes this once it has
+        # dequeued dom02 and dom03, after dom01 failed
+        pool.submit(lambda: None).result(timeout=30)
+        return real_train(data, split, *args, **kwargs)
+    monkeypatch.setattr(training, "train", train_failing_dom01)
+    out_dir = tmp_path / "runs"
+    capsys.readouterr()
+    try:
+        code = cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
+                         "--features", str(data / "features.egf"), "--epochs", "1",
+                         "--hidden1", "8", "--hidden2", "4", "--threads", "2",
+                         "--out-dir", str(out_dir)])
+    finally:
+        pool.shutdown()
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "driftbench: error: train-all: training dom01 failed\n"
+    assert (out_dir / "ckpt_dom00.emlp").exists()
+    assert sorted(p.name for p in out_dir.iterdir() if "dom02" in p.name
+                  or "dom03" in p.name) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, threads,
+                                                         monkeypatch, capsys):
+    # training on the main thread ran slower: glibc's main arena faults its
+    # freed pages back in, where the pool threads' arenas keep them
+    real_train, on_main = training.train, []
+
+    def train_noting_the_thread(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real_train(*args, **kwargs)
+    monkeypatch.setattr(training, "train", train_noting_the_thread)
+    assert cli.main(["train-all", *data_args(workdir), "--epochs", "1",
+                     "--hidden1", "8", "--hidden2", "4", "--threads", threads,
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    assert on_main == [False] * 3
+
+
+def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_path,
+                                                                monkeypatch, capsys):
+    # at the paper widths one set of weights is 25 MB: a serial run that kept
+    # the last hold-out's while training the next would peak that much higher
+    real_train, trained, alive = training.train, [], []
+
+    def train_counting_live_weights(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in trained))
+        params, history = real_train(*args, **kwargs)
+        trained.append(weakref.ref(params))
+        return params, history
+    monkeypatch.setattr(training, "train", train_counting_live_weights)
+    assert cli.main(["train-all", *data_args(workdir), "--epochs", "1",
+                     "--hidden1", "8", "--hidden2", "4", "--threads", "1",
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    assert alive == [0, 0, 0]
+
+
+def test_train_all_trains_one_hold_out_at_a_time_where_steps_split(tmp_path, monkeypatch,
+                                                                   capsys):
+    # criterion 09's widths: with three workers the first hidden GEMM splits
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--domains", "3", "--classes", "4", "--per-cell", "30",
+                     "--dim", "256", "--seed", "9", "--out-dir", str(data)]) == 0
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    assert parallel.gemm_parts(128, 256, 2048) > 1
+    real_train, lock, running, most = training.train, threading.Lock(), [0], [0]
+
+    def train_counting(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            return real_train(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+    monkeypatch.setattr(training, "train", train_counting)
+    assert cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
+                     "--features", str(data / "features.egf"), "--epochs", "1",
+                     "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
+                     "--threads", "2", "--seed", "9", "--out-dir", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    assert most == [1]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

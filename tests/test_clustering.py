@@ -56,6 +56,9 @@ class TestKmeansFit:
             kmeans_fit(X, 0)
         with pytest.raises(ValueError, match="non-finite"):
             kmeans_fit(np.array([[np.nan, 0.0]]), 1)
+        for bad in (np.nan, np.inf, -np.inf):  # min and max of X must see each
+            with pytest.raises(ValueError, match="non-finite"):
+                kmeans_fit(np.array([[1.0, 2.0], [3.0, bad]]), 1)
 
     def test_rising_inertia_raises(self, monkeypatch):
         # a poor start, one true Lloyd E-step, then every point sent to the
@@ -205,7 +208,8 @@ class TestRepairEmpty:
             assert np.bincount(labels, minlength=k).tolist().count(0) >= k - used
             ref_centroids = centroids.copy()
             want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, k)
-            got = clustering._repair_empty(X, labels, centroids, k)
+            scratch = np.empty((1 + trial % 4, d))  # blocks of 1 to 4 rows
+            got = clustering._repair_empty(X, labels, centroids, k, scratch)
             assert np.array_equal(got, want), trial
             assert centroids.tobytes() == ref_centroids.tobytes(), trial
             assert (np.bincount(got, minlength=k) > 0).all()
@@ -224,7 +228,8 @@ class TestRepairEmpty:
         labels = assign_nearest(X, centroids)
         ref_centroids = centroids.copy()
         want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, 4)
-        got = clustering._repair_empty(X, labels, centroids, 4)
+        got = clustering._repair_empty(X, labels, centroids, 4,
+                                       clustering._scratch(*X.shape))
         assert np.array_equal(got, want)
         assert centroids.tobytes() == ref_centroids.tobytes()
         assert (np.bincount(got, minlength=4) > 0).all()

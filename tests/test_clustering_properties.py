@@ -226,3 +226,27 @@ def test_kmeans_fit_builds_no_n_by_d_temporary():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((n, d)) + 100.0 * np.eye(k, d)[np.arange(n) % k]
     assert traced_peak(kmeans_fit, X, k, 0) < X.nbytes / 2
+
+
+def test_kmeans_fit_that_repairs_builds_no_n_by_d_temporary():
+    # four distinct rows and k = 5, so every E-step leaves a cluster empty and
+    # the repair measures its distances. Rows that tie between two equal
+    # centroids go through assign_nearest's explicit (rows, K, D) form, so the
+    # doubled start and the repair's mover (the first row, as all distances
+    # are 0) must sit in the small group: seed 34 doubles its start.
+    n, d, k, seed = 4000, 64, 5, 34
+    X = 100.0 * np.eye(4, d)[np.concatenate([np.zeros(40, int), 1 + np.arange(3960) // 1320])]
+    starts = clustering._kmeanspp_init(X, k, np.random.default_rng(seed),
+                                       clustering._scratch(n, d))
+    assert (starts == X[0]).all(axis=1).sum() == 2
+    empties = []
+    repair = clustering._repair_empty
+
+    def counting_repair(X, labels, centroids, k, scratch):
+        empties.append(int((np.bincount(labels, minlength=k) == 0).sum()))
+        return repair(X, labels, centroids, k, scratch)
+
+    with mock.patch.object(clustering, "_repair_empty", counting_repair):
+        kmeans_fit(X, k, seed)
+    assert empties and min(empties) > 0
+    assert traced_peak(kmeans_fit, X, k, seed) < X.nbytes / 2

@@ -2,6 +2,7 @@
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_run_parts_runs_parts_the_pool_has_not_started_on_the_caller(monkeypatch
         started.set()
         release.wait(30)
 
-    blockers = [parallel._POOL.submit(hold) for _ in range(parallel._POOL._max_workers)]
+    blockers = [parallel.POOL.submit(hold) for _ in range(parallel.POOL._max_workers)]
     try:
         assert started.wait(30)
         ran_on = {}
@@ -102,11 +103,71 @@ def test_run_parts_raises_only_once_no_part_is_running(monkeypatch):
     assert finished == [1]
 
 
+def test_a_part_that_fails_in_the_pool_stops_every_part_not_yet_started(monkeypatch):
+    # one pool thread: part 1 runs there while parts 2 and 3 queue behind it
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(parallel, "POOL", pool)
+    started, failing, ran = threading.Event(), threading.Event(), []
+
+    def task(k, part):
+        ran.append(k)
+        if k == 0:
+            started.set()
+            assert failing.wait(30)
+            # the queue is in order: the pool thread takes this once it has
+            # dequeued parts 2 and 3, after part 1 failed
+            pool.submit(lambda: None).result(timeout=30)
+        elif k == 1:
+            assert started.wait(30)
+            failing.set()
+            raise RuntimeError("part 1 failed")
+
+    try:
+        with pytest.raises(RuntimeError, match="part 1 failed"):
+            parallel.run_parts(task, parallel.cuts(4, 4))
+    finally:
+        pool.shutdown()
+    assert sorted(ran) == [0, 1]
+
+
+def test_run_parts_runs_each_part_at_most_once_and_returns_after_all(monkeypatch,
+                                                                      fast_switching):
+    # more pool threads than this host has CPUs, and 16 parts a call
+    pool = ThreadPoolExecutor(4)
+    monkeypatch.setattr(parallel, "POOL", pool)
+    lock, running, ran = threading.Lock(), [0], []
+
+    def task(k, part, fail):
+        with lock:
+            running[0] += 1
+        ran.append(k)
+        time.sleep(0.001)
+        with lock:
+            running[0] -= 1
+        if k == fail:
+            raise RuntimeError(f"part {k} failed")
+
+    try:
+        for fail in [None, 0, 1, 7, 15] * 4:
+            ran.clear()
+            if fail is None:
+                parallel.run_parts(lambda k, part: task(k, part, fail), parallel.cuts(16, 16))
+                assert sorted(ran) == list(range(16))
+            else:
+                with pytest.raises(RuntimeError, match=f"part {fail} failed"):
+                    parallel.run_parts(lambda k, part: task(k, part, fail),
+                                       parallel.cuts(16, 16))
+                assert fail in ran and len(set(ran)) == len(ran)
+            assert running == [0]
+    finally:
+        pool.shutdown()
+
+
 def test_one_part_is_a_plain_call_on_the_caller(monkeypatch):
     def refuse(*args):
         raise AssertionError("one part went to the pool")
 
-    monkeypatch.setattr(parallel._POOL, "submit", refuse)
+    monkeypatch.setattr(parallel.POOL, "submit", refuse)
     ran = []
     parallel.run_parts(lambda k, part: ran.append((k, part, threading.get_ident())),
                        parallel.cuts(5, 1))
