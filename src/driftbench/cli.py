@@ -95,7 +95,7 @@ def _cmd_score(args) -> str:
     X = dataset.pool_temporal(features, args.pool)[[r.row_index for r in records]]
     report = shift_metric.score_dataset(
         X, records, k_clusters=args.k_clusters,
-        seed=args.seed, mode=shift_metric.GroupingMode(args.grouping), tau=args.tau)
+        seed=args.seed, mode=args.grouping, tau=args.tau)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "shift_report.csv"
@@ -107,7 +107,7 @@ def _cmd_score(args) -> str:
               "fewer the top score need not mark the most shifted group "
               "(see README, shift scoring)", file=sys.stderr)
     top = report.groups[0]
-    return (f"score: {len(report.groups)} groups, top {top.key.label} "
+    return (f"score: {len(report.groups)} groups, top {top.label} "
             f"omega={top.score:.6f}, wrote {csv_path} {json_path}")
 
 
@@ -377,10 +377,9 @@ def _args_validate(p: argparse.ArgumentParser) -> None:
 
 
 def _args_score(p: argparse.ArgumentParser) -> None:
-    from .shift_metric import DEFAULT_K_CLUSTERS, DEFAULT_TAU, GroupingMode
+    from .shift_metric import DEFAULT_K_CLUSTERS, DEFAULT_TAU, GROUPINGS
     _add_inputs(p)
-    p.add_argument("--grouping", choices=[m.value for m in GroupingMode],
-                   default=GroupingMode.DOMAIN.value)
+    p.add_argument("--grouping", choices=list(GROUPINGS), default="domain")
     p.add_argument("--k-clusters", type=int, default=DEFAULT_K_CLUSTERS)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--pool", choices=["mean", "flatten"], default="mean")

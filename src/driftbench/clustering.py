@@ -30,12 +30,17 @@ class ClusterModel:
 def _pairwise_sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances by explicit difference, shape (N, K).
 
-    This is the reference that defines assignment: `assign_nearest`
-    returns exactly its row-wise argmin (lowest index on ties). It builds
-    an (N, K, D) temporary, so callers pass it only the few rows whose
-    ranking the cheaper expansion cannot settle.
+    This is the form that defines assignment: `assign_nearest` returns
+    exactly its row-wise argmin (lowest index on ties). Column j is
+    `_sq_dists_to(X, centroids[j])`, so it equals
+    ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2) bit for bit
+    while building no (N, K, D) array, only one scratch of row blocks.
     """
-    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    out = np.empty((len(X), len(centroids)))
+    scratch = _scratch(len(X), X.shape[1])
+    for j, point in enumerate(centroids):
+        _sq_dists_to(X, point, scratch, out[:, j])
+    return out
 
 
 def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -46,7 +51,8 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     ||x||^2 - 2x.c + ||c||^2, one (N, K) matrix product. A row whose
     best-versus-second margin there is not above a floating-point error
     bound (ties, cancellation, inf or NaN) is recomputed by the explicit
-    form over all K columns; memory is O(N*K) plus O(K*D) per such row.
+    form over all K columns, BLOCK elements of such rows at a time; memory
+    is O(N*K + BLOCK) and no (rows, K, D) array is built.
     """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -89,8 +95,10 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         norm_bound = np.sqrt(x_sq) + np.sqrt(c_sq.max())
         tol = 4.0 * (d + 4) * (eps * norm_bound * norm_bound + eta)
     recheck = np.flatnonzero(~(margin > tol))
-    if recheck.size:
-        labels[recheck] = _pairwise_sq_dists(X[recheck], centroids).argmin(axis=1)
+    step = max(BLOCK // max(d, 1), 1)
+    for lo in range(0, recheck.size, step):
+        rows = recheck[lo:lo + step]
+        labels[rows] = _pairwise_sq_dists(X[rows], centroids).argmin(axis=1)
     return labels
 
 

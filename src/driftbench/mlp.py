@@ -129,12 +129,8 @@ def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarr
     np.sqrt(var, out=var)
     np.divide(1.0, var, out=inv_std)
     z *= inv_std
-    if out is z:
-        z *= gain  # gain * xhat: the product rounds the same either way round
-        z += bias
-    else:
-        np.multiply(gain, z, out=out)
-        out += bias
+    np.multiply(z, gain, out=out)  # gain * xhat: the product rounds the same either way round
+    out += bias
 
 
 def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):

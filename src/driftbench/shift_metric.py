@@ -12,7 +12,6 @@ group's score although no class-conditional feature distribution moved.
 from __future__ import annotations
 
 import csv
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,39 +22,15 @@ from .dataset import write_json
 
 DEFAULT_TAU = 2.0
 DEFAULT_K_CLUSTERS = 64
-
-
-class GroupingMode(str, enum.Enum):
-    DOMAIN = "domain"
-    CLASS = "class"
-    DOMAIN_CLASS = "domain-class"
-
-
-@dataclass(frozen=True)
-class GroupKey:
-    mode: GroupingMode
-    domain: str | None = None
-    category: str | None = None
-
-    def __post_init__(self) -> None:
-        want_domain = self.mode in (GroupingMode.DOMAIN, GroupingMode.DOMAIN_CLASS)
-        want_category = self.mode in (GroupingMode.CLASS, GroupingMode.DOMAIN_CLASS)
-        if (self.domain is not None) != want_domain or \
-                (self.category is not None) != want_category:
-            raise ValueError(f"fields inconsistent with mode {self.mode.value}: {self}")
-
-    @property
-    def label(self) -> str:
-        if self.mode is GroupingMode.DOMAIN:
-            return self.domain  # type: ignore[return-value]
-        if self.mode is GroupingMode.CLASS:
-            return self.category  # type: ignore[return-value]
-        return f"{self.domain}/{self.category}"
+# The record fields whose values make up a group; a group's label is
+# those values joined by "/".
+GROUPINGS = {"domain": ("domain",), "class": ("category",),
+             "domain-class": ("domain", "category")}
 
 
 @dataclass(frozen=True)
 class GroupScore:
-    key: GroupKey
+    label: str
     member_count: int
     deltas: np.ndarray
     mu: float
@@ -67,32 +42,16 @@ class GroupScore:
 class ShiftReport:
     tau: float
     k_clusters: int
-    mode: GroupingMode
+    mode: str  # a key of GROUPINGS
     groups: tuple[GroupScore, ...]  # sorted by descending score
 
-    def score_of(self, label: str) -> float:
-        for g in self.groups:
-            if g.key.label == label:
-                return g.score
-        raise KeyError(label)
 
-
-def _group_label_fn(mode: GroupingMode):
-    if mode is GroupingMode.DOMAIN:
-        return lambda r: GroupKey(mode, domain=r.domain)
-    if mode is GroupingMode.CLASS:
-        return lambda r: GroupKey(mode, category=r.category)
-    return lambda r: GroupKey(mode, domain=r.domain, category=r.category)
-
-
-def shift_scores(keys: list[GroupKey], member_counts: list[int],
-                 prototypes: np.ndarray, tau: float = DEFAULT_TAU, *,
-                 k_clusters: int = 0,
-                 mode: GroupingMode = GroupingMode.DOMAIN) -> ShiftReport:
+def shift_scores(labels: list[str], member_counts: list[int], prototypes: np.ndarray,
+                 tau: float = DEFAULT_TAU) -> tuple[GroupScore, ...]:
     """Per-group mu, population sigma, and score = mu + tau * sigma.
 
-    Row i of prototypes (G, D) belongs to keys[i]. Each group's deltas are
-    its Euclidean distances to the other G - 1 prototypes, in key order.
+    Row i of prototypes (G, D) belongs to labels[i]. Each group's deltas are
+    its Euclidean distances to the other G - 1 prototypes, in label order.
     Groups come back sorted by descending score (score ties broken by label).
 
     With one group at distance d from G - 1 coincident groups, the lone group
@@ -101,9 +60,9 @@ def shift_scores(keys: list[GroupKey], member_counts: list[int],
     at G = 6 and ranks last at G = 4.
     """
     P = np.asarray(prototypes, dtype=np.float64)
-    n_groups = len(keys)
+    n_groups = len(labels)
     if len(member_counts) != n_groups or P.shape[0] != n_groups:
-        raise ValueError(f"{n_groups} keys, {len(member_counts)} member counts, "
+        raise ValueError(f"{n_groups} labels, {len(member_counts)} member counts, "
                          f"{P.shape[0]} prototypes")
     if n_groups < 2:
         raise ValueError(f"need >= 2 groups to compare, got {n_groups}")
@@ -114,23 +73,23 @@ def shift_scores(keys: list[GroupKey], member_counts: list[int],
     mu = deltas.mean(axis=1)
     sigma = np.sqrt(((deltas - mu[:, None]) ** 2).mean(axis=1))  # population divisor
     groups = [
-        GroupScore(key=key, member_count=count, deltas=deltas[i],
+        GroupScore(label=label, member_count=count, deltas=deltas[i],
                    mu=float(mu[i]), sigma=float(sigma[i]),
                    score=float(mu[i]) + tau * float(sigma[i]))
-        for i, (key, count) in enumerate(zip(keys, member_counts))
+        for i, (label, count) in enumerate(zip(labels, member_counts))
     ]
-    groups.sort(key=lambda g: (-g.score, g.key.label))
-    return ShiftReport(tau=tau, k_clusters=k_clusters, mode=mode, groups=tuple(groups))
+    return tuple(sorted(groups, key=lambda g: (-g.score, g.label)))
 
 
 def score_dataset(X: np.ndarray, records, k_clusters: int = DEFAULT_K_CLUSTERS,
-                  seed: int = 0, mode: GroupingMode = GroupingMode.DOMAIN,
+                  seed: int = 0, mode: str = "domain",
                   tau: float = DEFAULT_TAU) -> ShiftReport:
     """End-to-end pipeline: kmeans -> per-group prototypes -> scores.
 
-    Row i of X belongs to records[i]. A group's prototype is the mean of
-    the centroids its members are assigned to; groups are ordered by label.
-    Input and tau are checked before the fit.
+    Row i of X belongs to records[i], and mode (a key of GROUPINGS) names
+    the record fields that group it. A group's prototype is the mean of the
+    centroids its members are assigned to; groups are ordered by label.
+    Input, grouping, labels and tau are checked before the fit.
     """
     X = np.asarray(X)
     if len(records) == 0:
@@ -138,18 +97,26 @@ def score_dataset(X: np.ndarray, records, k_clusters: int = DEFAULT_K_CLUSTERS,
     if X.shape[0] != len(records):
         raise ValueError(
             f"alignment mismatch: {X.shape[0]} feature rows, {len(records)} records")
+    if mode not in GROUPINGS:
+        raise ValueError(f"unknown grouping {mode!r}, choose from {', '.join(GROUPINGS)}")
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    model = kmeans_fit(X, k_clusters=k_clusters, seed=seed)
-    key_of = _group_label_fn(mode)
-    members: dict[GroupKey, list[int]] = {}
+    fields = GROUPINGS[mode]
+    members: dict[tuple[str, ...], list[int]] = {}
     for i, rec in enumerate(records):
-        members.setdefault(key_of(rec), []).append(i)
-    keys = sorted(members, key=lambda k: k.label)
+        members.setdefault(tuple(getattr(rec, f) for f in fields), []).append(i)
+    keys = sorted(members, key="/".join)
+    labels = ["/".join(key) for key in keys]
+    for i in range(1, len(keys)):
+        if labels[i - 1] == labels[i]:
+            raise ValueError(f"label {labels[i]!r} names two {mode} groups, "
+                             f"{keys[i - 1]} and {keys[i]}")
+    model = kmeans_fit(X, k_clusters=k_clusters, seed=seed)
     prototypes = [model.centroids[model.assignments[members[key]]].mean(axis=0)
                   for key in keys]
-    return shift_scores(keys, [len(members[key]) for key in keys], np.stack(prototypes),
-                        tau, k_clusters=k_clusters, mode=mode)
+    groups = shift_scores(labels, [len(members[key]) for key in keys],
+                          np.stack(prototypes), tau)
+    return ShiftReport(tau=tau, k_clusters=k_clusters, mode=mode, groups=groups)
 
 
 def write_shift_report_csv(report: ShiftReport, path: str | Path) -> None:
@@ -157,7 +124,7 @@ def write_shift_report_csv(report: ShiftReport, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["group", "mu", "sigma", "score", "member_count"])
         for g in report.groups:
-            writer.writerow([g.key.label, f"{g.mu:.6f}", f"{g.sigma:.6f}",
+            writer.writerow([g.label, f"{g.mu:.6f}", f"{g.sigma:.6f}",
                              f"{g.score:.6f}", g.member_count])
 
 
@@ -165,10 +132,10 @@ def shift_report_to_dict(report: ShiftReport) -> dict:
     return {
         "tau": report.tau,
         "k_clusters": report.k_clusters,
-        "mode": report.mode.value,
+        "mode": report.mode,
         "groups": [
             {
-                "group": g.key.label,
+                "group": g.label,
                 "mu": g.mu,
                 "sigma": g.sigma,
                 "score": g.score,

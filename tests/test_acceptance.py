@@ -21,8 +21,6 @@ from driftbench.analysis import (
 from driftbench.clustering import kmeans_fit
 from driftbench.dataset import load_manifest, pool_temporal
 from driftbench.shift_metric import (
-    GroupKey,
-    GroupingMode,
     score_dataset,
     shift_scores,
 )
@@ -101,6 +99,10 @@ def test_criterion_03_kmeans_matches_brute_force():
     assert time.monotonic() - start < 10.0
 
 
+def score_of(groups, label):
+    return {g.label: g.score for g in groups}[label]
+
+
 def test_criterion_04_shift_score_hand_cases():
     # two singleton domains at (0,0) and (3,4): prototype distance 5
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -111,16 +113,14 @@ def test_criterion_04_shift_score_hand_cases():
     model = kmeans_fit(X, k_clusters=2, seed=0)
     report = score_dataset(X, records, k_clusters=2, seed=0)
     assert model.inertia == 0.0
-    assert report.score_of("a") == 5.0
-    assert report.score_of("b") == 5.0
+    assert score_of(report.groups, "a") == 5.0
+    assert score_of(report.groups, "b") == 5.0
 
     # prototypes at 0, 1 and 3 give g the deltas [1, 3]; at tau 2: mu 2,
     # population sigma 1, score exactly 4
-    keys = [GroupKey(GroupingMode.DOMAIN, domain=d) for d in ("g", "h", "i")]
-    report = shift_scores(
-        keys, [1, 1, 1], np.array([[0.0], [1.0], [3.0]]),
-        tau=2.0, k_clusters=2, mode=GroupingMode.DOMAIN)
-    assert report.score_of("g") == 4.0
+    groups = shift_scores(["g", "h", "i"], [1, 1, 1], np.array([[0.0], [1.0], [3.0]]),
+                          tau=2.0)
+    assert score_of(groups, "g") == 4.0
 
 
 def test_criterion_05_offset_sweep_monotonicity():
@@ -141,7 +141,7 @@ def test_criterion_05_offset_sweep_monotonicity():
     for man, feats in datasets:
         X = pool_temporal(feats, "mean")
         report = score_dataset(X, man.records, k_clusters=16, seed=0)
-        omegas.append(report.score_of("dom01"))
+        omegas.append(score_of(report.groups, "dom01"))
     for lo, hi in zip(omegas, omegas[1:]):
         assert hi >= lo, omegas
     assert omegas[-1] > max(omegas[:-1]), omegas

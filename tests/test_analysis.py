@@ -15,12 +15,7 @@ from driftbench.analysis import (
     spearman,
 )
 from driftbench.dataset import pool_temporal
-from driftbench.shift_metric import (
-    GroupKey,
-    GroupingMode,
-    score_dataset,
-    shift_scores,
-)
+from driftbench.shift_metric import score_dataset, shift_scores
 from driftbench.splits import build_lodo_split
 from driftbench.synth import SyntheticSpec, offset_sweep
 from driftbench.training import TrainConfig, TrainingData, evaluate, train
@@ -158,7 +153,7 @@ def test_growing_shift_drives_accuracy_down():
         cfg = TrainConfig(epochs=15, batch_size=32, drop_prob=0.0, seed=1)
         params, _ = train(data, split, cfg, hidden1=32, hidden2=16)
         key = f"mag{mag:g}"
-        shift[key] = report.score_of("dom02")
+        shift[key] = {g.label: g.score for g in report.groups}["dom02"]
         acc[key] = evaluate(params, data, split.test_ids).overall_top1
 
     omegas = [shift[f"mag{m:g}"] for m in mags]
@@ -168,19 +163,17 @@ def test_growing_shift_drives_accuracy_down():
     assert correlate_shift_accuracy(shift, acc).spearman == -1.0
 
 
-def tiny_report():
+def tiny_groups():
     # 1-D prototypes at 0, 1 and 3: deltas near [1, 3], mid [1, 2], far [3, 2]
-    mode = GroupingMode.DOMAIN
-    keys = [GroupKey(mode, domain=d) for d in ("near", "mid", "far")]
-    return shift_scores(keys, [10, 20, 30], np.array([[0.0], [1.0], [3.0]]),
-                        tau=2.0, k_clusters=4, mode=mode)
+    return shift_scores(["near", "mid", "far"], [10, 20, 30],
+                        np.array([[0.0], [1.0], [3.0]]), tau=2.0)
 
 
 def test_report_groups_sorted_by_score():
-    report = tiny_report()
-    scores = [g.score for g in report.groups]
+    groups = tiny_groups()
+    scores = [g.score for g in groups]
     assert scores == sorted(scores, reverse=True)
     # deltas [1, 3]: mu 2, population sigma 1, score 4 beats far's 3.5
-    top = report.groups[0]
-    assert top.key.label == "near"
+    top = groups[0]
+    assert top.label == "near"
     assert top.score == pytest.approx(4.0, abs=1e-12)

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: exit codes, files, and messages."""
+import hashlib
 import json
 import re
 import sys
@@ -158,6 +159,47 @@ def test_score_manifest_subset_scores_named_rows(workdir, tmp_path, capsys):
     write_feature_pack(FeatureSet(full.values[rows]), compact_pack)
     compact = [json.dumps({**obj, "row_index": i}) for i, obj in enumerate(kept)]
     assert subset == _score_bytes(tmp_path, "compact", compact, compact_pack)
+
+
+# sha256 of shift_report.csv and .json for the shared synth data; a change
+# that moves any report byte under any grouping must update these on purpose
+SCORE_DIGESTS = {
+    "domain": ("0cc295ead8d1826a197cedf9966b887c113df16e2144d98015afbd388948fa36",
+               "95dc6cbaf5ee705a8b1b9f23c66938015f27c9ef5ad23827c1e65bee2e250fb6"),
+    "class": ("a546046867a27966e5956144cd8cad5900c4a6f7d9b4b227bf99e239e942c93b",
+              "ba532c63b8c4588b54e756e3d2e2c53e6e3af4364a4ea6fefbdf987de8fe2a1e"),
+    "domain-class": ("2efe8d81c917d4699436ba60d4a1d8bf1554dde315cb3efb515a50a315d7b507",
+                     "a9a9fae7a7f7d7568d4d25fbcf211e273ee3935516e8821acb9db1ba079276fc"),
+}
+
+
+@pytest.mark.parametrize("grouping", sorted(SCORE_DIGESTS))
+def test_score_report_bytes_are_pinned(workdir, tmp_path, grouping, capsys):
+    out_dir = tmp_path / grouping
+    assert cli.main(["score", *data_args(workdir), "--grouping", grouping,
+                     "--k-clusters", "6", "--seed", "0", "--out-dir", str(out_dir)]) == 0
+    digests = tuple(hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+                    for f in ("shift_report.csv", "shift_report.json"))
+    assert digests == SCORE_DIGESTS[grouping]
+
+
+def test_score_refuses_two_groups_with_one_label(workdir, tmp_path, monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("kmeans_fit ran before the labels were checked")
+    monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"clip_id": f"c{i}", "domain": d, "category": c, "row_index": i}) + "\n"
+        for i, (d, c) in enumerate([("a/b", "c"), ("a", "b/c"), ("a", "c")])))
+    out_dir = tmp_path / "score"
+    code = cli.main(["score", "--manifest", str(manifest),
+                     "--features", data_args(workdir)[3], "--grouping", "domain-class",
+                     "--k-clusters", "1", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "driftbench: error: score: label 'a/b/c' names two domain-class groups, "
+        "('a/b', 'c') and ('a', 'b/c')\n")
+    assert not out_dir.exists()
 
 
 def test_splits_command(workdir, capsys):

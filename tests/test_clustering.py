@@ -147,7 +147,7 @@ class TestAssignNearest:
         X = np.vstack([rng.standard_normal((30, 4)) + 1e8, [[0.0, 0, 0, 2]]])
         centroids = np.vstack([rng.standard_normal((5, 4)) + 1e8,
                                [[0.0, 0, 0, 1]], [[0.0, 0, 0, 3]]])
-        want = clustering._pairwise_sq_dists(X, centroids).argmin(axis=1)
+        want = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         expansion = ((X ** 2).sum(axis=1)[:, None] - 2 * X @ centroids.T
                      + (centroids ** 2).sum(axis=1)).argmin(axis=1)
         assert (expansion != want).any()  # the expansion alone gets rows wrong

@@ -1,7 +1,8 @@
 """Property tests: `assign_nearest` equals the explicit-difference argmin.
 
-The reference is `_pairwise_sq_dists(X, C).argmin(axis=1)`, the form the
-assignment is defined by. Inputs cover the cases where the expansion
+The reference is the argmin of the explicit (N, K, D) difference form,
+the form the assignment is defined by; `_pairwise_sq_dists` builds it a row
+block at a time and is checked against it bit for bit. Inputs cover the cases where the expansion
 ||x||^2 - 2x.c + ||c||^2 alone would mislead: exact ties (integer grids),
 duplicated centroids, large offsets (cancellation), tiny scales, K=1 and
 rows holding +-inf.
@@ -28,8 +29,12 @@ from driftbench import clustering
 from driftbench.clustering import assign_nearest, kmeans_fit
 
 
+def explicit_sq_dists(X, centroids):
+    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def reference(X, centroids):
-    return clustering._pairwise_sq_dists(X, centroids).argmin(axis=1)
+    return explicit_sq_dists(X, centroids).argmin(axis=1)
 
 
 @st.composite
@@ -64,10 +69,12 @@ def problems(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(problems())
-def test_assign_nearest_equals_explicit_argmin(problem):
+@given(problems(), st.sampled_from([clustering.BLOCK, 8]))
+def test_assign_nearest_equals_explicit_argmin(problem, block):
+    # at BLOCK 8 the rows to recheck go through in blocks of 8 // D rows
     X, centroids = problem
-    got = assign_nearest(X, centroids)
+    with mock.patch.object(clustering, "BLOCK", block):
+        got = assign_nearest(X, centroids)
     want = reference(X, centroids)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -99,7 +106,7 @@ def test_kmeans_fit_invariants(fit):
     assert np.array_equal(labels, assign_nearest(X, centroids))
     assert model.inertia == float(((X - centroids[labels]) ** 2).sum())
     # ties, between duplicated centroids or equidistant ones, go to the lowest index
-    dists = clustering._pairwise_sq_dists(X, centroids)
+    dists = explicit_sq_dists(X, centroids)
     assert labels.tolist() == [np.flatnonzero(row == row.min())[0] for row in dists]
     for row in np.unique(X, axis=0):
         same = (X == row).all(axis=1)
@@ -190,6 +197,20 @@ def test_kmeanspp_seeding_matches_the_expression_form_bitwise(block, n, d, k, re
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BLOCKS), st.integers(1, 300), st.integers(1, 40),
+       st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_pairwise_sq_dists_match_the_explicit_form_bitwise(block, n, d, k, inf_rows,
+                                                          seed):
+    X = spread_values(seed, (n, d))
+    centroids = spread_values(seed + 1, (k, d))
+    if inf_rows:
+        X[np.random.default_rng(seed).integers(0, n, 3), 0] = [np.inf, -np.inf, np.inf]
+    with mock.patch.object(clustering, "BLOCK", block):
+        got = clustering._pairwise_sq_dists(X, centroids)
+    assert got.tobytes() == explicit_sq_dists(X, centroids).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 400), st.integers(1, 40), st.integers(1, 12),
        st.integers(0, 2**32 - 1))
@@ -230,10 +251,9 @@ def test_kmeans_fit_builds_no_n_by_d_temporary():
 
 def test_kmeans_fit_that_repairs_builds_no_n_by_d_temporary():
     # four distinct rows and k = 5, so every E-step leaves a cluster empty and
-    # the repair measures its distances. Rows that tie between two equal
-    # centroids go through assign_nearest's explicit (rows, K, D) form, so the
-    # doubled start and the repair's mover (the first row, as all distances
-    # are 0) must sit in the small group: seed 34 doubles its start.
+    # the repair measures its distances. Seed 34 doubles its start, and so
+    # puts two equal centroids, in the small group, where the repair's mover
+    # (the first row, as all distances are 0) also sits.
     n, d, k, seed = 4000, 64, 5, 34
     X = 100.0 * np.eye(4, d)[np.concatenate([np.zeros(40, int), 1 + np.arange(3960) // 1320])]
     starts = clustering._kmeanspp_init(X, k, np.random.default_rng(seed),
@@ -249,4 +269,26 @@ def test_kmeans_fit_that_repairs_builds_no_n_by_d_temporary():
     with mock.patch.object(clustering, "_repair_empty", counting_repair):
         kmeans_fit(X, k, seed)
     assert empties and min(empties) > 0
+    assert traced_peak(kmeans_fit, X, k, seed) < X.nbytes / 2
+
+
+def test_kmeans_fit_with_tied_centroids_builds_no_n_by_d_temporary():
+    # as above, but seed 0 doubles its start in a group of 1,320 rows: each
+    # of them ties between two equal centroids, so assign_nearest rechecks
+    # them all by the explicit form, which walks them a row block at a time
+    n, d, k, seed = 4000, 64, 5, 0
+    X = 100.0 * np.eye(4, d)[np.concatenate([np.zeros(40, int), 1 + np.arange(3960) // 1320])]
+    starts = clustering._kmeanspp_init(X, k, np.random.default_rng(seed),
+                                       clustering._scratch(n, d))
+    assert (starts == X[0]).all(axis=1).sum() == 1
+    rechecked = []
+    explicit = clustering._pairwise_sq_dists
+
+    def counting_explicit(rows, centroids):
+        rechecked.append(len(rows))
+        return explicit(rows, centroids)
+
+    with mock.patch.object(clustering, "_pairwise_sq_dists", counting_explicit):
+        kmeans_fit(X, k, seed)
+    assert sum(rechecked) >= 1320
     assert traced_peak(kmeans_fit, X, k, seed) < X.nbytes / 2

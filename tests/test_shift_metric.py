@@ -7,8 +7,7 @@ from driftbench import shift_metric, synth
 from driftbench.clustering import ClusterModel, kmeans_fit
 from driftbench.dataset import ClipRecord, pool_temporal
 from driftbench.shift_metric import (
-    GroupKey,
-    GroupingMode,
+    ShiftReport,
     score_dataset,
     shift_scores,
     write_shift_report_csv,
@@ -39,24 +38,8 @@ def fixed_model(monkeypatch):
     return use
 
 
-class TestGroupKey:
-    def test_labels(self):
-        assert GroupKey(GroupingMode.DOMAIN, domain="uk").label == "uk"
-        assert GroupKey(GroupingMode.CLASS, category="pour").label == "pour"
-        dc = GroupKey(GroupingMode.DOMAIN_CLASS, domain="uk", category="pour")
-        assert dc.label == "uk/pour"
-
-    def test_field_mode_consistency(self):
-        with pytest.raises(ValueError):
-            GroupKey(GroupingMode.DOMAIN, category="pour")
-        with pytest.raises(ValueError):
-            GroupKey(GroupingMode.DOMAIN)
-        with pytest.raises(ValueError):
-            GroupKey(GroupingMode.CLASS, domain="uk", category="pour")
-
-
 def group(report, label):
-    return next(g for g in report.groups if g.key.label == label)
+    return next(g for g in report.groups if g.label == label)
 
 
 class TestGroupPrototypes:
@@ -74,7 +57,7 @@ class TestGroupPrototypes:
         fixed_model(model_with([[0.0, 0.0], [3.0, 0.0]], [0, 0, 1, 0]))
         report = score_dataset(np.zeros((4, 2)), recs, k_clusters=2)
         # prototype a = mean of (0,0), (0,0), (3,0) = (1, 0); b = (0, 0)
-        assert report.score_of("a") == 1.0
+        assert group(report, "a").score == 1.0
 
     def test_domain_class_matches_regrouping_oracle(self):
         rng = np.random.default_rng(6)
@@ -82,19 +65,17 @@ class TestGroupPrototypes:
         recs = records_for(pairs)
         X = rng.standard_normal((len(recs), 3))
         model = kmeans_fit(X, 4, seed=0)
-        report = score_dataset(X, recs, k_clusters=4, seed=0,
-                               mode=GroupingMode.DOMAIN_CLASS)
+        report = score_dataset(X, recs, k_clusters=4, seed=0, mode="domain-class")
         assert len(report.groups) == 6
-        keys = sorted((g.key for g in report.groups), key=lambda k: k.label)
+        labels = sorted(g.label for g in report.groups)
         expected = {}
-        for key in keys:
-            rows = [i for i, r in enumerate(recs)
-                    if r.domain == key.domain and r.category == key.category]
-            expected[key] = model.centroids[model.assignments[rows]].mean(axis=0)
-            assert group(report, key.label).member_count == len(rows)
+        for label in labels:
+            rows = [i for i, r in enumerate(recs) if f"{r.domain}/{r.category}" == label]
+            expected[label] = model.centroids[model.assignments[rows]].mean(axis=0)
+            assert group(report, label).member_count == len(rows)
         for g in report.groups:
-            want = [np.linalg.norm(expected[g.key] - expected[k])
-                    for k in keys if k != g.key]
+            want = [np.linalg.norm(expected[g.label] - expected[k])
+                    for k in labels if k != g.label]
             assert np.allclose(g.deltas, want)
 
     def test_empty_dataset(self):
@@ -115,16 +96,44 @@ class TestGroupPrototypes:
         with pytest.raises(ValueError, match="tau must be finite"):
             score_dataset(np.zeros((2, 1)), recs, k_clusters=1, tau=tau)
 
+    @pytest.mark.parametrize("mode, labels", [
+        ("domain", ["a", "b"]), ("class", ["x", "y"]),
+        ("domain-class", ["a/x", "a/y", "b/x", "b/y"]),
+    ])
+    def test_each_grouping_labels_its_groups(self, mode, labels, fixed_model):
+        recs = records_for([("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
+        fixed_model(model_with([[0.0], [1.0], [3.0], [7.0]], [0, 1, 2, 3]))
+        report = score_dataset(np.zeros((4, 1)), recs, k_clusters=4, mode=mode)
+        assert report.mode == mode
+        assert sorted(g.label for g in report.groups) == labels
+
+    def test_unknown_grouping_rejected_before_fitting(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("kmeans_fit ran before the grouping was checked")
+        monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
+        recs = records_for([("a", "c"), ("b", "c")])
+        with pytest.raises(ValueError, match="^unknown grouping 'bogus', choose from "
+                                             "domain, class, domain-class$"):
+            score_dataset(np.zeros((2, 1)), recs, k_clusters=1, mode="bogus")
+
+    def test_two_groups_with_one_label_rejected_before_fitting(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("kmeans_fit ran before the labels were checked")
+        monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
+        recs = records_for([("a/b", "c"), ("a", "b/c"), ("d", "c")])
+        with pytest.raises(ValueError, match="^label 'a/b/c' names two domain-class groups"):
+            score_dataset(np.zeros((3, 1)), recs, k_clusters=1, mode="domain-class")
+
 
 def scores_for(points, tau=2.0, counts=None):
-    """shift_scores over named prototypes, in the given order."""
-    keys = [GroupKey(GroupingMode.DOMAIN, domain=label) for label in points]
+    """shift_scores over named prototypes, in the given order, as a report."""
     P = np.array([np.atleast_1d(v) for v in points.values()], dtype=np.float64)
-    return shift_scores(keys, counts or [1] * len(keys), P, tau)
+    groups = shift_scores(list(points), counts or [1] * len(points), P, tau)
+    return ShiftReport(tau=tau, k_clusters=0, mode="domain", groups=groups)
 
 
 def deltas_of(report):
-    return {g.key.label: g.deltas.tolist() for g in report.groups}
+    return {g.label: g.deltas.tolist() for g in report.groups}
 
 
 class TestPrototypeDistances:
@@ -149,23 +158,20 @@ class TestPrototypeDistances:
 
 class TestShiftScores:
     def test_misaligned_inputs_rejected(self):
-        keys = [GroupKey(GroupingMode.DOMAIN, domain=label) for label in "ab"]
         with pytest.raises(ValueError, match="prototypes"):
-            shift_scores(keys, [1, 1], np.zeros((3, 1)))
+            shift_scores(list("ab"), [1, 1], np.zeros((3, 1)))
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     def test_non_finite_tau_rejected(self, tau):
-        keys = [GroupKey(GroupingMode.DOMAIN, domain=label) for label in "abc"]
         with pytest.raises(ValueError, match="tau must be finite"):
-            shift_scores(keys, [1, 1, 1], np.eye(3), tau=tau)
+            shift_scores(list("abc"), [1, 1, 1], np.eye(3), tau=tau)
 
     def test_empty_delta_set(self):
         # zero or one group leaves every group with no distances to average
-        key = GroupKey(GroupingMode.DOMAIN, domain="a")
         with pytest.raises(ValueError, match=">= 2"):
             shift_scores([], [], np.zeros((0, 1)))
         with pytest.raises(ValueError, match=">= 2"):
-            shift_scores([key], [1], np.zeros((1, 1)))
+            shift_scores(["a"], [1], np.zeros((1, 1)))
 
     def test_published_style_row(self):
         # a's deltas are 6.06 and 6.54, so mu=6.30 and population sigma=0.24
@@ -183,7 +189,7 @@ class TestShiftScores:
 
     def test_two_point_population_stats_exact(self):
         report = scores_for({"a": 0.0, "b": 1.0, "c": 3.0})
-        assert report.score_of("a") == 4.0  # deltas [1, 3]: mu 2, sigma 1, tau 2
+        assert group(report, "a").score == 4.0  # deltas [1, 3]: mu 2, sigma 1, tau 2
 
     @pytest.mark.parametrize("n_groups, others, outlier_rank", [
         (4, 3.8284271247461903, 3),  # 1 + 2*sqrt(2): the outlier ranks last
@@ -198,9 +204,9 @@ class TestShiftScores:
         report = scores_for(points, tau=2.0)
         closed_form = d * (1 + 2.0 * np.sqrt(n_groups - 2)) / (n_groups - 1)
         assert others == pytest.approx(closed_form, rel=1e-12)
-        assert report.score_of("out") == float(d)
-        assert {g.score for g in report.groups if g.key.label != "out"} == {others}
-        labels = [g.key.label for g in report.groups]
+        assert group(report, "out").score == float(d)
+        assert {g.score for g in report.groups if g.label != "out"} == {others}
+        labels = [g.label for g in report.groups]
         if outlier_rank is None:
             assert {g.score for g in report.groups} == {float(d)}
         else:
@@ -209,11 +215,11 @@ class TestShiftScores:
     def test_sorted_by_descending_score(self):
         # high: [1, 10] -> 14.5, mid: [1, 9] -> 13, low: [10, 9] -> 10.5
         report = scores_for({"high": 0.0, "mid": 1.0, "low": 10.0})
-        assert [g.key.label for g in report.groups] == ["high", "mid", "low"]
+        assert [g.label for g in report.groups] == ["high", "mid", "low"]
 
     def test_member_counts_follow_keys(self):
         report = scores_for({"a": 0.0, "b": 1.0, "c": 3.0}, counts=[10, 20, 30])
-        assert {g.key.label: g.member_count for g in report.groups} == \
+        assert {g.label: g.member_count for g in report.groups} == \
             {"a": 10, "b": 20, "c": 30}
 
     def test_matches_per_group_loop(self):
@@ -270,7 +276,7 @@ class TestScoreDataset:
         records, X = synth_domain_data(spec, seed=0)
         report = score_dataset(X, records, k_clusters=24, seed=0)
         top = report.groups[0]
-        assert top.key.label == "dom03"
+        assert top.label == "dom03"
         assert all(top.score > g.score for g in report.groups[1:])
 
     def test_global_translation_invariance(self):
@@ -280,7 +286,7 @@ class TestScoreDataset:
         a = score_dataset(X, records, k_clusters=6, seed=2)
         b = score_dataset(X + 37.5, records, k_clusters=6, seed=2)
         for ga, gb in zip(a.groups, b.groups):
-            assert ga.key == gb.key
+            assert ga.label == gb.label
             assert gb.score == pytest.approx(ga.score, rel=1e-6)
 
     def test_sample_order_invariance_fixed_model(self, fixed_model):
@@ -299,7 +305,7 @@ class TestScoreDataset:
         fixed_model(permuted_model)
         shuffled = score_dataset(X[perm], [records[i] for i in perm], k_clusters=5)
         for ga, gb in zip(base.groups, shuffled.groups):
-            assert ga.key == gb.key
+            assert ga.label == gb.label
             assert gb.score == pytest.approx(ga.score, rel=1e-6)
 
     def test_label_priors_alone_raise_every_score(self):
@@ -312,7 +318,7 @@ class TestScoreDataset:
                                        feature_dim=32, label_priors=priors)
             records, X = synth_domain_data(spec, seed=0)
             report = score_dataset(X, records, k_clusters=20, seed=0)
-            scores.append({g.key.label: g.score for g in report.groups})
+            scores.append({g.label: g.score for g in report.groups})
         base, shifted = scores
         assert max(base.values()) < 0.2
         assert min(shifted.values()) > 1.5
@@ -326,7 +332,7 @@ class TestScoreDataset:
                                                      seed=0):
             X = pool_temporal(features, "mean")
             report = score_dataset(X, list(manifest.records), k_clusters=12, seed=0)
-            omegas.append(report.score_of("dom02"))
+            omegas.append(group(report, "dom02").score)
         assert all(b >= a for a, b in zip(omegas, omegas[1:]))
 
 
@@ -353,7 +359,3 @@ class TestReportOutput:
         assert obj == shift_report_to_dict(report)
         assert [g["group"] for g in obj["groups"]] == ["east", "north", "west"]
         assert obj["groups"][0]["score"] == 4.0
-
-    def test_score_of_unknown_label(self):
-        with pytest.raises(KeyError):
-            self.make_report().score_of("south")
