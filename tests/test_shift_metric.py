@@ -116,14 +116,6 @@ class TestGroupPrototypes:
                                              "domain, class, domain-class$"):
             score_dataset(np.zeros((2, 1)), recs, k_clusters=1, mode="bogus")
 
-    def test_two_groups_with_one_label_rejected_before_fitting(self, monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("kmeans_fit ran before the labels were checked")
-        monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
-        recs = records_for([("a/b", "c"), ("a", "b/c"), ("d", "c")])
-        with pytest.raises(ValueError, match="^label 'a/b/c' names two domain-class groups"):
-            score_dataset(np.zeros((3, 1)), recs, k_clusters=1, mode="domain-class")
-
 
 def scores_for(points, tau=2.0, counts=None):
     """shift_scores over named prototypes, in the given order, as a report."""
