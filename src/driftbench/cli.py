@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -199,30 +200,49 @@ def _cmd_eval(args) -> str:
             f"clips, wrote {args.out}")
 
 
-def _read_values(path: str, field: str, items) -> dict[str, float]:
+class _JsonObject(dict):
+    """A parsed JSON object that keeps its pairs too, a repeated key included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _read_values(path: str, field: str, noun: str, items) -> dict[str, float]:
     """{name: number} from one field of a JSON report; items(field) yields the pairs.
 
     A file that is not JSON, or whose field is missing or malformed, is one
-    error naming the file.
+    error naming the file. A name given twice, or whose value is not a
+    finite number (a bool, a string, NaN, +-Infinity), is one error naming
+    the file and the name.
     """
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_JsonObject)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: not JSON: {exc}") from None
+    values: dict[str, float] = {}
     try:
-        return {name: float(value) for name, value in items(obj[field])}
-    except (TypeError, KeyError, ValueError):
+        for name, value in items(obj[field]):
+            if name in values:
+                raise ValueError(f"{path}: {noun} {name!r} appears twice")
+            if type(value) not in (int, float) or not math.isfinite(value):  # bool is no int
+                raise ValueError(f"{path}: {noun} {name!r} has {json.dumps(value)}, "
+                                 "not a finite number")
+            values[name] = float(value)
+    except (TypeError, KeyError, AttributeError, OverflowError):
         raise ValueError(f"{path}: expected a JSON object with a well-formed "
                          f"{field!r}") from None
+    return values
 
 
 def _cmd_correlate(args) -> str:
     from . import analysis
-    scores = _read_values(args.shift_report, "groups",
+    scores = _read_values(args.shift_report, "groups", "group",
                           lambda groups: ((g["group"], g["score"]) for g in groups))
     accuracies: dict[str, float] = {}
     for path in args.eval_report:
-        for domain, acc in _read_values(path, "per_domain", dict.items).items():
+        for domain, acc in _read_values(path, "per_domain", "domain",
+                                        lambda per_domain: per_domain.pairs).items():
             if domain in accuracies and accuracies[domain] != acc:
                 raise ValueError(
                     f"conflicting accuracies for domain {domain!r} across eval reports")

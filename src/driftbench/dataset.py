@@ -202,8 +202,9 @@ def load_feature_pack(path: str | Path) -> FeatureSet:
 
 def write_feature_pack(features: FeatureSet, path: str | Path) -> None:
     values = np.ascontiguousarray(features.values, dtype="<f4")
-    header = FEATURE_PACK_MAGIC + struct.pack("<III", *values.shape)
-    Path(path).write_bytes(header + values.tobytes())
+    with open(path, "wb") as f:  # the header, then the array's own buffer: no copy
+        f.write(FEATURE_PACK_MAGIC + struct.pack("<III", *values.shape))
+        f.write(values.data)
 
 
 def pool_temporal(features: FeatureSet, mode: str = "mean") -> np.ndarray:

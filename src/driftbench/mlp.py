@@ -1,7 +1,7 @@
 """Two-layer perceptron with one-vs-all heads, differentiated by hand.
 
 Forward path: linear -> layer norm -> ReLU -> dropout, twice, then one
-independent linear head per class over the shared 512-dim trunk. No
+independent linear head per class over the shared H2-wide trunk. No
 autograd framework: the backward pass below is the exact derivative of
 this composition, including the path through the layer-norm statistics.
 
@@ -70,19 +70,16 @@ class MlpParams:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations from one train-mode forward pass."""
+    """What backward reads of one train-mode forward pass; the ReLU and dropout gate is d > 0."""
 
     x: np.ndarray
     xhat1: np.ndarray
     inv_std1: np.ndarray
-    relu1: np.ndarray  # bool mask, pre-dropout activation > 0
-    mask1: np.ndarray  # dropout mask already scaled by 1/(1-p)
     d1: np.ndarray  # layer-2 input
     xhat2: np.ndarray
     inv_std2: np.ndarray
-    relu2: np.ndarray
-    mask2: np.ndarray
     d2: np.ndarray  # head input
+    keep: float  # 1 - drop_prob
 
 
 def init_params(input_dim: int, n_classes: int, seed: int = 0,
@@ -137,13 +134,14 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     """linear -> layer norm -> ReLU -> dropout over the rows of x.
 
     Returns d (B, H) and, when rng is given (train mode), the trace
-    fields (xhat, inv_std, relu, mask, d). The whole layer's dropout
-    doubles are one rng.random call here, on the calling thread. The rows
-    are then cut into the parts of the layer's GEMM; each part runs the
-    whole chain on its rows, into arrays allocated here, and turns its
-    rows of the doubles into the mask. The parts allocate nothing large
-    themselves: a helper thread's allocations would stay in its own
-    malloc arena and add to peak RSS.
+    fields (xhat, inv_std, d); backward takes the ReLU and dropout gate
+    from d > 0. The whole layer's dropout doubles are one rng.random call
+    here, on the calling thread, freed on return. The rows are then cut
+    into the parts of the layer's GEMM; each part runs the whole chain on
+    its rows, into arrays allocated here, and turns its rows of the
+    doubles into the mask. The parts allocate nothing large themselves: a
+    helper thread's allocations would stay in its own malloc arena and add
+    to peak RSS.
     """
     n, h = x.shape[0], w.shape[1]
     parts = parallel.cuts(n, parallel.gemm_parts(n, x.shape[1], h))
@@ -155,7 +153,7 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     if rng is None:
         d = z
     else:
-        d, relu = np.empty_like(z), np.empty((n, h), dtype=bool)
+        d = np.empty_like(z)
         mask = rng.random(out=np.empty((n, h)))
         keep = 1.0 - float(drop_prob)
 
@@ -166,14 +164,13 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
         np.maximum(dp, 0.0, out=dp)
         if rng is None:
             return
-        np.greater(dp, 0.0, out=relu[rows])
         mp = mask[rows]
         np.less(mp, keep, out=mp)  # 1.0 or 0.0, then 1/keep or 0 as (r < keep) * (1/keep)
         mp *= 1.0 / keep
         dp *= mp
 
     parallel.run_parts(part, parts)
-    return d, (None if rng is None else (z, inv_std, relu, mask, d))
+    return d, (None if rng is None else (z, inv_std, d))
 
 
 def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
@@ -211,21 +208,22 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
     logits += params.head_b
     if not train:
         return logits
-    return logits, ForwardTrace(batch, *cache1, *cache2)
+    return logits, ForwardTrace(batch, *cache1, *cache2, 1.0 - float(drop_prob))
 
 
-def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
+def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
                          xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
                          g_gain: np.ndarray, g_bias: np.ndarray, n_parts: int):
     """dz through dropout, ReLU, y = gain * xhat + bias and the norm statistics.
 
     d_out is the gradient w.r.t. the layer's output d; fills g_gain and
     g_bias. Consumes d_out: dz is computed in place and d_out is returned.
-    With d_xhat = d_out * mask * relu * gain, the roundings are those of
+    A unit passed ReLU and dropout exactly where d > 0, as 1/keep >= 1. With
+    d_xhat = d_out * (d > 0) * (1/keep) * gain, the roundings are those of
     inv_std * (d_xhat - d_xhat.mean(1) - (xhat * (d_xhat * xhat).sum(1)) / H).
 
     Three passes of n_parts parts. The first and last cut the rows, as
-    their work is elementwise or per row: the mask, ReLU and xhat products,
+    their work is elementwise or per row: the gate and xhat products,
     then the rest. The middle one cuts the columns for the g_gain and
     g_bias sums over axis 0, which add each column's rows in row order
     whatever the cut; two columns a part at least, as NumPy sums a
@@ -239,8 +237,8 @@ def _layer_norm_backward(d_out: np.ndarray, mask: np.ndarray, relu: np.ndarray,
 
     def products(p: int, r: slice) -> None:
         dp = d_out[r]
-        dp *= mask[r]
-        dp *= relu[r]
+        dp *= np.greater(d[r], 0.0, out=scratch[r])
+        dp *= 1.0 / keep
         np.multiply(dp, xhat[r], out=scratch[r])
 
     def column_sums(p: int, c: slice) -> None:
@@ -290,14 +288,14 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
     dd2 = grad_logits @ params.head_w
 
     b = trace.x.shape[0]
-    dz2 = _layer_norm_backward(dd2, trace.mask2, trace.relu2, trace.xhat2, trace.inv_std2,
+    dz2 = _layer_norm_backward(dd2, trace.d2, trace.keep, trace.xhat2, trace.inv_std2,
                                params.ln2_gain, g.ln2_gain, g.ln2_bias,
                                parallel.gemm_parts(b, params.hidden1, params.hidden2))
     parallel.matmul(trace.d1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
     dd1 = parallel.matmul(dz2, params.w2.T)
 
-    dz1 = _layer_norm_backward(dd1, trace.mask1, trace.relu1, trace.xhat1, trace.inv_std1,
+    dz1 = _layer_norm_backward(dd1, trace.d1, trace.keep, trace.xhat1, trace.inv_std1,
                                params.ln1_gain, g.ln1_gain, g.ln1_bias,
                                parallel.gemm_parts(b, params.input_dim, params.hidden1))
     parallel.matmul(trace.x.T, dz1, out=g.w1)

@@ -95,24 +95,26 @@ def generate(spec: SyntheticSpec, seed: int = 0) -> tuple[Manifest, FeatureSet]:
             "orthogonal class means need one axis per class"
         )
     rng = np.random.default_rng(seed)
+    counts = {domain_name(d): _cell_counts(spec, domain_name(d)) for d in range(spec.n_domains)}
+    values = np.empty((sum(map(sum, counts.values())), 1, spec.feature_dim), dtype=np.float32)
     records: list[ClipRecord] = []
-    blocks: list[np.ndarray] = []
-    for d in range(spec.n_domains):
-        dom = domain_name(d)
+    for dom, cell_counts in counts.items():
         offset = np.asarray(
             spec.domain_offsets.get(dom, np.zeros(spec.feature_dim)), dtype=float)
-        for y, count in enumerate(_cell_counts(spec, dom)):
-            noise = rng.standard_normal((count, spec.feature_dim)) * spec.noise_scale
+        for y, count in enumerate(cell_counts):
+            cell = rng.standard_normal((count, spec.feature_dim))
+            cell *= spec.noise_scale
             mean = np.zeros(spec.feature_dim)
             mean[y] = spec.class_separation
-            blocks.append(noise + mean + offset)
+            cell += mean  # noise + mean + offset, in that order, in place
+            cell += offset
+            values[len(records):len(records) + count, 0] = cell
             cat = category_name(y)
             for j in range(count):
                 records.append(ClipRecord(
                     clip_id=f"{dom}-{cat}-{j:04d}", domain=dom,
                     category=cat, row_index=len(records),
                 ))
-    values = np.concatenate(blocks, axis=0).astype(np.float32)[:, None, :]
     return Manifest(tuple(records)), FeatureSet(values)
 
 

@@ -96,7 +96,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads. A
     non-finite gradient is refused, one ADAM_BLOCK slice at a time, before
-    params, m or v change. The update then runs in blocks of at most
+    params, m, v or state.step change. The update then runs in blocks of at most
     ADAM_BLOCK elements; each block's intermediates go into the spent
     gradients of the blocks before it, the first block's into one scratch
     vector of at most ADAM_BLOCK elements. From 2 * ADAM_PART elements up,
@@ -104,7 +104,6 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     parallel.WORKERS threads. Each element is computed on its own, so the
     bits do not depend on the cut.
     """
-    state.step += 1
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
     size = params.flat.size
@@ -119,7 +118,8 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     parallel.run_parts(check, parts)
     if not all(checks):
         name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
-        raise ValueError(f"non-finite gradient in {name} at Adam step {state.step}")
+        raise ValueError(f"non-finite gradient in {name} at Adam step {state.step + 1}")
+    state.step += 1
     parallel.run_parts(lambda p, elements: _adam_range(
         params, grads, state, config.learning_rate, elements,
         scratch[p * first:(p + 1) * first]), parts)

@@ -468,6 +468,14 @@ def test_correlate_reads_only_groups_and_per_domain(tmp_path, capsys):
     ("shift", '{"rows": []}', "expected a JSON object with a well-formed 'groups'"),
     ("eval", '{"split_id": "x"}', "expected a JSON object with a well-formed 'per_domain'"),
     ("eval", "not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("shift", SHIFT_TEXT.replace("2.0", "true"), "group 'b' has true, not a finite number"),
+    ("shift", SHIFT_TEXT.replace("2.0", '"2.5"'), 'group \'b\' has "2.5", not a finite number'),
+    ("shift", SHIFT_TEXT.replace("2.0", "NaN"), "group 'b' has NaN, not a finite number"),
+    ("eval", EVAL_TEXT.replace("10.0", "Infinity"), "domain 'c' has Infinity, not a finite number"),
+    ("eval", EVAL_TEXT.replace("70.0", "-Infinity"),
+     "domain 'b' has -Infinity, not a finite number"),
+    ("shift", SHIFT_TEXT.replace('"c"', '"a"'), "group 'a' appears twice"),
+    ("eval", EVAL_TEXT.replace('"b"', '"a"'), "domain 'a' appears twice"),
 ])
 def test_correlate_malformed_report_is_one_line_error(tmp_path, bad, text, message,
                                                       capsys):

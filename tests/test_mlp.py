@@ -103,7 +103,12 @@ def test_train_mode_with_no_dropout_matches_eval():
     rng = np.random.default_rng(0)
     logits, trace = forward(p, x, mode="train", drop_prob=0.0, rng=rng)
     assert np.allclose(logits, forward(p, x, mode="eval"), atol=1e-12)
-    assert np.all(trace.mask1 == 1.0) and np.all(trace.mask2 == 1.0)
+    # no unit dropped or scaled: each layer's d is its ReLU output
+    assert trace.keep == 1.0
+    for d, x_in, w, b, gain, bias in ((trace.d1, x, p.w1, p.b1, p.ln1_gain, p.ln1_bias),
+                                      (trace.d2, trace.d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias)):
+        a = expression_layer_norm(x_in @ w + b, gain, bias)[0]
+        assert np.array_equal(d, np.maximum(a, 0.0))
 
 
 def test_forward_error_paths():
@@ -141,13 +146,17 @@ def test_layer_norm_statistics():
 
 
 def test_dropout_mask_values():
+    """At drop 0.5 each unit of d is its ReLU output times 0.0 or 2.0, and both occur."""
     p = tiny_params()
     x = np.random.default_rng(1).standard_normal((32, 4))
     _, trace = forward(p, x, mode="train", drop_prob=0.5,
                        rng=np.random.default_rng(7))
-    for mask in (trace.mask1, trace.mask2):
-        assert set(np.unique(mask)) <= {0.0, 2.0}
-        assert (mask == 0).any() and (mask == 2.0).any()
+    assert trace.keep == 0.5
+    for d, x_in, w, b, gain, bias in ((trace.d1, x, p.w1, p.b1, p.ln1_gain, p.ln1_bias),
+                                      (trace.d2, trace.d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias)):
+        r = np.maximum(expression_layer_norm(x_in @ w + b, gain, bias)[0], 0.0)
+        assert np.all((d == 0.0) | (d == 2.0 * r))
+        assert ((d == 0.0) & (r > 0.0)).any() and ((d == 2.0 * r) & (r > 0.0)).any()
 
 
 def test_dropout_scaling_preserves_expectation():
@@ -221,8 +230,13 @@ def test_backward_zero_grad_logits():
         assert g.shape == p.tensors()[name].shape
 
 
-def reference_backward(params, trace, grad_logits):
-    """Backward written per tensor, returning a dict: the reference for backward."""
+def reference_backward(params, trace, grad_logits, gates):
+    """Backward written per tensor, returning a dict: the reference for backward.
+
+    gates is (relu1, mask1, relu2, mask2) as expression_forward returns them.
+    """
+    relu1, mask1, relu2, mask2 = gates
+
     def ln_backward(d_out, xhat, inv_std, gain):
         d_gain = (d_out * xhat).sum(axis=0)
         d_bias = d_out.sum(axis=0)
@@ -238,15 +252,15 @@ def reference_backward(params, trace, grad_logits):
     g_head_w = grad_logits.T @ trace.d2
     g_head_b = grad_logits.sum(axis=0)
     dd2 = grad_logits @ params.head_w
-    dr2 = dd2 * trace.mask2
-    da2 = dr2 * trace.relu2
+    dr2 = dd2 * mask2
+    da2 = dr2 * relu2
     dz2, g_ln2_gain, g_ln2_bias = ln_backward(da2, trace.xhat2, trace.inv_std2,
                                               params.ln2_gain)
     g_w2 = trace.d1.T @ dz2
     g_b2 = dz2.sum(axis=0)
     dd1 = dz2 @ params.w2.T
-    dr1 = dd1 * trace.mask1
-    da1 = dr1 * trace.relu1
+    dr1 = dd1 * mask1
+    da1 = dr1 * relu1
     dz1, g_ln1_gain, g_ln1_bias = ln_backward(da1, trace.xhat1, trace.inv_std1,
                                               params.ln1_gain)
     g_w1 = trace.x.T @ dz1
@@ -267,9 +281,11 @@ def test_backward_matches_dict_reference_bitwise(case):
     x = rng.standard_normal((int(rng.integers(1, 40)), i)) * 3.0
     logits, trace = forward(p, x, mode="train", drop_prob=0.5,
                             rng=np.random.default_rng(case))
+    *_, gates = expression_forward(p, x, mode="train", drop_prob=0.5,
+                                   rng=np.random.default_rng(case), gates=True)
     _, grad_logits = ova_bce_loss(logits, one_hot(rng.integers(0, c, len(x)), c))
     got = backward(p, trace, grad_logits)
-    want = reference_backward(p, trace, grad_logits)
+    want = reference_backward(p, trace, grad_logits, gates)
     assert list(got.tensors()) == list(want)
     for name, g in got.tensors().items():
         assert g.shape == want[name].shape, name
@@ -289,8 +305,12 @@ def expression_dropout_mask(shape, drop_prob, rng):
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None):
-    """forward with one fresh array per expression: the bitwise reference."""
+def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None, gates=False):
+    """forward with one fresh array per expression: the bitwise reference.
+
+    In train mode, gates=True also returns its own (relu1, mask1, relu2,
+    mask2): the bool ReLU masks and the scaled dropout masks.
+    """
     train = mode == "train"
     z1 = batch @ params.w1 + params.b1
     a1, xhat1, inv_std1 = expression_layer_norm(z1, params.ln1_gain, params.ln1_bias)
@@ -307,10 +327,10 @@ def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None):
     logits = d2 @ params.head_w.T + params.head_b
     if not train:
         return logits
-    trace = ForwardTrace(
-        x=batch, xhat1=xhat1, inv_std1=inv_std1, relu1=a1 > 0, mask1=mask1, d1=d1,
-        xhat2=xhat2, inv_std2=inv_std2, relu2=a2 > 0, mask2=mask2, d2=d2,
-    )
+    trace = ForwardTrace(x=batch, xhat1=xhat1, inv_std1=inv_std1, d1=d1,
+                         xhat2=xhat2, inv_std2=inv_std2, d2=d2, keep=1.0 - drop_prob)
+    if gates:
+        return logits, trace, (a1 > 0, mask1, a2 > 0, mask2)
     return logits, trace
 
 
@@ -328,7 +348,7 @@ def random_problem(case):
 
 def assert_traces_equal(got, want):
     for f in dataclasses.fields(ForwardTrace):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+        a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
         assert a.dtype == b.dtype and a.shape == b.shape, f.name
         assert np.array_equal(a, b), f.name
 
@@ -357,7 +377,7 @@ def test_backward_leaves_trace_unchanged(case):
     p, x = random_problem(case)
     logits, trace = forward(p, x, mode="train", drop_prob=0.5,
                             rng=np.random.default_rng(case))
-    before = ForwardTrace(**{f.name: getattr(trace, f.name).copy()
+    before = ForwardTrace(**{f.name: np.asarray(getattr(trace, f.name)).copy()
                              for f in dataclasses.fields(ForwardTrace)})
     flat_before = p.flat.copy()
     _, grad_logits = ova_bce_loss(logits, one_hot(np.arange(len(x)) % p.n_classes,
@@ -365,6 +385,18 @@ def test_backward_leaves_trace_unchanged(case):
     backward(p, trace, grad_logits)
     assert_traces_equal(trace, before)
     assert np.array_equal(p.flat, flat_before)
+
+
+def test_train_trace_holds_x_and_three_float_arrays_a_layer():
+    """x, then xhat, 1/std and d per layer: no ReLU mask and no dropout mask."""
+    i, h1, h2, b = 7, 13, 5, 11
+    p = init_params(i, 3, hidden1=h1, hidden2=h2)
+    x = np.random.default_rng(0).standard_normal((b, i))
+    _, trace = forward(p, x, mode="train", drop_prob=0.5, rng=np.random.default_rng(0))
+    arrays = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert not any(a.dtype == bool for a in arrays)
+    assert sum(a.nbytes for a in arrays) == 8 * b * (i + 2 * h1 + 2 * h2 + 2)
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -531,14 +563,16 @@ def test_fully_dropped_second_layer_blocks_upstream_gradient():
     x = np.random.default_rng(1).standard_normal((2, 4))
     # unbalanced targets: a balanced pair would zero the head bias grad too
     targets = one_hot(np.array([0, 0]), 2)
-    trace = None
-    for seed in range(200):
-        logits, tr = forward(p, x, mode="train", drop_prob=0.9,
-                             rng=np.random.default_rng(seed))
-        if np.all(tr.mask2 == 0.0):
-            trace = tr
+    seed = None
+    for s in range(200):  # replay the draws: layer 1's (B, H1), then layer 2's (B, H2)
+        rng = np.random.default_rng(s)
+        rng.random((2, 3))
+        if np.all(rng.random((2, 2)) >= 1.0 - 0.9):
+            seed = s
             break
-    assert trace is not None, "no seed produced an all-dropped second layer"
+    assert seed is not None, "no seed produced an all-dropped second layer"
+    logits, trace = forward(p, x, mode="train", drop_prob=0.9, rng=np.random.default_rng(seed))
+    assert np.all(trace.d2 == 0.0)
     _, grad_logits = ova_bce_loss(logits, targets)
     grads = backward(p, trace, grad_logits)
     for name in ("w1", "b1", "ln1_gain", "ln1_bias", "w2", "b2",

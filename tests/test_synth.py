@@ -1,11 +1,14 @@
 """Synthetic dataset generator: determinism, geometry, and sweep coupling."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from driftbench.dataset import pool_temporal
+from driftbench.dataset import load_feature_pack, pool_temporal, write_feature_pack
 from driftbench.shift_metric import score_dataset
 from driftbench.synth import (
     SyntheticSpec,
+    _cell_counts,
     category_name,
     domain_name,
     generate,
@@ -206,3 +209,49 @@ def test_no_offset_control_has_no_spurious_domain():
         scores = [g.score for g in report.groups]
         assert max(scores) < 0.5, seed
         assert max(scores) - min(scores) < 0.15, seed
+
+
+def concatenated_pack(spec, seed):
+    """Every cell's noise + mean + offset, concatenated in float64 and then cast:
+    the bitwise reference for generate's pack."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for d in range(spec.n_domains):
+        dom = domain_name(d)
+        offset = np.asarray(spec.domain_offsets.get(dom, np.zeros(spec.feature_dim)), dtype=float)
+        for y, count in enumerate(_cell_counts(spec, dom)):
+            mean = np.zeros(spec.feature_dim)
+            mean[y] = spec.class_separation
+            noise = rng.standard_normal((count, spec.feature_dim)) * spec.noise_scale
+            blocks.append(noise + mean + offset)
+    return np.concatenate(blocks, axis=0).astype(np.float32)[:, None, :]
+
+
+@pytest.mark.parametrize("spec", [
+    base_spec(),
+    base_spec(label_priors={"dom01": (0.5, 0.3, 0.2)}, domain_offsets={"dom00": np.ones(8)}),
+    # -0.0 noise plus a -0.0 offset: the sign of each zero depends on the order of the adds
+    base_spec(noise_scale=0.0, domain_offsets={"dom01": np.full(8, -0.0)}),
+], ids=["plain", "priors-offset", "signed-zeros"])
+def test_pack_bytes_match_the_concatenated_form(spec, tmp_path):
+    _, feats = generate(spec, seed=3)
+    want = concatenated_pack(spec, seed=3)
+    assert feats.values.dtype == np.float32 and feats.values.shape == want.shape
+    assert feats.values.tobytes() == want.tobytes()
+    write_feature_pack(feats, tmp_path / "f.egf")
+    assert load_feature_pack(tmp_path / "f.egf").values.tobytes() == want.tobytes()
+
+
+def test_generate_and_write_peak_below_one_and_a_half_packs(tmp_path):
+    """The pack is allocated once, as float32, and written from its own buffer."""
+    spec = SyntheticSpec(n_domains=8, n_classes=10, samples_per_cell=20, feature_dim=1024)
+    pack = 8 * 10 * 20 * 1024 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, feats = generate(spec, seed=0)
+        write_feature_pack(feats, tmp_path / "f.egf")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pack, peak / pack

@@ -124,10 +124,12 @@ def test_adam_rejects_bad_gradients():
     grads = MlpParams.zeros((2, 2, 3, 2))  # b2 of width 3, not 2
     with pytest.raises(ValueError, match="gradient shape"):
         adam_step(params, grads, state, TrainConfig())
+    assert state.step == 0
     grads = MlpParams.zeros(params.dims)
     grads.w2[0, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite gradient in w2"):
+    with pytest.raises(ValueError, match="non-finite gradient in w2 at Adam step 1"):
         adam_step(params, grads, state, TrainConfig())
+    assert state.step == 0
 
 
 def test_adam_refuses_a_late_non_finite_block_before_any_update(monkeypatch):
@@ -140,6 +142,7 @@ def test_adam_refuses_a_late_non_finite_block_before_any_update(monkeypatch):
     before = params.flat.copy()
     with pytest.raises(ValueError, match="non-finite gradient in head_b at Adam step 1"):
         adam_step(params, grads, state, TrainConfig())
+    assert state.step == 0
     assert np.array_equal(params.flat, before)
     assert (state.m == 0.5).all() and (state.v == 0.25).all()
 
@@ -222,6 +225,7 @@ def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, 
     before = [params.flat.copy(), state.m.copy(), state.v.copy()]
     with pytest.raises(ValueError, match="non-finite gradient in head_b at Adam step 4"):
         adam_step(params, grads, state, TrainConfig())
+    assert state.step == 3
     for got, want in zip((params.flat, state.m, state.v), before):
         assert np.array_equal(got, want)
 
@@ -340,7 +344,7 @@ def test_train_holds_five_parameter_vectors_and_one_step():
     params = mlp.init_params(i, c, hidden1=h1, hidden2=h2)
     _, trace = mlp.forward(params, X[:batch], mode="train", drop_prob=0.5,
                            rng=np.random.default_rng(0))
-    step = 2 * sum(getattr(trace, f.name).nbytes for f in dataclasses.fields(trace))
+    step = 2 * sum(np.asarray(getattr(trace, f.name)).nbytes for f in dataclasses.fields(trace))
     budget = 5 * params.flat.nbytes + step + EVAL_BATCH * (i + h1 + h2) * 8
     del params, trace
 
