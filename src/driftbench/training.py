@@ -96,10 +96,10 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads. A
     non-finite gradient is refused, one ADAM_BLOCK slice at a time, before
-    params, m, v or state.step change. The update then runs in blocks of at most
-    ADAM_BLOCK elements; each block's intermediates go into the spent
-    gradients of the blocks before it, the first block's into one scratch
-    vector of at most ADAM_BLOCK elements. From 2 * ADAM_PART elements up,
+    params, m, v or state.step change. The update then runs in blocks of
+    at most ADAM_BLOCK elements; each block's intermediates go into the
+    spent gradients of the blocks before it, the first block's into one
+    scratch vector of at most ADAM_BLOCK elements. From 2 * ADAM_PART elements up,
     both passes cut the vector into contiguous parts that run on
     parallel.WORKERS threads. Each element is computed on its own, so the
     bits do not depend on the cut.
