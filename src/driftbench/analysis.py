@@ -61,6 +61,8 @@ def pearson(x, y) -> float:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("correlation undefined for constant input")
+    # exact power-of-two scales: no bit moves, and corrcoef's products stay finite
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     return float(np.corrcoef(x, y)[0, 1])
 
 

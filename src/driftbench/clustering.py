@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
+
 MAX_ITER = 300
 REL_TOL = 1e-6
-# Float64 elements per leaf of the inertia's summation tree; the scratch a
-# fit reuses for seeding and inertia holds one leaf's rows.
-BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,8 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     ||x||^2 - 2x.c + ||c||^2, one (N, K) matrix product. A row whose
     best-versus-second margin there is not above a floating-point error
     bound (ties, cancellation, inf or NaN) is recomputed by the explicit
-    form over all K columns, BLOCK elements of such rows at a time; memory
-    is O(N*K + BLOCK) and no (rows, K, D) array is built.
+    form over all K columns, dataset.BLOCK elements of such rows at a
+    time; memory is O(N*K + BLOCK) and no (rows, K, D) array is built.
     """
     X = np.asarray(X, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -95,9 +94,8 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         norm_bound = np.sqrt(x_sq) + np.sqrt(c_sq.max())
         tol = 4.0 * (d + 4) * (eps * norm_bound * norm_bound + eta)
     recheck = np.flatnonzero(~(margin > tol))
-    step = max(BLOCK // max(d, 1), 1)
-    for lo in range(0, recheck.size, step):
-        rows = recheck[lo:lo + step]
+    for block in dataset.row_blocks(recheck.size, d):
+        rows = recheck[block]
         labels[rows] = _pairwise_sq_dists(X[rows], centroids).argmin(axis=1)
     return labels
 
@@ -105,10 +103,10 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _scratch(n: int, d: int) -> np.ndarray:
     """The row blocks one fit reuses, enough rows for any leaf of `_inertia`.
 
-    A leaf of at most max(BLOCK, 128) elements covers the whole rows inside
-    it plus at most two rows it cuts at its ends.
+    A leaf of at most max(dataset.BLOCK, 128) elements covers the whole
+    rows inside it plus at most two rows it cuts at its ends.
     """
-    return np.empty((min(n, max(BLOCK, 128) // max(d, 1) + 2), d))
+    return np.empty((min(n, max(dataset.BLOCK, 128) // max(d, 1) + 2), d))
 
 
 def _sq_dists_to(X: np.ndarray, points: np.ndarray, scratch: np.ndarray,
@@ -118,14 +116,13 @@ def _sq_dists_to(X: np.ndarray, points: np.ndarray, scratch: np.ndarray,
     points is one point, or the centroids that labels picks per row. Each
     row's D squares sum the same way in any block, so no bit depends on its size.
     """
-    rows = len(scratch)
-    for lo in range(0, len(X), rows):
-        block = scratch[:min(rows, len(X) - lo)]
+    for rows in dataset.row_blocks(len(X), X.shape[1]):
+        block = scratch[:rows.stop - rows.start]
         if labels is not None:
-            np.take(points, labels[lo:lo + rows], axis=0, out=block, mode="clip")
-        np.subtract(X[lo:lo + rows], points if labels is None else block, out=block)
+            np.take(points, labels[rows], axis=0, out=block, mode="clip")
+        np.subtract(X[rows], points if labels is None else block, out=block)
         np.square(block, out=block)
-        np.add.reduce(block, axis=1, out=out[lo:lo + rows])
+        np.add.reduce(block, axis=1, out=out[rows])
     return out
 
 
@@ -163,13 +160,13 @@ def _inertia(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
     a node of n > 128 elements splits at n // 2 rounded down to a multiple
     of 8, and a node of at most 128 is one unrolled loop. This walks the
     same tree over the flat N*D squares and sums each node of at most
-    max(BLOCK, 128) elements with np.add.reduce, after building the rows it
-    covers in scratch; a row cut by a node boundary is built for both
-    nodes. tests/test_clustering_properties.py pins this against the full
-    sum, so a change of that NumPy internal fails loudly.
+    max(dataset.BLOCK, 128) elements with np.add.reduce, after building
+    the rows it covers in scratch; a row cut by a node boundary is built
+    for both nodes. tests/test_clustering_properties.py pins this against
+    the full sum, so a change of that NumPy internal fails loudly.
     """
     d = X.shape[1]
-    leaf = max(BLOCK, 128)
+    leaf = max(dataset.BLOCK, 128)
 
     def node(lo: int, size: int) -> float:
         if size > leaf:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 FEATURE_PACK_MAGIC = b"EGF1"
-FINITE_BLOCK = 1 << 20  # values per block of rows in the pack's finite check
+BLOCK = 1 << 13  # float64 elements per cache block of rows, for every row_blocks walk
 
 MANIFEST_FIELDS = ("clip_id", "domain", "category", "row_index")
 
@@ -79,6 +79,17 @@ class FeatureSet:
     @property
     def feature_dim(self) -> int:
         return self.values.shape[2]
+
+
+def block_rows(row_elems: int, block: int | None = None) -> int:
+    """Rows of row_elems elements in one block of BLOCK elements (or block): one if wider."""
+    return max(1, (BLOCK if block is None else block) // max(1, row_elems))
+
+
+def row_blocks(n: int, row_elems: int, block: int | None = None):
+    """The slices of range(n), in order, block_rows(row_elems, block) rows each but the last."""
+    step = block_rows(row_elems, block)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def write_json(obj, path: str | Path) -> None:
@@ -191,12 +202,13 @@ def load_feature_pack(path: str | Path) -> FeatureSet:
             f"({expected} bytes) but file has {len(raw)} bytes"
         )
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, t, d)
-    rows = max(1, FINITE_BLOCK // max(1, t * d))
-    for lo in range(0, n, rows):
-        finite = np.isfinite(values[lo:lo + rows]).all(axis=(1, 2))
-        if not finite.all():
-            bad_row = lo + int(finite.argmin())
-            raise ValueError(f"{path}: non-finite feature value at row {bad_row}")
+    # NaN or inf shows in min or max, which build no temporary; search only a bad pack
+    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+        for rows in row_blocks(n, t * d):
+            finite = np.isfinite(values[rows]).all(axis=(1, 2))
+            if not finite.all():
+                bad_row = rows.start + int(finite.argmin())
+                raise ValueError(f"{path}: non-finite feature value at row {bad_row}")
     return FeatureSet(values)
 
 

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel
+from . import dataset, parallel
 
 LN_EPS = 1e-5
-LN_BLOCK = 1 << 15  # elements of the layer norm's squaring scratch
 CHECKPOINT_MAGIC = b"EMLP"
 
 DEFAULT_HIDDEN1 = 4096
@@ -107,20 +106,18 @@ def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarr
 
     Consumes z: it is centred and scaled in place and becomes xhat. out
     may be z itself (eval mode, where xhat is not kept). The squares for
-    the variance go through scratch (k, H), k rows at a time. Every step
-    works on each row alone, so any cut of the rows keeps the roundings
-    of z.mean, z.var and the expression form.
+    the variance go through scratch, one block of dataset.row_blocks(B, H)
+    at a time. Every step works on each row alone, so any cut of the rows
+    keeps the roundings of z.mean, z.var and the expression form.
     """
     b, h = z.shape
     mean = z.sum(axis=1, keepdims=True, out=inv_std)  # what ndarray.mean does, then /= h
     mean /= h
     z -= mean
     var = inv_std
-    rows = len(scratch)
-    for lo in range(0, b, rows):
-        block = z[lo:lo + rows]
-        sq = np.square(block, out=scratch[:len(block)])
-        sq.sum(axis=1, keepdims=True, out=var[lo:lo + rows])
+    for rows in dataset.row_blocks(b, h):
+        sq = np.square(z[rows], out=scratch[:rows.stop - rows.start])
+        sq.sum(axis=1, keepdims=True, out=var[rows])
     var /= h
     var += LN_EPS
     np.sqrt(var, out=var)
@@ -147,9 +144,7 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     parts = parallel.cuts(n, parallel.gemm_parts(n, x.shape[1], h))
     z = np.empty((n, h), dtype=np.result_type(x, w))
     inv_std = np.empty((n, 1), dtype=z.dtype)
-    # the layer norm's squares: LN_BLOCK elements shared among the parts (a row if wider)
-    n_parts = len(parts)
-    squares = np.empty((n_parts, min(max(1, LN_BLOCK // (h * n_parts)), n), h), dtype=z.dtype)
+    squares = np.empty((len(parts), min(dataset.block_rows(h), n), h), dtype=z.dtype)
     if rng is None:
         d = z
     else:

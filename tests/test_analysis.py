@@ -67,6 +67,13 @@ def test_pearson_affine_exact():
         pearson(np.ones(4), x)
 
 
+def test_pearson_stays_finite_near_the_float_maximum():
+    # corrcoef's sums of products overflow on these unless the scores are scaled
+    r = pearson([1e308, -1e308, 1e307], [90.0, 70.0, 10.0])
+    assert r == pytest.approx(0.18384122973665648, rel=1e-12)
+    assert pearson([1e308, -1e308, 1e307], [1e308, -1e308, 1e307]) == pytest.approx(1.0)
+
+
 def test_published_tables_are_frozen():
     canonical = json.dumps({"table3": TABLE3_SHIFT_SCORES,
                             "table5_mlp_lite": TABLE5_MLP_LITE_ACCURACY}, sort_keys=True)

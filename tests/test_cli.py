@@ -463,6 +463,20 @@ def test_correlate_reads_only_groups_and_per_domain(tmp_path, capsys):
     assert obj["pairs"][2] == {"domain": "c", "score": 4.0, "accuracy": 10.0}
 
 
+def test_correlate_writes_strict_json_for_scores_near_the_float_maximum(tmp_path, capsys):
+    shift_text = json.dumps({"groups": [{"group": d, "score": s} for d, s in
+                                        (("a", 1e308), ("b", -1e308), ("c", 1e307))]})
+    paths = write_reports(tmp_path, shift_text, EVAL_TEXT)
+    assert cli.main(correlate_argv(paths, tmp_path / "c.json")) == 0
+    capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    obj = json.loads((tmp_path / "c.json").read_text(), parse_constant=refuse)
+    assert obj["pearson"] == pytest.approx(0.18384122973665648, rel=1e-12)
+
+
 @pytest.mark.parametrize("bad, text, message", [
     ("shift", "[1, 2]", "expected a JSON object with a well-formed 'groups'"),
     ("shift", '{"rows": []}', "expected a JSON object with a well-formed 'groups'"),

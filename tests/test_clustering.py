@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from driftbench import clustering
+from driftbench import clustering, dataset
 from driftbench.clustering import assign_nearest, kmeans_fit
 
 
@@ -195,7 +195,7 @@ def _repair_empty_per_cluster_loop(X, labels, centroids, k):
 
 
 class TestRepairEmpty:
-    def test_several_empty_clusters_match_per_cluster_loop(self):
+    def test_several_empty_clusters_match_per_cluster_loop(self, monkeypatch):
         rng = np.random.default_rng(31)
         for trial in range(20):
             n, k, d = int(rng.integers(8, 40)), int(rng.integers(3, 8)), 3
@@ -208,8 +208,8 @@ class TestRepairEmpty:
             assert np.bincount(labels, minlength=k).tolist().count(0) >= k - used
             ref_centroids = centroids.copy()
             want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, k)
-            scratch = np.empty((1 + trial % 4, d))  # blocks of 1 to 4 rows
-            got = clustering._repair_empty(X, labels, centroids, k, scratch)
+            monkeypatch.setattr(dataset, "BLOCK", (1 + trial % 4) * d)  # blocks of 1 to 4 rows
+            got = clustering._repair_empty(X, labels, centroids, k, clustering._scratch(n, d))
             assert np.array_equal(got, want), trial
             assert centroids.tobytes() == ref_centroids.tobytes(), trial
             assert (np.bincount(got, minlength=k) > 0).all()

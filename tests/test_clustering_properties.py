@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from driftbench import clustering
+from driftbench import clustering, dataset
 from driftbench.clustering import assign_nearest, kmeans_fit
 
 
@@ -69,11 +69,11 @@ def problems(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(problems(), st.sampled_from([clustering.BLOCK, 8]))
+@given(problems(), st.sampled_from([dataset.BLOCK, 8]))
 def test_assign_nearest_equals_explicit_argmin(problem, block):
     # at BLOCK 8 the rows to recheck go through in blocks of 8 // D rows
     X, centroids = problem
-    with mock.patch.object(clustering, "BLOCK", block):
+    with mock.patch.object(dataset, "BLOCK", block):
         got = assign_nearest(X, centroids)
     want = reference(X, centroids)
     assert got.dtype == want.dtype
@@ -150,7 +150,7 @@ def spread_values(seed, shape):
 
 # BLOCK as shipped, and patched down to 8 and 24: below NumPy's unrolled
 # leaf of 128, so the walk then reaches every node NumPy sums in one loop.
-BLOCKS = [clustering.BLOCK, 8, 24]
+BLOCKS = [dataset.BLOCK, 8, 24]
 
 
 @st.composite
@@ -174,7 +174,7 @@ def test_inertia_walk_matches_the_full_sum_bitwise(block_shape, k, seed):
     X = spread_values(seed, (n, d))
     centroids = spread_values(seed + 1, (k, d))
     labels = np.random.default_rng(seed).integers(0, k, n)
-    with mock.patch.object(clustering, "BLOCK", block):
+    with mock.patch.object(dataset, "BLOCK", block):
         got = clustering._inertia(X, centroids, labels, clustering._scratch(n, d))
     assert got == expression_inertia(X, centroids, labels)
 
@@ -188,7 +188,7 @@ def test_kmeanspp_seeding_matches_the_expression_form_bitwise(block, n, d, k, re
     if repeats:  # a few distinct rows: the draws run out of mass and fall back
         X = X[np.random.default_rng(seed).integers(0, min(n, 3), n)]
     k = min(k, n)
-    with mock.patch.object(clustering, "BLOCK", block):
+    with mock.patch.object(dataset, "BLOCK", block):
         rng = np.random.default_rng(seed)
         got = clustering._kmeanspp_init(X, k, rng, clustering._scratch(n, d))
     want_rng = np.random.default_rng(seed)
@@ -206,7 +206,7 @@ def test_pairwise_sq_dists_match_the_explicit_form_bitwise(block, n, d, k, inf_r
     centroids = spread_values(seed + 1, (k, d))
     if inf_rows:
         X[np.random.default_rng(seed).integers(0, n, 3), 0] = [np.inf, -np.inf, np.inf]
-    with mock.patch.object(clustering, "BLOCK", block):
+    with mock.patch.object(dataset, "BLOCK", block):
         got = clustering._pairwise_sq_dists(X, centroids)
     assert got.tobytes() == explicit_sq_dists(X, centroids).tobytes()
 

@@ -1,7 +1,9 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftbench import dataset
 from driftbench.dataset import (
@@ -124,7 +126,7 @@ class TestFeaturePack:
             load_feature_pack(p)
 
     def test_first_bad_row_named_across_check_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataset, "FINITE_BLOCK", 6)  # 3 rows of 1x2 per block
+        monkeypatch.setattr(dataset, "BLOCK", 6)  # 3 rows of 1x2 per block
         p = tmp_path / "f.egf"
         vals = np.zeros((12, 1, 2), dtype="<f4")
         vals[4, 0, 0] = np.inf
@@ -133,6 +135,29 @@ class TestFeaturePack:
         with pytest.raises(ValueError) as exc:
             load_feature_pack(p)
         assert str(exc.value) == f"{p}: non-finite feature value at row 4"
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_lone_infinity_named_across_check_blocks(self, tmp_path, monkeypatch, bad):
+        # no NaN: +inf shows only in the pack's max, -inf only in its min
+        monkeypatch.setattr(dataset, "BLOCK", 6)
+        p = tmp_path / "f.egf"
+        vals = np.zeros((12, 1, 2), dtype="<f4")
+        vals[7, 0, 1] = vals[9, 0, 0] = bad
+        p.write_bytes(b"EGF1" + struct.pack("<III", 12, 1, 2) + vals.tobytes())
+        with pytest.raises(ValueError) as exc:
+            load_feature_pack(p)
+        assert str(exc.value) == f"{p}: non-finite feature value at row 7"
+
+    def test_finite_check_builds_no_temporary(self, tmp_path):
+        p = tmp_path / "f.egf"
+        write_feature_pack(FeatureSet(np.ones((1000, 10, 100), dtype="<f4")), p)  # 1M values
+        tracemalloc.start()
+        try:
+            load_feature_pack(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - p.stat().st_size < 16 * 1024
 
     def test_shape_properties_read_values(self):
         fs = FeatureSet(np.zeros((4, 3, 2), dtype=np.float32))
@@ -150,6 +175,22 @@ class TestFeaturePack:
         write_feature_pack(fs, a)
         write_feature_pack(load_feature_pack(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3 * dataset.BLOCK),
+       st.sampled_from([None, 1, 8, 100]))
+def test_row_blocks_tile_the_rows_in_order(n, row_elems, block):
+    slices = list(dataset.row_blocks(n, row_elems, block))
+    assert [i for s in slices for i in range(n)[s]] == list(range(n))
+    limit = dataset.BLOCK if block is None else block
+    sizes = [s.stop - s.start for s in slices]
+    assert all(s.step is None and 0 <= s.start < s.stop <= n for s in slices)
+    # every block but the last is full: as many rows as fit, or one wider row
+    full = max(1, limit // row_elems) if row_elems else limit
+    assert sizes[:-1] == [full] * (len(sizes) - 1)
+    assert all(0 < size <= full for size in sizes)
+    assert full * row_elems <= limit or full == 1
 
 
 class TestPoolTemporal:

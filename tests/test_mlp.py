@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import record_parts
-from driftbench import mlp, parallel
+from driftbench import dataset, mlp, parallel
 from driftbench.mlp import (
     CHECKPOINT_MAGIC,
     FIELDS,
@@ -418,7 +418,7 @@ def test_backward_fills_a_given_buffer(case):
 @pytest.mark.parametrize("ln_block", [1, 1000])
 def test_layer_norm_row_blocks_keep_the_bits(case, drop_prob, ln_block, monkeypatch):
     """Squaring one row, or a few, at a time rounds as the one-shot expression form."""
-    monkeypatch.setattr(mlp, "LN_BLOCK", ln_block)  # widths < 150: 1 or 6+ rows a block
+    monkeypatch.setattr(dataset, "BLOCK", ln_block)  # widths < 150: 1 or 6+ rows a block
     p, x = random_problem(case)
     x = np.concatenate([x] * 4)  # several blocks whatever the drawn batch size
     if drop_prob == "eval":
