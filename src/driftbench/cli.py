@@ -329,29 +329,39 @@ def _cmd_train_all(args) -> str:
         manifest, val_fraction=args.val_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    accuracies = dict.fromkeys(lodo, 0.0)  # in hold-out order, whatever order they end in
+    domains = list(lodo)
+    accuracies = dict.fromkeys(domains, 0.0)  # in hold-out order, whatever order they end in
 
-    def train_hold_out(index: int, domain: str) -> None:
+    def train_hold_out(index: int) -> float:
+        domain = domains[index]
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
         params, _ = _fit(args, data, split, args.seed + index,
                          out_dir / f"ckpt_{domain}.emlp", out_dir / f"history_{domain}.csv")
         report = _evaluate(params, data, split.test_ids, f"lodo:{domain}",
                            out_dir / f"eval_{domain}.json")
+        return report.overall_top1
+
+    def hold_out_done(index: int, top1: float) -> None:
         if args.verbose:
-            print(f"train-all: {domain} top1 {report.overall_top1:.2f}%", file=sys.stderr)
-        accuracies[domain] = report.overall_top1
+            print(f"train-all: {domains[index]} top1 {top1:.2f}%", file=sys.stderr)
+        accuracies[domains[index]] = top1
 
-    def train_hold_outs(p: int, part: slice) -> None:
-        for index, domain in list(enumerate(lodo))[part]:
-            train_hold_out(index, domain)  # its own frame: one hold-out's weights at a time
+    def train_hold_outs() -> None:
+        for index in range(len(domains)):
+            hold_out_done(index, train_hold_out(index))  # one hold-out's weights at a time
 
-    # One part per hold-out only where no step splits, else one part for all.
-    # The main thread only waits: training on it ran slower (glibc's main arena).
+    # Side by side only where no step splits, one worker process per CPU:
+    # small steps hold the GIL, so hold-outs on threads barely overlap.
+    # Else one at a time on a pool thread, as training on the main thread
+    # ran slower (glibc's main arena).
     step_parts = max(parallel.gemm_parts(args.batch, data.X.shape[1], args.hidden1),
                      parallel.gemm_parts(args.batch, args.hidden1, args.hidden2))
-    parts = parallel.cuts(len(lodo), len(lodo) if args.threads > 1 and step_parts == 1 else 1)
-    parallel.POOL.submit(parallel.run_parts, train_hold_outs, parts).result()
+    workers = min(parallel.WORKERS, len(domains)) if args.threads > 1 and step_parts == 1 else 1
+    if workers > 1:
+        parallel.run_forked(train_hold_out, len(domains), workers, hold_out_done)
+    else:
+        parallel.POOL.submit(train_hold_outs).result()
     acc_path = out_dir / "accuracies.json"
     dataset.write_json(accuracies, acc_path)
     mean_acc = float(np.mean(list(accuracies.values())))
@@ -435,8 +445,9 @@ def _args_train_all(p: argparse.ArgumentParser) -> None:
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="above 1, hold-outs whose steps do not split share the CPUs "
-                   "(default 1: one at a time); outputs do not depend on it")
+                   help="above 1, hold-outs whose steps do not split train side by side, "
+                   "one worker process per CPU (default 1: one at a time); outputs do "
+                   "not depend on it")
     _add_seed(p)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="one line per hold-out on stderr")

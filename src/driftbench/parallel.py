@@ -5,10 +5,14 @@ narrows it). Every parallel stage is a task run over `cuts(n, parts)`,
 the contiguous slices of its rows, columns or elements, by `run_parts`
 on the one process-wide POOL. The caller runs part 0 and any part the
 pool has not started by the time it is free, so it never waits on a part
-nobody runs and parts nest: `train-all` hands the pool one task whose
-parts are hold-outs, and their row parts share the same WORKERS threads.
-Tasks run NumPy kernels that release the GIL and write disjoint slices
-of preallocated arrays.
+nobody runs and parts nest: a task running on the pool may run parts of
+its own. Tasks run NumPy kernels that release the GIL and write disjoint
+slices of preallocated arrays.
+
+Tasks made of many small NumPy calls hold the GIL for most of their time,
+so two of them on two threads barely overlap. `run_forked` runs such
+tasks in forked worker processes instead: `train-all` trains side-by-side
+hold-outs there, one index at a time per worker.
 
 `gemm_parts` is the one gate of a GEMM and of the layer work on its
 parts, and `matmul` splits a GEMM by output rows. Each row of a @ b comes
@@ -28,6 +32,8 @@ operations, in the same order, as on one thread.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -110,3 +116,93 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     run_parts(lambda p, rows: np.matmul(a[rows], b, out=out[rows]), cuts(m, gemm_parts(m, k, n)))
     return out
 
+
+def run_forked(task, n: int, workers: int, done) -> None:
+    """Call task(i) for every i in range(n) in `workers` forked processes.
+
+    Call it from the main thread while no other thread runs: the workers
+    are forked at once, after stdout and stderr are flushed, so they share
+    the caller's memory copy-on-write and import nothing. The caller hands
+    each worker one index at a time over a pipe and calls done(i, result)
+    as each result comes back, in completion order. A worker runs its
+    tasks on a thread of its own and in one part (WORKERS is 1 there), so
+    it starts no pool thread; it writes nothing to the streams and ends in
+    os._exit, past the caller's atexit handlers. Once a task has raised,
+    no index is handed out, and the first exception is raised once every
+    worker has ended and been reaped. An exception in the caller (done's,
+    or ^C) kills the workers and propagates once they are reaped.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait as ready
+
+    context = multiprocessing.get_context("fork")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    conns, procs, errors = [], [], []
+    try:
+        for _ in range(workers):
+            here, there = context.Pipe()
+            proc = context.Process(target=_serve, args=(task, there))
+            proc.start()
+            there.close()
+            conns.append(here)
+            procs.append(proc)
+        todo, busy = iter(range(n)), set()
+
+        def hand_out(conn) -> None:
+            index = None if errors else next(todo, None)
+            conn.send(index)  # None: nothing left, the worker ends
+            if index is not None:
+                busy.add(conn)
+
+        for conn in conns:
+            hand_out(conn)
+        while busy:
+            for conn in ready(busy):
+                busy.remove(conn)
+                try:
+                    index, ok, value = conn.recv()
+                except EOFError:
+                    errors.append(RuntimeError("a worker process ended before its task did"))
+                    continue
+                if ok:
+                    done(index, value)
+                else:
+                    errors.append(value)
+                hand_out(conn)
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+    if errors:
+        raise errors[0]
+
+
+def _serve(task, conn) -> None:
+    """A forked worker's main thread: serve the caller's indices on another thread."""
+    import signal
+
+    global WORKERS
+    WORKERS = 1
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C reaches the caller, which kills us
+    thread = threading.Thread(target=_serve_on, args=(task, conn), name="driftbench-worker")
+    thread.start()
+    thread.join()
+
+
+def _serve_on(task, conn) -> None:
+    """Send back (i, True, task(i)) or (i, False, exception) for each index until None."""
+    try:
+        for index in iter(conn.recv, None):
+            try:
+                reply = (index, True, task(index))
+            except BaseException as exc:
+                reply = (index, False, exc)
+            conn.send(reply)
+    except EOFError:  # the caller is gone
+        pass

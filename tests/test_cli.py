@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: exit codes, files, and messages."""
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import threading
+import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -812,16 +816,16 @@ def test_train_all_starts_no_hold_out_after_a_failure(tmp_path, monkeypatch, cap
                   or "dom03" in p.name) == []
 
 
-def test_train_all_starts_no_hold_out_after_a_failure_on_the_pool(tmp_path, monkeypatch,
-                                                                   capsys):
+def test_train_all_starts_no_hold_out_after_a_failure_in_a_worker(tmp_path, monkeypatch,
+                                                                  capsys):
     data = tmp_path / "data"
     assert cli.main(["synth", "--domains", "4", "--classes", "3", "--per-cell", "6",
                      "--dim", "8", "--seed", "0", "--out-dir", str(data)]) == 0
-    # two pool threads: train-all's task holds one and trains dom00 on it,
-    # dom01 runs on the other, and dom02 and dom03 queue behind dom01
-    pool = ThreadPoolExecutor(2)
-    monkeypatch.setattr(parallel, "POOL", pool)
-    real_train, dom00_started, dom01_failing = training.train, threading.Event(), threading.Event()
+    # two worker processes: dom01 fails in one while dom00 runs in the other,
+    # and dom00 ends only after the failure has had time to reach the parent
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    context = multiprocessing.get_context("fork")
+    real_train, dom00_started, dom01_failing = training.train, context.Event(), context.Event()
 
     def train_failing_dom01(data, split, *args, **kwargs):
         if split.held_out_domain == "dom01":
@@ -830,20 +834,15 @@ def test_train_all_starts_no_hold_out_after_a_failure_on_the_pool(tmp_path, monk
             raise ValueError("training dom01 failed")
         dom00_started.set()
         assert dom01_failing.wait(30)
-        # the queue is in order: the other thread takes this once it has
-        # dequeued dom02 and dom03, after dom01 failed
-        pool.submit(lambda: None).result(timeout=30)
+        time.sleep(0.5)
         return real_train(data, split, *args, **kwargs)
     monkeypatch.setattr(training, "train", train_failing_dom01)
     out_dir = tmp_path / "runs"
     capsys.readouterr()
-    try:
-        code = cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
-                         "--features", str(data / "features.egf"), "--epochs", "1",
-                         "--hidden1", "8", "--hidden2", "4", "--threads", "2",
-                         "--out-dir", str(out_dir)])
-    finally:
-        pool.shutdown()
+    code = cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
+                     "--features", str(data / "features.egf"), "--epochs", "1",
+                     "--hidden1", "8", "--hidden2", "4", "--threads", "2",
+                     "--out-dir", str(out_dir)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -851,24 +850,65 @@ def test_train_all_starts_no_hold_out_after_a_failure_on_the_pool(tmp_path, monk
     assert (out_dir / "ckpt_dom00.emlp").exists()
     assert sorted(p.name for p in out_dir.iterdir() if "dom02" in p.name
                   or "dom03" in p.name) == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, threads,
                                                          monkeypatch, capsys):
     # training on the main thread ran slower: glibc's main arena faults its
-    # freed pages back in, where the pool threads' arenas keep them
-    real_train, on_main = training.train, []
+    # freed pages back in, where other threads' arenas keep them. Side by
+    # side, hold-outs train in worker processes, so each notes its pid and
+    # thread in a file the parent can read.
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    real_train, notes = training.train, tmp_path / "notes"
+    notes.mkdir()
 
-    def train_noting_the_thread(*args, **kwargs):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return real_train(*args, **kwargs)
+    def train_noting_the_thread(data, split, *args, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        (notes / split.held_out_domain).write_text(f"{os.getpid()} {on_main}")
+        return real_train(data, split, *args, **kwargs)
     monkeypatch.setattr(training, "train", train_noting_the_thread)
     assert cli.main(["train-all", *data_args(workdir), "--epochs", "1",
                      "--hidden1", "8", "--hidden2", "4", "--threads", threads,
                      "--out-dir", str(tmp_path / "runs")]) == 0
     capsys.readouterr()
-    assert on_main == [False] * 3
+    pids, on_main = zip(*(notes.joinpath(dom).read_text().split()
+                          for dom in ("dom00", "dom01", "dom02")))
+    assert [flag == "True" for flag in on_main] == [False] * 3
+    if threads == "1":
+        assert set(pids) == {str(os.getpid())}
+    else:
+        assert str(os.getpid()) not in pids
+
+
+def test_train_all_side_by_side_in_a_fresh_process_under_warnings_as_errors(workdir,
+                                                                            tmp_path):
+    # Python 3.12 warns when a process with a second thread alive forks, and a
+    # worker that wrote to the streams itself would add to or reorder them.
+    # Hold-outs run side by side only where the affinity mask has two CPUs.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    runs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"  # --out-dir is relative: stdout names it
+        cwd.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-m", "driftbench.cli",
+             "train-all", *data_args(workdir), "--epochs", "2", "--batch", "16",
+             "--hidden1", "8", "--hidden2", "4", "--seed", "3", "--threads", threads, "-v",
+             "--out-dir", "runs"],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+        assert result.returncode == 0, result.stderr
+        files = {p.name: p.read_bytes() for p in (cwd / "runs").iterdir()}
+        runs[threads] = (result.stdout, result.stderr.splitlines(), files)
+    (out1, err1, files1), (out2, err2, files2) = runs["1"], runs["2"]
+    assert out2 == out1
+    assert sorted(err2) == err1  # completion order side by side, hold-out order alone
+    assert [line.split()[1] for line in err1] == ["dom00", "dom01", "dom02"]
+    for line in err1:
+        assert re.fullmatch(r"train-all: dom0\d top1 \d+\.\d\d%", line), line
+    assert files2 == files1
 
 
 def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_path,

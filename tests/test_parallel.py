@@ -1,4 +1,6 @@
-"""Row-split GEMMs and the part runner: bitwise equal to one thread."""
+"""Row-split GEMMs and the part runner: bitwise equal to one thread.
+The forked-worker dispatcher: every worker reaped, every task run once."""
+import multiprocessing
 import os
 import threading
 import time
@@ -183,3 +185,117 @@ def test_one_part_is_a_plain_call_on_the_caller(monkeypatch):
 def test_workers_follow_the_affinity_mask():
     assert parallel.WORKERS == len(os.sched_getaffinity(0))
 
+
+
+def forked_run(tmp_path, n, workers, fail=None):
+    """run_forked over n tasks that log "index pid" lines; returns (results, log lines)."""
+    log = tmp_path / "calls.log"
+    log.write_text("")
+
+    def task(index):
+        with open(log, "a") as fh:  # one short append per call
+            fh.write(f"{index} {os.getpid()}\n")
+        if index == fail:
+            raise RuntimeError(f"task {index} failed")
+        return index * index
+
+    results = {}
+    parallel.run_forked(task, n, workers, results.__setitem__)
+    return results, log.read_text().splitlines()
+
+
+def assert_reaped(lines):
+    """No worker that logged a line is still running or unreaped, and none is this process."""
+    pids = {int(line.split()[1]) for line in lines}
+    assert os.getpid() not in pids
+    for pid in pids:  # before active_children(), which would reap them itself
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n, workers", [(5, 2), (2, 3), (7, 3)])
+def test_run_forked_runs_each_task_once_and_reaps_every_worker(tmp_path, n, workers):
+    results, lines = forked_run(tmp_path, n, workers)
+    assert results == {i: i * i for i in range(n)}
+    assert sorted(int(line.split()[0]) for line in lines) == list(range(n))
+    assert len({line.split()[1] for line in lines}) <= min(n, workers)
+    assert_reaped(lines)
+
+
+@pytest.mark.parametrize("fail", [0, 1, 4])
+def test_run_forked_raises_a_workers_error_after_reaping_every_worker(tmp_path, fail):
+    with pytest.raises(RuntimeError, match=f"^task {fail} failed$"):
+        forked_run(tmp_path, 5, 2, fail=fail)
+    lines = (tmp_path / "calls.log").read_text().splitlines()
+    started = [int(line.split()[0]) for line in lines]
+    assert fail in started and len(set(started)) == len(started)
+    assert_reaped(lines)
+    results, lines = forked_run(tmp_path, 3, 2)  # the dispatcher works again after a failure
+    assert results == {0: 0, 1: 1, 2: 4}
+    assert_reaped(lines)
+
+
+def test_run_forked_stops_handing_out_after_a_failure(tmp_path):
+    # task 1 fails while task 0 runs; task 0 ends only after the failure
+    # has had time to reach the caller, which then starts nothing more
+    context = multiprocessing.get_context("fork")
+    started, failing = context.Event(), context.Event()
+    log = tmp_path / "calls.log"
+    log.write_text("")
+
+    def task(index):
+        with open(log, "a") as fh:
+            fh.write(f"{index}\n")
+        if index == 1:
+            assert started.wait(30)
+            failing.set()
+            raise RuntimeError("task 1 failed")
+        if index == 0:
+            started.set()
+            assert failing.wait(30)
+            time.sleep(0.5)
+        return index
+
+    done = []
+    with pytest.raises(RuntimeError, match="^task 1 failed$"):
+        parallel.run_forked(task, 4, 2, lambda i, value: done.append(i))
+    assert done == [0]
+    assert sorted(log.read_text().split()) == ["0", "1"]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_forked_workers_train_off_their_main_thread_in_one_part(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "WORKERS", 4)
+
+    def task(index):
+        return (os.getpid(), threading.current_thread() is threading.main_thread(),
+                parallel.WORKERS, threading.active_count())
+
+    results = {}
+    parallel.run_forked(task, 4, 2, results.__setitem__)
+    assert parallel.WORKERS == 4
+    assert sorted(results) == [0, 1, 2, 3]
+    for pid, on_main, workers, threads in results.values():
+        assert pid != os.getpid()
+        assert (on_main, workers, threads) == (False, 1, 2)  # the main thread waits
+
+
+def test_run_forked_reports_a_worker_that_dies_and_kills_workers_when_the_caller_fails():
+    def task(index):
+        if index == 1:
+            os._exit(3)  # no reply: the caller reads the end of the pipe
+        return index
+
+    with pytest.raises(RuntimeError, match="^a worker process ended before its task did$"):
+        parallel.run_forked(task, 2, 2, lambda i, value: None)
+    assert multiprocessing.active_children() == []
+
+    def refuse(index, value):
+        raise ValueError(f"result {index} refused")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^result 0 refused$"):
+        parallel.run_forked(lambda i: i if i == 0 else time.sleep(60), 2, 2, refuse)
+    assert time.perf_counter() - start < 30  # the sleeping worker was killed, not awaited
+    assert multiprocessing.active_children() == []
