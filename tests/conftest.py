@@ -43,6 +43,30 @@ def record_parts(monkeypatch):
     return calls
 
 
+def note_stops(monkeypatch, stopped):
+    """Make run_forked's workers set `stopped` (a fork-context Event) when told to stop.
+
+    A worker is told to stop (sent None) only once the caller has recorded
+    the reply it sent before: a task that waits on `stopped` therefore ends
+    after the caller has taken in another worker's failure, however the
+    replies are scheduled.
+    """
+    serve_on = parallel._serve_on
+
+    class Noting:
+        def __init__(self, conn):
+            self.conn, self.send = conn, conn.send
+
+        def recv(self):
+            index = self.conn.recv()
+            if index is None:
+                stopped.set()
+            return index
+
+    # the workers are forked later, so they inherit the patch
+    monkeypatch.setattr(parallel, "_serve_on", lambda task, conn: serve_on(task, Noting(conn)))
+
+
 def check_split_integrity(manifest, split, val_fraction):
     train_ids = set(split.train_ids)
     val_ids = set(split.val_ids)

@@ -7,13 +7,13 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import note_stops
 from driftbench import cli, parallel, shift_metric, training
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
 from driftbench.mlp import init_params, save_checkpoint
@@ -822,19 +822,19 @@ def test_train_all_starts_no_hold_out_after_a_failure_in_a_worker(tmp_path, monk
     assert cli.main(["synth", "--domains", "4", "--classes", "3", "--per-cell", "6",
                      "--dim", "8", "--seed", "0", "--out-dir", str(data)]) == 0
     # two worker processes: dom01 fails in one while dom00 runs in the other,
-    # and dom00 ends only after the failure has had time to reach the parent
+    # and dom00 ends only once the parent has taken in the failure and told
+    # dom01's worker to stop
     monkeypatch.setattr(parallel, "WORKERS", 2)
     context = multiprocessing.get_context("fork")
-    real_train, dom00_started, dom01_failing = training.train, context.Event(), context.Event()
+    real_train, dom00_started, stopped = training.train, context.Event(), context.Event()
+    note_stops(monkeypatch, stopped)
 
     def train_failing_dom01(data, split, *args, **kwargs):
         if split.held_out_domain == "dom01":
             assert dom00_started.wait(30)
-            dom01_failing.set()
             raise ValueError("training dom01 failed")
         dom00_started.set()
-        assert dom01_failing.wait(30)
-        time.sleep(0.5)
+        assert stopped.wait(30)
         return real_train(data, split, *args, **kwargs)
     monkeypatch.setattr(training, "train", train_failing_dom01)
     out_dir = tmp_path / "runs"

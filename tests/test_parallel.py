@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import record_parts
+from conftest import note_stops, record_parts
 from driftbench import parallel
 
 I, H1, H2 = 256, 4096, 512  # the paper widths the trainer runs at
@@ -236,11 +236,13 @@ def test_run_forked_raises_a_workers_error_after_reaping_every_worker(tmp_path, 
     assert_reaped(lines)
 
 
-def test_run_forked_stops_handing_out_after_a_failure(tmp_path):
-    # task 1 fails while task 0 runs; task 0 ends only after the failure
-    # has had time to reach the caller, which then starts nothing more
+def test_run_forked_stops_handing_out_after_a_failure(tmp_path, monkeypatch):
+    # task 1 fails while task 0 runs; task 0 ends only once the caller has
+    # taken in the failure and told task 1's worker to stop, and then the
+    # caller starts nothing more
     context = multiprocessing.get_context("fork")
-    started, failing = context.Event(), context.Event()
+    started, stopped = context.Event(), context.Event()
+    note_stops(monkeypatch, stopped)
     log = tmp_path / "calls.log"
     log.write_text("")
 
@@ -249,12 +251,10 @@ def test_run_forked_stops_handing_out_after_a_failure(tmp_path):
             fh.write(f"{index}\n")
         if index == 1:
             assert started.wait(30)
-            failing.set()
             raise RuntimeError("task 1 failed")
         if index == 0:
             started.set()
-            assert failing.wait(30)
-            time.sleep(0.5)
+            assert stopped.wait(30)
         return index
 
     done = []
