@@ -18,6 +18,7 @@ import gc
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,12 +134,17 @@ def _best_epoch_line(history) -> str:
     return f"best val top1 {best.val_top1:.2f}% at epoch {best.epoch}/{len(history)}"
 
 
-def _fit(args, data, split, seed: int, checkpoint, history_path):
-    """Train on split with the training flags, save the checkpoint and history."""
+def _train_config(args):
+    """The training flags at --seed; a bad one raises here."""
     from . import training
-    config = training.TrainConfig(
+    return training.TrainConfig(
         learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
-        drop_prob=args.drop_prob, seed=seed)
+        drop_prob=args.drop_prob, seed=args.seed)
+
+
+def _fit(args, data, split, config, checkpoint, history_path):
+    """Train on split with config and the width flags, save the checkpoint and history."""
+    from . import training
     params, history = training.train(
         data, split, config, hidden1=args.hidden1, hidden2=args.hidden2)
     _this().save_checkpoint(params, checkpoint)
@@ -161,7 +167,7 @@ def _cmd_train(args) -> str:
     data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     split = splits.read_split_file(args.split, manifest)
     history_path = args.history or f"{args.out}.history.csv"
-    _, history = _fit(args, data, split, args.seed, args.out, history_path)
+    _, history = _fit(args, data, split, _train_config(args), args.out, history_path)
     return (f"train: {_best_epoch_line(history)}, "
             f"wrote {args.out} {history_path}")
 
@@ -320,13 +326,16 @@ def _cmd_check_fixtures(args) -> str:
 
 
 def _cmd_train_all(args) -> str:
-    from . import parallel, splits, training
+    from . import mlp, parallel, splits, training
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
     manifest, features = _load_inputs(args)
     data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     lodo = splits.build_all_lodo_splits(
         manifest, val_fraction=args.val_fraction, seed=args.seed)
+    # refuse a bad flag here, not in a worker once hold-outs have written files
+    config = _train_config(args)
+    mlp.tensor_shapes((data.X.shape[1], args.hidden1, args.hidden2, data.n_classes))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     domains = list(lodo)
@@ -336,7 +345,7 @@ def _cmd_train_all(args) -> str:
         domain = domains[index]
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
-        params, _ = _fit(args, data, split, args.seed + index,
+        params, _ = _fit(args, data, split, replace(config, seed=args.seed + index),
                          out_dir / f"ckpt_{domain}.emlp", out_dir / f"history_{domain}.csv")
         report = _evaluate(params, data, split.test_ids, f"lodo:{domain}",
                            out_dir / f"eval_{domain}.json")
@@ -347,21 +356,13 @@ def _cmd_train_all(args) -> str:
             print(f"train-all: {domains[index]} top1 {top1:.2f}%", file=sys.stderr)
         accuracies[domains[index]] = top1
 
-    def train_hold_outs() -> None:
-        for index in range(len(domains)):
-            hold_out_done(index, train_hold_out(index))  # one hold-out's weights at a time
-
     # Side by side only where no step splits, one worker process per CPU:
     # small steps hold the GIL, so hold-outs on threads barely overlap.
-    # Else one at a time on a pool thread, as training on the main thread
-    # ran slower (glibc's main arena).
+    # Else one worker trains them one at a time, its steps on every CPU.
     step_parts = max(parallel.gemm_parts(args.batch, data.X.shape[1], args.hidden1),
                      parallel.gemm_parts(args.batch, args.hidden1, args.hidden2))
     workers = min(parallel.WORKERS, len(domains)) if args.threads > 1 and step_parts == 1 else 1
-    if workers > 1:
-        parallel.run_forked(train_hold_out, len(domains), workers, hold_out_done)
-    else:
-        parallel.POOL.submit(train_hold_outs).result()
+    parallel.run_forked(train_hold_out, len(domains), workers, hold_out_done)
     acc_path = out_dir / "accuracies.json"
     dataset.write_json(accuracies, acc_path)
     mean_acc = float(np.mean(list(accuracies.values())))
@@ -446,8 +447,8 @@ def _args_train_all(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1,
                    help="above 1, hold-outs whose steps do not split train side by side, "
-                   "one worker process per CPU (default 1: one at a time); outputs do "
-                   "not depend on it")
+                   "one worker process per CPU (default 1: one at a time, in one worker "
+                   "process); outputs do not depend on it")
     _add_seed(p)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="one line per hold-out on stderr")

@@ -29,8 +29,8 @@ FIELDS = ("w1", "b1", "ln1_gain", "ln1_bias", "w2", "b2", "ln2_gain", "ln2_bias"
           "head_w", "head_b")
 
 
-def _shapes(dims) -> tuple[tuple[int, ...], ...]:
-    """Shape of each tensor in FIELDS order for dims (I, H1, H2, C)."""
+def tensor_shapes(dims) -> tuple[tuple[int, ...], ...]:
+    """Shape of each tensor in FIELDS order for dims (I, H1, H2, C); each must be >= 1."""
     if len(dims) != 4 or min(dims) < 1:
         raise ValueError(f"all dimensions must be positive, got {tuple(dims)}")
     i, h1, h2, c = dims
@@ -45,7 +45,7 @@ class MlpParams:
     """
 
     def __init__(self, dims, flat: np.ndarray):
-        shapes = _shapes(dims)
+        shapes = tensor_shapes(dims)
         sizes = [math.prod(s) for s in shapes]
         if flat.shape != (sum(sizes),):
             raise ValueError(f"size mismatch for dims {tuple(dims)}")
@@ -57,7 +57,7 @@ class MlpParams:
 
     @classmethod
     def zeros(cls, dims, dtype=np.float64) -> "MlpParams":
-        return cls(dims, np.zeros(sum(math.prod(s) for s in _shapes(dims)), dtype=dtype))
+        return cls(dims, np.zeros(sum(math.prod(s) for s in tensor_shapes(dims)), dtype=dtype))
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Field name -> view, in FIELDS order."""

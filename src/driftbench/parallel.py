@@ -3,16 +3,15 @@
 WORKERS is the number of CPUs in the process's affinity mask (`taskset`
 narrows it). Every parallel stage is a task run over `cuts(n, parts)`,
 the contiguous slices of its rows, columns or elements, by `run_parts`
-on the one process-wide POOL. The caller runs part 0 and any part the
-pool has not started by the time it is free, so it never waits on a part
-nobody runs and parts nest: a task running on the pool may run parts of
-its own. Tasks run NumPy kernels that release the GIL and write disjoint
-slices of preallocated arrays.
+on the one process-wide POOL of WORKERS - 1 helper threads. The caller
+runs part 0 and any part the pool has not started by the time it is
+free, so it never waits on a part nobody runs. Tasks run NumPy kernels
+that release the GIL and write disjoint slices of preallocated arrays.
 
 Tasks made of many small NumPy calls hold the GIL for most of their time,
 so two of them on two threads barely overlap. `run_forked` runs such
-tasks in forked worker processes instead: `train-all` trains side-by-side
-hold-outs there, one index at a time per worker.
+tasks in forked worker processes instead: `train-all` trains every
+hold-out there, one index at a time per worker.
 
 `gemm_parts` is the one gate of a GEMM and of the layer work on its
 parts, and `matmul` splits a GEMM by output rows. Each row of a @ b comes
@@ -51,7 +50,14 @@ WORKERS = _cpus()
 # parts lose more to the hand-off than they gain, and much smaller ones
 # reach BLAS paths whose roundings differ (measured at 2**20 flops).
 GEMM_PART_FLOPS = 1 << 25
-POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="driftbench-part")
+
+
+def _pool() -> ThreadPoolExecutor:
+    """WORKERS - 1 helper threads: the caller of run_parts runs parts too."""
+    return ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="driftbench-part")
+
+
+POOL = _pool()
 
 
 def parts_for(work: int, per_part: int, limit: int) -> int:
@@ -125,12 +131,13 @@ def run_forked(task, n: int, workers: int, done) -> None:
     the caller's memory copy-on-write and import nothing. The caller hands
     each worker one index at a time over a pipe and calls done(i, result)
     as each result comes back, in completion order. A worker runs its
-    tasks on a thread of its own and in one part (WORKERS is 1 there), so
-    it starts no pool thread; it writes nothing to the streams and ends in
-    os._exit, past the caller's atexit handlers. Once a task has raised,
-    no index is handed out, and the first exception is raised once every
-    worker has ended and been reaped. An exception in the caller (done's,
-    or ^C) kills the workers and propagates once they are reaped.
+    tasks on a thread of its own: side by side in one part (WORKERS is 1
+    there), so it starts no pool thread; alone on a pool of its own. It
+    writes nothing to the streams and ends in os._exit, past the caller's
+    atexit handlers. Once a task has raised, no index is handed out, and
+    the first exception is raised once every worker has ended and been
+    reaped. An exception in the caller (done's, or ^C) kills the workers
+    and propagates once they are reaped.
     """
     import multiprocessing
     from multiprocessing.connection import wait as ready
@@ -139,10 +146,11 @@ def run_forked(task, n: int, workers: int, done) -> None:
     sys.stdout.flush()
     sys.stderr.flush()
     conns, procs, errors = [], [], []
+    parts = WORKERS if workers == 1 else 1  # side by side, each task runs in one part
     try:
         for _ in range(workers):
             here, there = context.Pipe()
-            proc = context.Process(target=_serve, args=(task, there))
+            proc = context.Process(target=_serve, args=(task, there, parts))
             proc.start()
             there.close()
             conns.append(here)
@@ -183,12 +191,13 @@ def run_forked(task, n: int, workers: int, done) -> None:
         raise errors[0]
 
 
-def _serve(task, conn) -> None:
+def _serve(task, conn, parts: int) -> None:
     """A forked worker's main thread: serve the caller's indices on another thread."""
     import signal
 
-    global WORKERS
-    WORKERS = 1
+    global WORKERS, POOL
+    WORKERS = parts
+    POOL = _pool()  # the inherited one counts the caller's threads, which do not run here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C reaches the caller, which kills us
     thread = threading.Thread(target=_serve_on, args=(task, conn), name="driftbench-worker")
     thread.start()

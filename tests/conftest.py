@@ -43,6 +43,22 @@ def record_parts(monkeypatch):
     return calls
 
 
+def log_parts(monkeypatch, log):
+    """Make parallel.run_parts append the part count of every call to the file log.
+
+    A forked worker inherits the patch, and its calls reach the caller
+    through the file, a line each.
+    """
+    run_parts = parallel.run_parts
+
+    def logged(task, parts):
+        with open(log, "a") as fh:
+            fh.write(f"{len(parts)}\n")
+        run_parts(task, parts)
+
+    monkeypatch.setattr(parallel, "run_parts", logged)
+
+
 def note_stops(monkeypatch, stopped):
     """Make run_forked's workers set `stopped` (a fork-context Event) when told to stop.
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_split_integrity, record_parts
+from conftest import check_split_integrity, log_parts
 from driftbench import cli, mlp, parallel
 from driftbench.analysis import (
     TABLE3_SHIFT_SCORES,
@@ -273,21 +273,23 @@ def test_criterion_09_pipeline_is_byte_deterministic(tmp_path, capsys):
 
 def test_criterion_09_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, capsys):
     # widths above both size gates, so GEMMs and Adam split across threads;
-    # the reference runs hold-outs one at a time, each on one thread
+    # the reference runs hold-outs one at a time, each on one thread. They
+    # train in a worker process, which logs its calls' part counts to a file.
     data = tmp_path / "data"
     assert cli.main(["synth", "--domains", "3", "--classes", "4", "--per-cell", "30",
                      "--dim", "256", "--seed", "9", "--out-dir", str(data)]) == 0
     outputs = {}
     for threads, workers in ((1, 1), (2, 3)):
         monkeypatch.setattr(parallel, "WORKERS", workers)
-        parts = record_parts(monkeypatch)
+        parts = tmp_path / f"parts{threads}.log"
+        log_parts(monkeypatch, parts)
         out = tmp_path / f"threads{threads}"
         assert cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
                          "--features", str(data / "features.egf"), "--epochs", "2",
                          "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
                          "--threads", str(threads), "--seed", "9",
                          "--out-dir", str(out)]) == 0
-        assert max(parts) == workers
+        assert max(map(int, parts.read_text().split())) == workers
         outputs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
     capsys.readouterr()
     assert len(outputs[1]) == 3 * 4 + 1

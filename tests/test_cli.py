@@ -4,9 +4,11 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -730,6 +732,32 @@ def test_train_all_refuses_zero_threads_before_reading_or_writing(tmp_path, caps
     assert not out_dir.exists()
 
 
+BATCH_EPOCHS_LR = "learning_rate (finite), batch_size must be positive; epochs >= 0"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch", "0", BATCH_EPOCHS_LR), ("--lr", "nan", BATCH_EPOCHS_LR),
+    ("--epochs", "-1", BATCH_EPOCHS_LR),
+    ("--drop-prob", "1", "drop_prob must be in [0, 1), got 1.0"),
+    ("--hidden1", "0", "all dimensions must be positive, got (8, 0, 4, 3)"),
+])
+def test_train_all_refuses_a_bad_training_flag_before_it_forks_or_writes(
+        workdir, tmp_path, flag, value, message, threads, monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "WORKERS", 2)  # side by side at --threads 2
+
+    def refuse(*args):
+        raise AssertionError("train-all forked")
+    monkeypatch.setattr(parallel, "run_forked", refuse)
+    out_dir = tmp_path / "runs"
+    code = cli.main(["train-all", *data_args(workdir), "--epochs", "1", "--hidden1", "8",
+                     "--hidden2", "4", flag, value, "--threads", threads,
+                     "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"driftbench: error: train-all: {message}\n"
+    assert not out_dir.exists()
+
+
 # Every command but train-all, with its required flags (paths are not opened).
 REQUIRED_ARGS = {
     "validate": ["--manifest", "m.jsonl"],
@@ -857,9 +885,9 @@ def test_train_all_starts_no_hold_out_after_a_failure_in_a_worker(tmp_path, monk
 def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, threads,
                                                          monkeypatch, capsys):
     # training on the main thread ran slower: glibc's main arena faults its
-    # freed pages back in, where other threads' arenas keep them. Side by
-    # side, hold-outs train in worker processes, so each notes its pid and
-    # thread in a file the parent can read.
+    # freed pages back in, where other threads' arenas keep them. Hold-outs
+    # train in worker processes, so each notes its pid and thread in a file
+    # the parent can read.
     monkeypatch.setattr(parallel, "WORKERS", 2)
     real_train, notes = training.train, tmp_path / "notes"
     notes.mkdir()
@@ -876,10 +904,9 @@ def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, thre
     pids, on_main = zip(*(notes.joinpath(dom).read_text().split()
                           for dom in ("dom00", "dom01", "dom02")))
     assert [flag == "True" for flag in on_main] == [False] * 3
+    assert str(os.getpid()) not in pids
     if threads == "1":
-        assert set(pids) == {str(os.getpid())}
-    else:
-        assert str(os.getpid()) not in pids
+        assert len(set(pids)) == 1  # one worker trains every hold-out
 
 
 def test_train_all_side_by_side_in_a_fresh_process_under_warnings_as_errors(workdir,
@@ -911,14 +938,62 @@ def test_train_all_side_by_side_in_a_fresh_process_under_warnings_as_errors(work
     assert files2 == files1
 
 
+def test_interrupt_stops_a_one_at_a_time_train_all_at_once(workdir, tmp_path):
+    # ^C while dom00 trains: the parent kills its worker and exits, and no
+    # later hold-out starts. dom00 waits for a file that is written only
+    # once the process has ended, so no timing decides the outcome.
+    started, go, out_dir = tmp_path / "started", tmp_path / "go", tmp_path / "runs"
+    script = "\n".join([
+        "import os, sys, time",
+        "from pathlib import Path",
+        "from driftbench import cli, training",
+        "real_train = training.train",
+        "def train(data, split, *args, **kwargs):",
+        "    if split.held_out_domain == 'dom00':",
+        "        Path(sys.argv[1] + '.tmp').write_text(str(os.getpid()))",
+        "        os.replace(sys.argv[1] + '.tmp', sys.argv[1])  # whole, once it exists",
+        "        while not Path(sys.argv[2]).exists():",
+        "            time.sleep(0.01)",
+        "    return real_train(data, split, *args, **kwargs)",
+        "training.train = train",
+        "sys.exit(cli.main(sys.argv[3:]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(started), str(go), "train-all",
+         *data_args(workdir), "--epochs", "1", "--hidden1", "8", "--hidden2", "4",
+         "--threads", "1", "--out-dir", str(out_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists(), proc.poll()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)  # raises unless the run ends by then
+    finally:
+        go.touch()
+        proc.kill()
+        proc.wait()
+    assert proc.returncode != 0
+    assert out == "" and "KeyboardInterrupt" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["split_dom00.tsv"]
+    with pytest.raises(ProcessLookupError):  # the worker was killed and reaped
+        os.kill(int(started.read_text()), 0)
+
+
 def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_path,
                                                                 monkeypatch, capsys):
     # at the paper widths one set of weights is 25 MB: a serial run that kept
-    # the last hold-out's while training the next would peak that much higher
-    real_train, trained, alive = training.train, [], []
+    # the last hold-out's while training the next would peak that much higher.
+    # One worker process trains the hold-outs in turn; it logs its pid and
+    # the weights alive as each starts.
+    real_train, trained, log = training.train, [], tmp_path / "alive.log"
 
     def train_counting_live_weights(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in trained))
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {sum(ref() is not None for ref in trained)}\n")
         params, history = real_train(*args, **kwargs)
         trained.append(weakref.ref(params))
         return params, history
@@ -927,7 +1002,9 @@ def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_pat
                      "--hidden1", "8", "--hidden2", "4", "--threads", "1",
                      "--out-dir", str(tmp_path / "runs")]) == 0
     capsys.readouterr()
-    assert alive == [0, 0, 0]
+    pids, alive = zip(*(line.split() for line in log.read_text().splitlines()))
+    assert len(set(pids)) == 1 and str(os.getpid()) not in pids
+    assert alive == ("0", "0", "0")
 
 
 def test_train_all_trains_one_hold_out_at_a_time_where_steps_split(tmp_path, monkeypatch,
@@ -938,24 +1015,26 @@ def test_train_all_trains_one_hold_out_at_a_time_where_steps_split(tmp_path, mon
                      "--dim", "256", "--seed", "9", "--out-dir", str(data)]) == 0
     monkeypatch.setattr(parallel, "WORKERS", 3)
     assert parallel.gemm_parts(128, 256, 2048) > 1
-    real_train, lock, running, most = training.train, threading.Lock(), [0], [0]
+    # hold-outs train in worker processes: count them in memory the workers share
+    context = multiprocessing.get_context("fork")
+    real_train, running, most = training.train, context.Value("i", 0), context.Value("i", 0)
 
     def train_counting(*args, **kwargs):
-        with lock:
-            running[0] += 1
-            most[0] = max(most[0], running[0])
+        with running.get_lock():
+            running.value += 1
+            most.value = max(most.value, running.value)
         try:
             return real_train(*args, **kwargs)
         finally:
-            with lock:
-                running[0] -= 1
+            with running.get_lock():
+                running.value -= 1
     monkeypatch.setattr(training, "train", train_counting)
     assert cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
                      "--features", str(data / "features.egf"), "--epochs", "1",
                      "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
                      "--threads", "2", "--seed", "9", "--out-dir", str(tmp_path / "runs")]) == 0
     capsys.readouterr()
-    assert most == [1]
+    assert most.value == 1
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -184,7 +184,25 @@ def test_one_part_is_a_plain_call_on_the_caller(monkeypatch):
 
 def test_workers_follow_the_affinity_mask():
     assert parallel.WORKERS == len(os.sched_getaffinity(0))
+    assert parallel.POOL._max_workers == max(1, parallel.WORKERS - 1)
 
+
+def test_a_single_caller_keeps_at_most_workers_minus_one_helpers(monkeypatch, fast_switching):
+    # a helper counts itself idle only after it has set its future's result,
+    # so a caller's next submit often finds none idle: a pool of WORKERS
+    # threads then starts a second helper, which one caller never needs
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    pool = parallel._pool()  # built as POOL is, at this WORKERS
+    monkeypatch.setattr(parallel, "POOL", pool)
+    before = set(threading.enumerate())
+    try:
+        for _ in range(500):
+            parallel.run_parts(lambda k, part: None, parallel.cuts(2, 2))
+        helpers = [thread for thread in threading.enumerate() if thread not in before
+                   and thread.name.startswith("driftbench-part")]
+    finally:
+        pool.shutdown()
+    assert len(helpers) == 1
 
 
 def forked_run(tmp_path, n, workers, fail=None):
@@ -279,6 +297,23 @@ def test_run_forked_workers_train_off_their_main_thread_in_one_part(tmp_path, mo
     for pid, on_main, workers, threads in results.values():
         assert pid != os.getpid()
         assert (on_main, workers, threads) == (False, 1, 2)  # the main thread waits
+
+
+def test_run_forked_lone_worker_keeps_workers_and_splits_on_a_pool_of_its_own(monkeypatch):
+    # the executor a worker inherits counts the caller's threads as its own,
+    # and they do not run there: on it, parts would wait for the caller alone
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    pool = parallel.POOL
+
+    def task(index):
+        together = threading.Barrier(3, timeout=10)  # breaks unless all three parts run at once
+        parallel.run_parts(lambda k, part: together.wait(), parallel.cuts(3, 3))
+        return parallel.WORKERS, parallel.POOL is not pool
+
+    results = {}
+    parallel.run_forked(task, 2, 1, results.__setitem__)
+    assert results == {0: (3, True), 1: (3, True)}
+    assert parallel.POOL is pool and parallel.WORKERS == 3
 
 
 def test_run_forked_reports_a_worker_that_dies_and_kills_workers_when_the_caller_fails():
