@@ -94,7 +94,10 @@ def _cmd_score(args) -> str:
     # Rows in pack order, so the report depends on which rows the manifest
     # names, not on the order of its lines.
     records = sorted(manifest.records, key=lambda r: r.row_index)
-    X = dataset.pool_temporal(features, args.pool)[[r.row_index for r in records]]
+    rows = [r.row_index for r in records]
+    X = dataset.pool_temporal(features, args.pool)
+    if rows != list(range(len(X))):  # a manifest naming every row in order needs no copy
+        X = X[rows]
     report = shift_metric.score_dataset(
         X, records, k_clusters=args.k_clusters,
         seed=args.seed, mode=args.grouping, tau=args.tau)

@@ -167,6 +167,25 @@ def test_score_manifest_subset_scores_named_rows(workdir, tmp_path, capsys):
     assert subset == _score_bytes(tmp_path, "compact", compact, compact_pack)
 
 
+def test_score_hands_over_the_pooled_array_when_the_manifest_names_every_row(
+        workdir, tmp_path, monkeypatch, capsys):
+    # every row in any line order: no copy; a manifest that skips a row gets
+    # its rows gathered (the subset test above checks such a report's bytes)
+    pool, score = cli.dataset.pool_temporal, shift_metric.score_dataset
+    pooled, handed = [], []
+    monkeypatch.setattr(cli.dataset, "pool_temporal",
+                        lambda *args: pooled.append(pool(*args)) or pooled[-1])
+    monkeypatch.setattr(shift_metric, "score_dataset",
+                        lambda X, *args, **kwargs: handed.append(X) or score(X, *args, **kwargs))
+    data = workdir / "data"
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    assert [json.loads(line)["row_index"] for line in lines] == list(range(len(lines)))
+    _score_bytes(tmp_path, "reversed", lines[::-1], data / "features.egf")
+    _score_bytes(tmp_path, "skipped", lines[1:], data / "features.egf")
+    assert handed[0] is pooled[0]
+    assert handed[1].tobytes() == pooled[1][1:].tobytes()
+
+
 # sha256 of shift_report.csv and .json for the shared synth data; a change
 # that moves any report byte under any grouping must update these on purpose
 SCORE_DIGESTS = {

@@ -66,11 +66,11 @@ class TestKmeansFit:
         real = clustering.assign_nearest
         calls = []
 
-        def rigged(X, centroids):
+        def rigged(X, centroids, x_sq=None):
             calls.append(1)
             if len(calls) == 1:
                 return np.array([0, 0, 0, 1])
-            labels = real(X, centroids)
+            labels = real(X, centroids, x_sq)
             return labels if len(calls) == 2 else 1 - labels
 
         monkeypatch.setattr(clustering, "assign_nearest", rigged)

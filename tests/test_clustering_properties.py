@@ -17,6 +17,10 @@ The k-means++ seeding, the inertia walk and the M-step are checked bit for
 bit against the one-expression forms they replace. The inertia walk
 follows NumPy's pairwise summation, an internal; these tests are what
 make a change of it fail loudly.
+
+float32 input (the feature pack's type) is read in place and widened a
+block at a time: assignment, seeding and whole fits on float32 rows are
+checked bit for bit against the same rows widened to float64 first.
 """
 import tracemalloc
 from unittest import mock
@@ -68,14 +72,22 @@ def problems(draw):
     return X, centroids
 
 
+# BLOCK as shipped, and patched down to 8 and 24: below NumPy's unrolled
+# leaf of 128, so the walk then reaches every node NumPy sums in one loop.
+BLOCKS = [dataset.BLOCK, 8, 24]
+
+
 @settings(max_examples=400, deadline=None)
-@given(problems(), st.sampled_from([dataset.BLOCK, 8]))
-def test_assign_nearest_equals_explicit_argmin(problem, block):
-    # at BLOCK 8 the rows to recheck go through in blocks of 8 // D rows
+@given(problems(), st.sampled_from(BLOCKS), st.sampled_from([np.float64, np.float32]))
+def test_assign_nearest_equals_explicit_argmin(problem, block, dtype):
+    # at BLOCK 8 the products take 32 // D rows at a time and the rows to
+    # recheck go through in blocks of 8 // D rows; float32 rows count as
+    # their float64 widening (with the offsets many round to ties)
     X, centroids = problem
+    X = X.astype(dtype)
     with mock.patch.object(dataset, "BLOCK", block):
         got = assign_nearest(X, centroids)
-    want = reference(X, centroids)
+    want = reference(X.astype(np.float64), centroids)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -113,6 +125,29 @@ def test_kmeans_fit_invariants(fit):
         assert len(set(labels[same])) == 1, "duplicated rows split across clusters"
 
 
+class RecordingRng:
+    """A Generator that records every draw's arguments, the weights' bytes included.
+
+    A change of a low bit of the D^2 weights seldom changes the index drawn,
+    so the seeding tests compare the weights themselves.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, n):
+        self.draws.append(("integers", n))
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.draws.append(("choice", n, p.tobytes()))
+        return self.rng.choice(n, p=p)
+
+    def state(self):
+        return self.rng.bit_generator.state
+
+
 # The forms kmeans_fit used before it reused one scratch per fit: one fresh
 # array per expression. The scratch forms must match them bit for bit.
 
@@ -148,11 +183,6 @@ def spread_values(seed, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
 
 
-# BLOCK as shipped, and patched down to 8 and 24: below NumPy's unrolled
-# leaf of 128, so the walk then reaches every node NumPy sums in one loop.
-BLOCKS = [dataset.BLOCK, 8, 24]
-
-
 @st.composite
 def flat_sizes(draw, block):
     """(n, d) with n*d below 8, not a multiple of 8, at block and 128 or one
@@ -179,22 +209,50 @@ def test_inertia_walk_matches_the_full_sum_bitwise(block_shape, k, seed):
     assert got == expression_inertia(X, centroids, labels)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(BLOCKS), st.integers(1, 200), st.integers(1, 40),
-       st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+       st.integers(1, 12), st.booleans(), st.sampled_from([np.float64, np.float32]),
+       st.sampled_from([(1.0, 0.0), (1.0, 1e6), (1e-6, 0.0), (1e-6, 1.0)]),
+       st.integers(0, 2**32 - 1))
 def test_kmeanspp_seeding_matches_the_expression_form_bitwise(block, n, d, k, repeats,
-                                                              seed):
-    X = spread_values(seed, (n, d))
+                                                              dtype, scale_offset, seed):
+    # the screen must keep every sq_d bit: with a 1e6 offset the expansion
+    # cancels, and 1e-6 scales bring the distances near the tolerance's floor
+    scale, offset = scale_offset
+    X = (spread_values(seed, (n, d)) * scale + offset).astype(dtype)
     if repeats:  # a few distinct rows: the draws run out of mass and fall back
         X = X[np.random.default_rng(seed).integers(0, min(n, 3), n)]
     k = min(k, n)
     with mock.patch.object(dataset, "BLOCK", block):
-        rng = np.random.default_rng(seed)
+        rng = RecordingRng(seed)
         got = clustering._kmeanspp_init(X, k, rng, clustering._scratch(n, d))
-    want_rng = np.random.default_rng(seed)
-    want = expression_kmeanspp_init(X, k, want_rng)
+    want_rng = RecordingRng(seed)
+    want = expression_kmeanspp_init(X.astype(np.float64), k, want_rng)
     assert got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert rng.draws == want_rng.draws
+    assert rng.state() == want_rng.state()
+
+
+def test_kmeanspp_screen_recomputes_few_rows():
+    # eight well-apart blobs: a new centroid is nearer than the old ones only
+    # to the rows of its own blob, so most rows skip the explicit distance
+    n, d, k = 4000, 32, 8
+    noise = np.random.default_rng(5).standard_normal((n, d))
+    X = (noise + 50.0 * np.eye(k, d)[np.arange(n) % k]).astype(np.float32)
+    recomputed = []
+    explicit = clustering._sq_dists_to
+
+    def counting(rows, *args):
+        recomputed.append(len(rows))
+        return explicit(rows, *args)
+
+    rng, want_rng = RecordingRng(0), RecordingRng(0)
+    with mock.patch.object(clustering, "_sq_dists_to", counting):
+        got = clustering._kmeanspp_init(X, k, rng, clustering._scratch(n, d))
+    want = expression_kmeanspp_init(X.astype(np.float64), k, want_rng)
+    assert got.tobytes() == want.tobytes() and rng.draws == want_rng.draws
+    assert recomputed[0] == n  # the first centroid's pass is all explicit
+    assert sum(recomputed[1:]) < n * (k - 1) / 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,6 +296,32 @@ def test_cluster_means_gather_one_cluster_at_a_time():
     X = spread_values(0, (n, d))
     labels = np.arange(n) % k
     assert traced_peak(clustering._cluster_means, X, labels, k) < X.nbytes / 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BLOCKS), fits(), st.sampled_from([(1.0, 0.0), (1e-3, 1e3)]))
+def test_float32_fit_equals_the_fit_of_its_float64_widening(block, fit, scale_offset):
+    X, k, seed = fit
+    scale, offset = scale_offset
+    X32 = (X * scale + offset).astype(np.float32)
+    with mock.patch.object(dataset, "BLOCK", block):
+        got = kmeans_fit(X32, k, seed)
+        want = kmeans_fit(X32.astype(np.float64), k, seed)
+    assert got.centroids.dtype == np.float64
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.inertia == want.inertia
+    assert got.iterations_run == want.iterations_run
+
+
+def test_float32_kmeans_fit_builds_no_float64_copy():
+    # the blobs below in float32: X is read in place, so the fit stays under
+    # X32's bytes, half those of the float64 copy it used to build
+    n, d, k = 4000, 64, 4
+    rng = np.random.default_rng(1)
+    X32 = (rng.standard_normal((n, d))
+           + 100.0 * np.eye(k, d)[np.arange(n) % k]).astype(np.float32)
+    assert traced_peak(kmeans_fit, X32, k, 0) < X32.nbytes
 
 
 def test_kmeans_fit_builds_no_n_by_d_temporary():
