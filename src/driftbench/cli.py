@@ -330,8 +330,6 @@ def _cmd_check_fixtures(args) -> str:
 
 def _cmd_train_all(args) -> str:
     from . import mlp, parallel, splits, training
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     manifest, features = _load_inputs(args)
     data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     lodo = splits.build_all_lodo_splits(
@@ -359,13 +357,7 @@ def _cmd_train_all(args) -> str:
             print(f"train-all: {domains[index]} top1 {top1:.2f}%", file=sys.stderr)
         accuracies[domains[index]] = top1
 
-    # Side by side only where no step splits, one worker process per CPU:
-    # small steps hold the GIL, so hold-outs on threads barely overlap.
-    # Else one worker trains them one at a time, its steps on every CPU.
-    step_parts = max(parallel.gemm_parts(args.batch, data.X.shape[1], args.hidden1),
-                     parallel.gemm_parts(args.batch, args.hidden1, args.hidden2))
-    workers = min(parallel.WORKERS, len(domains)) if args.threads > 1 and step_parts == 1 else 1
-    parallel.run_forked(train_hold_out, len(domains), workers, hold_out_done)
+    parallel.run_forked(train_hold_out, len(domains), hold_out_done)
     acc_path = out_dir / "accuracies.json"
     dataset.write_json(accuracies, acc_path)
     mean_acc = float(np.mean(list(accuracies.values())))
@@ -448,10 +440,7 @@ def _args_train_all(p: argparse.ArgumentParser) -> None:
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="above 1, hold-outs whose steps do not split train side by side, "
-                   "one worker process per CPU (default 1: one at a time, in one worker "
-                   "process); outputs do not depend on it")
+    p.add_argument("--threads", help=argparse.SUPPRESS)  # accepted and not read
     _add_seed(p)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="one line per hold-out on stderr")

@@ -185,7 +185,7 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
 
 
 def load_feature_pack(path: str | Path) -> FeatureSet:
-    """Read an EGF1 feature pack and validate that every value is finite.
+    """Read an EGF1 feature pack; refuse T or D of 0, and any value that is not finite.
 
     Layout: magic "EGF1", then little-endian uint32 N, T, D, then
     N*T*D float32 values row-major (clip, temporal, feature).
@@ -195,6 +195,9 @@ def load_feature_pack(path: str | Path) -> FeatureSet:
     if len(raw) < 16 or raw[:4] != FEATURE_PACK_MAGIC:
         raise ValueError(f"{path}: bad feature pack magic (expected {FEATURE_PACK_MAGIC!r})")
     n, t, d = struct.unpack("<III", raw[4:16])
+    if t == 0 or d == 0:
+        raise ValueError(f"{path}: empty clips: header declares N={n} T={t} D={d}, "
+                         "T and D must be positive")
     expected = 16 + n * t * d * 4
     if len(raw) != expected:
         raise ValueError(

@@ -10,8 +10,8 @@ that release the GIL and write disjoint slices of preallocated arrays.
 
 Tasks made of many small NumPy calls hold the GIL for most of their time,
 so two of them on two threads barely overlap. `run_forked` runs such
-tasks in forked worker processes instead: `train-all` trains every
-hold-out there, one index at a time per worker.
+tasks in forked worker processes instead, one per CPU: `train-all`
+trains every hold-out there, one index at a time per worker.
 
 `gemm_parts` is the one gate of a GEMM and of the layer work on its
 parts, and `matmul` splits a GEMM by output rows. Each row of a @ b comes
@@ -123,21 +123,20 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def run_forked(task, n: int, workers: int, done) -> None:
-    """Call task(i) for every i in range(n) in `workers` forked processes.
+def run_forked(task, n: int, done) -> None:
+    """Call task(i) for every i in range(n) in min(WORKERS, n) forked processes.
 
     Call it from the main thread while no other thread runs: the workers
     are forked at once, after stdout and stderr are flushed, so they share
     the caller's memory copy-on-write and import nothing. The caller hands
     each worker one index at a time over a pipe and calls done(i, result)
     as each result comes back, in completion order. A worker runs its
-    tasks on a thread of its own: side by side in one part (WORKERS is 1
-    there), so it starts no pool thread; alone on a pool of its own. It
-    writes nothing to the streams and ends in os._exit, past the caller's
-    atexit handlers. Once a task has raised, no index is handed out, and
-    the first exception is raised once every worker has ended and been
-    reaped. An exception in the caller (done's, or ^C) kills the workers
-    and propagates once they are reaped.
+    tasks on a thread of its own in one part (WORKERS is 1 there), writes
+    nothing to the streams, and ends in os._exit, past the caller's atexit
+    handlers, also once the caller is gone. Once a task has raised, no
+    index is handed out, and the first exception is raised once every
+    worker has ended and been reaped. An exception in the caller (done's,
+    or ^C) kills the workers and propagates once they are reaped.
     """
     import multiprocessing
     from multiprocessing.connection import wait as ready
@@ -146,14 +145,13 @@ def run_forked(task, n: int, workers: int, done) -> None:
     sys.stdout.flush()
     sys.stderr.flush()
     conns, procs, errors = [], [], []
-    parts = WORKERS if workers == 1 else 1  # side by side, each task runs in one part
     try:
-        for _ in range(workers):
+        for _ in range(min(WORKERS, n)):
             here, there = context.Pipe()
-            proc = context.Process(target=_serve, args=(task, there, parts))
+            conns.append(here)  # before the fork: the worker closes every caller's end
+            proc = context.Process(target=_serve, args=(task, there, conns))
             proc.start()
             there.close()
-            conns.append(here)
             procs.append(proc)
         todo, busy = iter(range(n)), set()
 
@@ -191,13 +189,14 @@ def run_forked(task, n: int, workers: int, done) -> None:
         raise errors[0]
 
 
-def _serve(task, conn, parts: int) -> None:
-    """A forked worker's main thread: serve the caller's indices on another thread."""
+def _serve(task, conn, callers) -> None:
+    """A forked worker's main thread: serve the caller's indices on another thread, in one part."""
     import signal
 
-    global WORKERS, POOL
-    WORKERS = parts
-    POOL = _pool()  # the inherited one counts the caller's threads, which do not run here
+    global WORKERS
+    for caller in callers:  # the caller's ends: once it is gone, our recv reads the end
+        caller.close()
+    WORKERS = 1
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C reaches the caller, which kills us
     thread = threading.Thread(target=_serve_on, args=(task, conn), name="driftbench-worker")
     thread.start()
@@ -213,5 +212,5 @@ def _serve_on(task, conn) -> None:
             except BaseException as exc:
                 reply = (index, False, exc)
             conn.send(reply)
-    except EOFError:  # the caller is gone
+    except (EOFError, OSError):  # the caller is gone: its end of the pipe is closed
         pass

@@ -272,28 +272,44 @@ def test_criterion_09_pipeline_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_criterion_09_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, capsys):
-    # widths above both size gates, so GEMMs and Adam split across threads;
-    # the reference runs hold-outs one at a time, each on one thread. They
-    # train in a worker process, which logs its calls' part counts to a file.
+    # widths above both size gates, so at three workers `train` splits its
+    # GEMMs and Adam across threads; the reference runs on one thread.
+    # `train-all` trains its hold-outs in worker processes, one at a time or
+    # three side by side, each step in one part. run_parts logs its calls'
+    # part counts to a file, which the workers write too.
     data = tmp_path / "data"
     assert cli.main(["synth", "--domains", "3", "--classes", "4", "--per-cell", "30",
                      "--dim", "256", "--seed", "9", "--out-dir", str(data)]) == 0
+    inputs = ["--manifest", str(data / "manifest.jsonl"),
+              "--features", str(data / "features.egf")]
+    widths = ["--epochs", "2", "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
+              "--seed", "9"]
+    split = tmp_path / "split_dom01.tsv"
+    assert cli.main(["splits", "--manifest", str(data / "manifest.jsonl"),
+                     "--hold-out", "dom01", "--seed", "9", "--out", str(split)]) == 0
     outputs = {}
-    for threads, workers in ((1, 1), (2, 3)):
+    for workers in (1, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)
-        parts = tmp_path / f"parts{threads}.log"
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        parts = tmp_path / f"parts{workers}.log"
         log_parts(monkeypatch, parts)
-        out = tmp_path / f"threads{threads}"
-        assert cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
-                         "--features", str(data / "features.egf"), "--epochs", "2",
-                         "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
-                         "--threads", str(threads), "--seed", "9",
-                         "--out-dir", str(out)]) == 0
+        assert cli.main(["train", *inputs, "--split", str(split), *widths,
+                         "--out", str(out / "model.emlp")]) == 0
+        assert cli.main(["eval", *inputs, "--checkpoint", str(out / "model.emlp"),
+                         "--split", str(split), "--role", "test",
+                         "--out", str(out / "eval.json")]) == 0
         assert max(map(int, parts.read_text().split())) == workers
-        outputs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+        all_parts = tmp_path / f"parts{workers}_all.log"
+        log_parts(monkeypatch, all_parts)
+        assert cli.main(["train-all", *inputs, *widths,
+                         "--out-dir", str(out / "lodo")]) == 0
+        assert set(all_parts.read_text().split()) == {"1"}
+        outputs[workers] = {f.relative_to(out): f.read_bytes()
+                            for f in out.rglob("*") if f.is_file()}
     capsys.readouterr()
-    assert len(outputs[1]) == 3 * 4 + 1
-    assert outputs[1] == outputs[2]
+    assert len(outputs[1]) == 3 + 3 * 4 + 1  # model, history, eval; then train-all's
+    assert outputs[1] == outputs[3]
 
 
 def test_criterion_10_split_integrity_synthetic():

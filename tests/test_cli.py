@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -342,26 +343,26 @@ def test_correlate_merges_eval_reports(workdir, capsys):
     assert len(obj["pairs"]) == 3
 
 
-def test_train_all_output_does_not_depend_on_threads(workdir, capsys):
+def test_train_all_output_does_not_depend_on_workers(workdir, monkeypatch, capsys):
     args = data_args(workdir)
     files = {}
-    for threads in ("1", "2", "3"):
-        out_dir = workdir / f"trainall_threads{threads}"
+    for workers in (1, 2, 3):  # hold-outs one at a time; two, then three side by side
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        out_dir = workdir / f"trainall_workers{workers}"
         assert cli.main(["train-all", *args, "--epochs", "2", "--batch", "16",
                          "--drop-prob", "0.5", "--hidden1", "8", "--hidden2", "4",
-                         "--seed", "3", "--threads", threads,
-                         "--out-dir", str(out_dir)]) == 0
-        files[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-    assert len(files["1"]) == 3 * 4 + 1  # split, ckpt, history, eval per domain
-    assert files["1"] == files["2"] == files["3"]
+                         "--seed", "3", "--out-dir", str(out_dir)]) == 0
+        files[workers] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(files[1]) == 3 * 4 + 1  # split, ckpt, history, eval per domain
+    assert files[1] == files[2] == files[3]
 
-    score_dir = workdir / "score_threads"
+    score_dir = workdir / "score_workers"
     assert cli.main(["score", *args, "--k-clusters", "6", "--seed", "0",
                      "--out-dir", str(score_dir)]) == 0
     correlations = []
-    for threads in ("1", "2"):
-        out_dir = workdir / f"trainall_threads{threads}"
-        corr_out = workdir / f"correlation_threads{threads}.json"
+    for workers in (1, 2):
+        out_dir = workdir / f"trainall_workers{workers}"
+        corr_out = workdir / f"correlation_workers{workers}.json"
         assert cli.main(["correlate",
                          "--shift-report", str(score_dir / "shift_report.json"),
                          *[arg for dom in ("dom00", "dom01", "dom02")
@@ -370,6 +371,23 @@ def test_train_all_output_does_not_depend_on_threads(workdir, capsys):
         correlations.append(corr_out.read_bytes())
     capsys.readouterr()
     assert correlations[0] == correlations[1]
+
+
+def test_train_all_output_does_not_depend_on_threads(workdir, tmp_path, capsys):
+    # --threads is accepted, as the benchmark passes it, and read by nothing
+    files = {}
+    for threads in ([], ["--threads", "0"], ["--threads", "2"]):
+        out_dir = tmp_path / f"runs{len(files)}"
+        assert cli.main(["train-all", *data_args(workdir), "--epochs", "1", "--batch", "16",
+                         "--hidden1", "8", "--hidden2", "4", "--seed", "3", *threads,
+                         "--out-dir", str(out_dir)]) == 0
+        files[len(files)] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(files[0]) == 3 * 4 + 1
+    assert files[0] == files[1] == files[2]
+    capsys.readouterr()
+    assert cli.main(["train-all", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--out-dir" in usage and "--threads" not in usage
 
 
 @pytest.mark.parametrize("n_lines", [0, 2])  # no clips; clips of one domain
@@ -400,7 +418,7 @@ def test_train_all_eval_reports_equal_eval_command(tmp_path, capsys):
     inputs = ["--manifest", str(data / "manifest.jsonl"),
               "--features", str(data / "features.egf")]
     assert cli.main(["train-all", *inputs, "--hidden1", "256", "--hidden2", "128",
-                     "--drop-prob", "0.5", "--epochs", "20", "--threads", "2",
+                     "--drop-prob", "0.5", "--epochs", "20",
                      "--seed", "7", "--out-dir", str(runs)]) == 0
     for domain in [f"dom{i:02d}" for i in range(6)]:
         split, out = runs / f"split_{domain}.tsv", tmp_path / f"eval_{domain}.json"
@@ -450,6 +468,24 @@ def test_manifest_row_past_pack_is_one_line_error(workdir, tmp_path, command, ca
         assert err.count("\n") == 1
         assert err.startswith(f"driftbench: error: {command}: {manifest}:{len(lines)}: "
                               f"row_index {row} out of range [0, {n_rows})")
+
+
+@pytest.mark.parametrize("command", ["validate", "score"])
+@pytest.mark.parametrize("t, d", [(0, 4), (3, 0)])
+def test_pack_of_empty_clips_is_one_line_error(workdir, tmp_path, command, t, d, capsys):
+    # a header with T or D of 0 declares no values: no size check catches it
+    pack = tmp_path / "empty.egf"
+    pack.write_bytes(b"EGF1" + struct.pack("<III", 54, t, d))
+    inputs = ["--manifest", str(workdir / "data" / "manifest.jsonl"), "--features", str(pack)]
+    out_dir = tmp_path / "score"
+    argv = {"validate": ["validate", *inputs],
+            "score": ["score", *inputs, "--out-dir", str(out_dir)]}[command]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"driftbench: error: {command}: {pack}: empty clips: header declares "
+                   f"N=54 T={t} D={d}, T and D must be positive\n")
+    assert not out_dir.exists()
 
 
 def test_correlate_domain_mismatch(tmp_path, capsys):
@@ -740,21 +776,10 @@ def test_seed_defaults_to_zero_whatever_the_environment(tmp_path, monkeypatch, c
     assert got.values.tobytes() == want.values.tobytes()
 
 
-def test_train_all_refuses_zero_threads_before_reading_or_writing(tmp_path, capsys):
-    out_dir = tmp_path / "runs"  # the inputs do not exist: they are never opened
-    code = cli.main(["train-all", "--manifest", str(tmp_path / "m.jsonl"),
-                     "--features", str(tmp_path / "f.egf"), "--threads", "0",
-                     "--out-dir", str(out_dir)])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "driftbench: error: train-all: threads must be >= 1, got 0\n")
-    assert not out_dir.exists()
-
-
 BATCH_EPOCHS_LR = "learning_rate (finite), batch_size must be positive; epochs >= 0"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("flag, value, message", [
     ("--batch", "0", BATCH_EPOCHS_LR), ("--lr", "nan", BATCH_EPOCHS_LR),
     ("--epochs", "-1", BATCH_EPOCHS_LR),
@@ -762,16 +787,15 @@ BATCH_EPOCHS_LR = "learning_rate (finite), batch_size must be positive; epochs >
     ("--hidden1", "0", "all dimensions must be positive, got (8, 0, 4, 3)"),
 ])
 def test_train_all_refuses_a_bad_training_flag_before_it_forks_or_writes(
-        workdir, tmp_path, flag, value, message, threads, monkeypatch, capsys):
-    monkeypatch.setattr(parallel, "WORKERS", 2)  # side by side at --threads 2
+        workdir, tmp_path, flag, value, message, workers, monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "WORKERS", workers)
 
     def refuse(*args):
         raise AssertionError("train-all forked")
     monkeypatch.setattr(parallel, "run_forked", refuse)
     out_dir = tmp_path / "runs"
     code = cli.main(["train-all", *data_args(workdir), "--epochs", "1", "--hidden1", "8",
-                     "--hidden2", "4", flag, value, "--threads", threads,
-                     "--out-dir", str(out_dir)])
+                     "--hidden2", "4", flag, value, "--out-dir", str(out_dir)])
     assert code == 1
     assert capsys.readouterr().err == f"driftbench: error: train-all: {message}\n"
     assert not out_dir.exists()
@@ -799,7 +823,9 @@ def test_verbose_flag_belongs_to_train_all_only(command, capsys):
     assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
-def test_train_all_verbose_prints_one_line_per_hold_out(workdir, tmp_path, capsys):
+def test_train_all_verbose_prints_one_line_per_hold_out(workdir, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(parallel, "WORKERS", 1)  # one worker: the lines in hold-out order
     argv = ["train-all", *data_args(workdir), "--epochs", "1", "--batch", "16",
             "--hidden1", "8", "--hidden2", "4", "--out-dir", str(tmp_path / "runs")]
     assert cli.main(argv) == 0
@@ -816,9 +842,10 @@ def test_train_all_verbose_prints_one_line_per_hold_out(workdir, tmp_path, capsy
     assert {p.name: p.read_bytes() for p in (tmp_path / "runs").iterdir()} == quiet_files
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_train_all_hold_out_failure_is_one_line_error(workdir, tmp_path, threads,
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_all_hold_out_failure_is_one_line_error(workdir, tmp_path, workers,
                                                       monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "WORKERS", workers)
     real_train = training.train
 
     def train_failing_dom01(data, split, *args, **kwargs):
@@ -828,8 +855,7 @@ def test_train_all_hold_out_failure_is_one_line_error(workdir, tmp_path, threads
     monkeypatch.setattr(training, "train", train_failing_dom01)
     out_dir = tmp_path / "runs"
     code = cli.main(["train-all", *data_args(workdir), "--epochs", "1",
-                     "--hidden1", "8", "--hidden2", "4", "--threads", threads,
-                     "--out-dir", str(out_dir)])
+                     "--hidden1", "8", "--hidden2", "4", "--out-dir", str(out_dir)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -841,6 +867,7 @@ def test_train_all_starts_no_hold_out_after_a_failure(tmp_path, monkeypatch, cap
     data = tmp_path / "data"
     assert cli.main(["synth", "--domains", "4", "--classes", "3", "--per-cell", "6",
                      "--dim", "8", "--seed", "0", "--out-dir", str(data)]) == 0
+    monkeypatch.setattr(parallel, "WORKERS", 1)  # one worker trains the hold-outs in order
     real_train = training.train
 
     def train_failing_dom01(data, split, *args, **kwargs):
@@ -852,8 +879,7 @@ def test_train_all_starts_no_hold_out_after_a_failure(tmp_path, monkeypatch, cap
     capsys.readouterr()
     code = cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
                      "--features", str(data / "features.egf"), "--epochs", "1",
-                     "--hidden1", "8", "--hidden2", "4", "--threads", "1",
-                     "--out-dir", str(out_dir)])
+                     "--hidden1", "8", "--hidden2", "4", "--out-dir", str(out_dir)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -888,8 +914,7 @@ def test_train_all_starts_no_hold_out_after_a_failure_in_a_worker(tmp_path, monk
     capsys.readouterr()
     code = cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
                      "--features", str(data / "features.egf"), "--epochs", "1",
-                     "--hidden1", "8", "--hidden2", "4", "--threads", "2",
-                     "--out-dir", str(out_dir)])
+                     "--hidden1", "8", "--hidden2", "4", "--out-dir", str(out_dir)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -900,14 +925,14 @@ def test_train_all_starts_no_hold_out_after_a_failure_in_a_worker(tmp_path, monk
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, threads,
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, workers,
                                                          monkeypatch, capsys):
     # training on the main thread ran slower: glibc's main arena faults its
     # freed pages back in, where other threads' arenas keep them. Hold-outs
     # train in worker processes, so each notes its pid and thread in a file
     # the parent can read.
-    monkeypatch.setattr(parallel, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", workers)
     real_train, notes = training.train, tmp_path / "notes"
     notes.mkdir()
 
@@ -917,38 +942,38 @@ def test_train_all_trains_no_hold_out_on_the_main_thread(workdir, tmp_path, thre
         return real_train(data, split, *args, **kwargs)
     monkeypatch.setattr(training, "train", train_noting_the_thread)
     assert cli.main(["train-all", *data_args(workdir), "--epochs", "1",
-                     "--hidden1", "8", "--hidden2", "4", "--threads", threads,
-                     "--out-dir", str(tmp_path / "runs")]) == 0
+                     "--hidden1", "8", "--hidden2", "4", "--out-dir", str(tmp_path / "runs")]) == 0
     capsys.readouterr()
     pids, on_main = zip(*(notes.joinpath(dom).read_text().split()
                           for dom in ("dom00", "dom01", "dom02")))
     assert [flag == "True" for flag in on_main] == [False] * 3
     assert str(os.getpid()) not in pids
-    if threads == "1":
-        assert len(set(pids)) == 1  # one worker trains every hold-out
+    assert len(set(pids)) == workers  # each worker is handed a hold-out first
 
 
 def test_train_all_side_by_side_in_a_fresh_process_under_warnings_as_errors(workdir,
                                                                             tmp_path):
     # Python 3.12 warns when a process with a second thread alive forks, and a
     # worker that wrote to the streams itself would add to or reorder them.
-    # Hold-outs run side by side only where the affinity mask has two CPUs.
+    # One run is pinned to one CPU, so one worker trains the hold-outs in
+    # turn; the other runs side by side where the affinity mask has two CPUs.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    one_cpu = ("import os, runpy; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "runpy.run_module('driftbench.cli', run_name='__main__', alter_sys=True)")
     runs = {}
-    for threads in ("1", "2"):
-        cwd = tmp_path / f"threads{threads}"  # --out-dir is relative: stdout names it
+    for cpus, entry in (("one", ["-c", one_cpu]), ("all", ["-m", "driftbench.cli"])):
+        cwd = tmp_path / cpus  # --out-dir is relative: stdout names it
         cwd.mkdir()
         result = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-m", "driftbench.cli",
+            [sys.executable, "-W", "error::DeprecationWarning", *entry,
              "train-all", *data_args(workdir), "--epochs", "2", "--batch", "16",
-             "--hidden1", "8", "--hidden2", "4", "--seed", "3", "--threads", threads, "-v",
-             "--out-dir", "runs"],
+             "--hidden1", "8", "--hidden2", "4", "--seed", "3", "-v", "--out-dir", "runs"],
             capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
         assert result.returncode == 0, result.stderr
         files = {p.name: p.read_bytes() for p in (cwd / "runs").iterdir()}
-        runs[threads] = (result.stdout, result.stderr.splitlines(), files)
-    (out1, err1, files1), (out2, err2, files2) = runs["1"], runs["2"]
+        runs[cpus] = (result.stdout, result.stderr.splitlines(), files)
+    (out1, err1, files1), (out2, err2, files2) = runs["one"], runs["all"]
     assert out2 == out1
     assert sorted(err2) == err1  # completion order side by side, hold-out order alone
     assert [line.split()[1] for line in err1] == ["dom00", "dom01", "dom02"]
@@ -965,6 +990,7 @@ def test_interrupt_stops_a_one_at_a_time_train_all_at_once(workdir, tmp_path):
     script = "\n".join([
         "import os, sys, time",
         "from pathlib import Path",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one CPU: one worker",
         "from driftbench import cli, training",
         "real_train = training.train",
         "def train(data, split, *args, **kwargs):",
@@ -982,7 +1008,7 @@ def test_interrupt_stops_a_one_at_a_time_train_all_at_once(workdir, tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-c", script, str(started), str(go), "train-all",
          *data_args(workdir), "--epochs", "1", "--hidden1", "8", "--hidden2", "4",
-         "--threads", "1", "--out-dir", str(out_dir)],
+         "--out-dir", str(out_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     try:
         deadline = time.monotonic() + 60
@@ -1008,6 +1034,7 @@ def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_pat
     # the last hold-out's while training the next would peak that much higher.
     # One worker process trains the hold-outs in turn; it logs its pid and
     # the weights alive as each starts.
+    monkeypatch.setattr(parallel, "WORKERS", 1)
     real_train, trained, log = training.train, [], tmp_path / "alive.log"
 
     def train_counting_live_weights(*args, **kwargs):
@@ -1018,42 +1045,11 @@ def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_pat
         return params, history
     monkeypatch.setattr(training, "train", train_counting_live_weights)
     assert cli.main(["train-all", *data_args(workdir), "--epochs", "1",
-                     "--hidden1", "8", "--hidden2", "4", "--threads", "1",
-                     "--out-dir", str(tmp_path / "runs")]) == 0
+                     "--hidden1", "8", "--hidden2", "4", "--out-dir", str(tmp_path / "runs")]) == 0
     capsys.readouterr()
     pids, alive = zip(*(line.split() for line in log.read_text().splitlines()))
     assert len(set(pids)) == 1 and str(os.getpid()) not in pids
     assert alive == ("0", "0", "0")
-
-
-def test_train_all_trains_one_hold_out_at_a_time_where_steps_split(tmp_path, monkeypatch,
-                                                                   capsys):
-    # criterion 09's widths: with three workers the first hidden GEMM splits
-    data = tmp_path / "data"
-    assert cli.main(["synth", "--domains", "3", "--classes", "4", "--per-cell", "30",
-                     "--dim", "256", "--seed", "9", "--out-dir", str(data)]) == 0
-    monkeypatch.setattr(parallel, "WORKERS", 3)
-    assert parallel.gemm_parts(128, 256, 2048) > 1
-    # hold-outs train in worker processes: count them in memory the workers share
-    context = multiprocessing.get_context("fork")
-    real_train, running, most = training.train, context.Value("i", 0), context.Value("i", 0)
-
-    def train_counting(*args, **kwargs):
-        with running.get_lock():
-            running.value += 1
-            most.value = max(most.value, running.value)
-        try:
-            return real_train(*args, **kwargs)
-        finally:
-            with running.get_lock():
-                running.value -= 1
-    monkeypatch.setattr(training, "train", train_counting)
-    assert cli.main(["train-all", "--manifest", str(data / "manifest.jsonl"),
-                     "--features", str(data / "features.egf"), "--epochs", "1",
-                     "--hidden1", "2048", "--hidden2", "256", "--drop-prob", "0.5",
-                     "--threads", "2", "--seed", "9", "--out-dir", str(tmp_path / "runs")]) == 0
-    capsys.readouterr()
-    assert most.value == 1
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

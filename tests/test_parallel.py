@@ -1,10 +1,15 @@
 """Row-split GEMMs and the part runner: bitwise equal to one thread.
-The forked-worker dispatcher: every worker reaped, every task run once."""
+The forked-worker dispatcher: every worker reaped, every task run once,
+and no worker left waiting once its caller is gone."""
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +210,7 @@ def test_a_single_caller_keeps_at_most_workers_minus_one_helpers(monkeypatch, fa
     assert len(helpers) == 1
 
 
-def forked_run(tmp_path, n, workers, fail=None):
+def forked_run(tmp_path, n, fail=None):
     """run_forked over n tasks that log "index pid" lines; returns (results, log lines)."""
     log = tmp_path / "calls.log"
     log.write_text("")
@@ -218,7 +223,7 @@ def forked_run(tmp_path, n, workers, fail=None):
         return index * index
 
     results = {}
-    parallel.run_forked(task, n, workers, results.__setitem__)
+    parallel.run_forked(task, n, results.__setitem__)
     return results, log.read_text().splitlines()
 
 
@@ -233,23 +238,28 @@ def assert_reaped(lines):
 
 
 @pytest.mark.parametrize("n, workers", [(5, 2), (2, 3), (7, 3)])
-def test_run_forked_runs_each_task_once_and_reaps_every_worker(tmp_path, n, workers):
-    results, lines = forked_run(tmp_path, n, workers)
+def test_run_forked_runs_each_task_once_and_reaps_every_worker(tmp_path, monkeypatch, n,
+                                                               workers):
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    results, lines = forked_run(tmp_path, n)
     assert results == {i: i * i for i in range(n)}
     assert sorted(int(line.split()[0]) for line in lines) == list(range(n))
-    assert len({line.split()[1] for line in lines}) <= min(n, workers)
+    # one worker per CPU and at most one per task, and each is handed a task first
+    assert len({line.split()[1] for line in lines}) == min(n, workers)
     assert_reaped(lines)
 
 
 @pytest.mark.parametrize("fail", [0, 1, 4])
-def test_run_forked_raises_a_workers_error_after_reaping_every_worker(tmp_path, fail):
+def test_run_forked_raises_a_workers_error_after_reaping_every_worker(tmp_path, monkeypatch,
+                                                                      fail):
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     with pytest.raises(RuntimeError, match=f"^task {fail} failed$"):
-        forked_run(tmp_path, 5, 2, fail=fail)
+        forked_run(tmp_path, 5, fail=fail)
     lines = (tmp_path / "calls.log").read_text().splitlines()
     started = [int(line.split()[0]) for line in lines]
     assert fail in started and len(set(started)) == len(started)
     assert_reaped(lines)
-    results, lines = forked_run(tmp_path, 3, 2)  # the dispatcher works again after a failure
+    results, lines = forked_run(tmp_path, 3)  # the dispatcher works again after a failure
     assert results == {0: 0, 1: 1, 2: 4}
     assert_reaped(lines)
 
@@ -258,6 +268,7 @@ def test_run_forked_stops_handing_out_after_a_failure(tmp_path, monkeypatch):
     # task 1 fails while task 0 runs; task 0 ends only once the caller has
     # taken in the failure and told task 1's worker to stop, and then the
     # caller starts nothing more
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     context = multiprocessing.get_context("fork")
     started, stopped = context.Event(), context.Event()
     note_stops(monkeypatch, stopped)
@@ -277,53 +288,40 @@ def test_run_forked_stops_handing_out_after_a_failure(tmp_path, monkeypatch):
 
     done = []
     with pytest.raises(RuntimeError, match="^task 1 failed$"):
-        parallel.run_forked(task, 4, 2, lambda i, value: done.append(i))
+        parallel.run_forked(task, 4, lambda i, value: done.append(i))
     assert done == [0]
     assert sorted(log.read_text().split()) == ["0", "1"]
     assert multiprocessing.active_children() == []
 
 
-def test_run_forked_workers_train_off_their_main_thread_in_one_part(tmp_path, monkeypatch):
-    monkeypatch.setattr(parallel, "WORKERS", 4)
+def test_run_forked_workers_train_off_their_main_thread_in_one_part(monkeypatch):
+    monkeypatch.setattr(parallel, "WORKERS", 3)
 
     def task(index):
         return (os.getpid(), threading.current_thread() is threading.main_thread(),
                 parallel.WORKERS, threading.active_count())
 
     results = {}
-    parallel.run_forked(task, 4, 2, results.__setitem__)
-    assert parallel.WORKERS == 4
+    parallel.run_forked(task, 4, results.__setitem__)
+    assert parallel.WORKERS == 3
     assert sorted(results) == [0, 1, 2, 3]
+    assert len({pid for pid, *_ in results.values()}) == 3
     for pid, on_main, workers, threads in results.values():
         assert pid != os.getpid()
         assert (on_main, workers, threads) == (False, 1, 2)  # the main thread waits
 
 
-def test_run_forked_lone_worker_keeps_workers_and_splits_on_a_pool_of_its_own(monkeypatch):
-    # the executor a worker inherits counts the caller's threads as its own,
-    # and they do not run there: on it, parts would wait for the caller alone
-    monkeypatch.setattr(parallel, "WORKERS", 3)
-    pool = parallel.POOL
+def test_run_forked_reports_a_worker_that_dies_and_kills_workers_when_the_caller_fails(
+        monkeypatch):
+    monkeypatch.setattr(parallel, "WORKERS", 2)
 
-    def task(index):
-        together = threading.Barrier(3, timeout=10)  # breaks unless all three parts run at once
-        parallel.run_parts(lambda k, part: together.wait(), parallel.cuts(3, 3))
-        return parallel.WORKERS, parallel.POOL is not pool
-
-    results = {}
-    parallel.run_forked(task, 2, 1, results.__setitem__)
-    assert results == {0: (3, True), 1: (3, True)}
-    assert parallel.POOL is pool and parallel.WORKERS == 3
-
-
-def test_run_forked_reports_a_worker_that_dies_and_kills_workers_when_the_caller_fails():
     def task(index):
         if index == 1:
             os._exit(3)  # no reply: the caller reads the end of the pipe
         return index
 
     with pytest.raises(RuntimeError, match="^a worker process ended before its task did$"):
-        parallel.run_forked(task, 2, 2, lambda i, value: None)
+        parallel.run_forked(task, 2, lambda i, value: None)
     assert multiprocessing.active_children() == []
 
     def refuse(index, value):
@@ -331,6 +329,63 @@ def test_run_forked_reports_a_worker_that_dies_and_kills_workers_when_the_caller
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="^result 0 refused$"):
-        parallel.run_forked(lambda i: i if i == 0 else time.sleep(60), 2, 2, refuse)
+        parallel.run_forked(lambda i: i if i == 0 else time.sleep(60), 2, refuse)
     assert time.perf_counter() - start < 30  # the sleeping worker was killed, not awaited
     assert multiprocessing.active_children() == []
+
+
+def running(pid):
+    """Whether pid is a process that has not ended: gone or a zombie (state Z) has."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # "pid (comm) state ..."
+
+
+def test_run_forked_workers_end_once_their_caller_is_killed(tmp_path):
+    # The caller dies while both tasks run, with no chance to kill its
+    # workers. Each worker closed the caller's ends of the pipes it
+    # inherited, its own and the earlier worker's, so once its task ends its
+    # reply fails or its next read finds the pipe ended, and it exits
+    # quietly instead of waiting for ever.
+    notes, go, err = tmp_path / "notes", tmp_path / "go", tmp_path / "stderr"
+    notes.mkdir()
+    script = "\n".join([
+        "import os, sys, time",
+        "from pathlib import Path",
+        "from driftbench import parallel",
+        "parallel.WORKERS = 2",
+        "def task(index):",
+        "    note = Path(sys.argv[1], str(index))",
+        "    Path(f'{note}.tmp').write_text(str(os.getpid()))",
+        "    os.replace(f'{note}.tmp', note)  # whole, once it exists",
+        "    while not Path(sys.argv[2]).exists():",
+        "        time.sleep(0.01)",
+        "    return index",
+        "parallel.run_forked(task, 2, lambda index, value: None)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(parallel.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        if p))
+    with open(err, "w") as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", script, str(notes), str(go)],
+                                stderr=stderr, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while (not all((notes / name).exists() for name in "01") and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        pids = [int((notes / name).read_text()) for name in "01"]
+    finally:
+        proc.kill()
+        proc.wait()
+        go.touch()  # the tasks end once their caller is gone
+    deadline = time.monotonic() + 30
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)  # leave no worker behind a failed check
+    assert left == []
+    assert err.read_text() == ""
