@@ -17,7 +17,9 @@ import argparse
 import gc
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,23 +147,42 @@ def _train_config(args):
         drop_prob=args.drop_prob, seed=args.seed)
 
 
-def _fit(args, data, split, config, checkpoint, history_path):
-    """Train on split with config and the width flags, save the checkpoint and history."""
-    from . import training
-    params, history = training.train(
-        data, split, config, hidden1=args.hidden1, hidden2=args.hidden2)
-    _this().save_checkpoint(params, checkpoint)
-    training.write_history_csv(history, history_path)
-    return params, history
+def _fit(args, data, split, config, checkpoint, history_path, test_report: bool = False):
+    """Train on split with config and the width flags; write the checkpoint and history.
 
-
-def _evaluate(params, data, ids, split_id: str, out):
-    """Evaluate params on ids and write the report, labelled split_id."""
+    Each new best epoch's weights go straight into an unnamed temporary
+    file in the checkpoint's directory, so training holds no copy of them
+    and a killed run leaves no file behind; with test_report, their report
+    on split.test_ids is taken then too. Once training ends, the history
+    is written, then the file is copied to the checkpoint: a run that
+    fails before that leaves both paths as they were. Returns the history
+    and the last report (None without test_report).
+    """
     from . import training
-    report = training.evaluate(params, data, ids)
-    report.split_id = split_id
-    training.write_eval_report(report, out)
-    return report
+    checkpoint, history_path = Path(checkpoint), Path(history_path)
+    for path in (checkpoint, history_path):  # refused now, not once training has ended
+        if not path.parent.is_dir():
+            raise ValueError(f"{path}: no directory {path.parent}")
+        if path.is_dir():
+            raise ValueError(f"{path}: is a directory")
+    kept = tempfile.TemporaryFile(dir=checkpoint.parent)
+    report = None
+
+    def keep(params) -> None:
+        nonlocal report
+        kept.seek(0)  # every save of these weights has the same length
+        _this().save_checkpoint(params, kept)
+        if test_report:
+            report = training.evaluate(params, data, split.test_ids)
+
+    with kept:
+        history = training.train(data, split, config, keep,
+                                 hidden1=args.hidden1, hidden2=args.hidden2)
+        training.write_history_csv(history, history_path)
+        kept.seek(0)
+        with checkpoint.open("wb") as out:
+            shutil.copyfileobj(kept, out)
+    return history, report
 
 
 def _cmd_train(args) -> str:
@@ -170,7 +191,7 @@ def _cmd_train(args) -> str:
     data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     split = splits.read_split_file(args.split, manifest)
     history_path = args.history or f"{args.out}.history.csv"
-    _, history = _fit(args, data, split, _train_config(args), args.out, history_path)
+    history, _ = _fit(args, data, split, _train_config(args), args.out, history_path)
     return (f"train: {_best_epoch_line(history)}, "
             f"wrote {args.out} {history_path}")
 
@@ -202,9 +223,11 @@ def _cmd_eval(args) -> str:
         ids = list(getattr(split, f"{args.role}_ids"))
         split_id = f"{args.split}:{args.role}"
     try:
-        report = _evaluate(params, data, ids, split_id, args.out)
+        report = training.evaluate(params, data, ids)
     except training.ModelMismatch as exc:
         raise ValueError(f"{args.checkpoint}: {exc}") from None
+    report.split_id = split_id
+    training.write_eval_report(report, args.out)
     return (f"eval: top1 {report.overall_top1:.2f}% over {report.n_evaluated} "
             f"clips, wrote {args.out}")
 
@@ -346,10 +369,11 @@ def _cmd_train_all(args) -> str:
         domain = domains[index]
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
-        params, _ = _fit(args, data, split, replace(config, seed=args.seed + index),
-                         out_dir / f"ckpt_{domain}.emlp", out_dir / f"history_{domain}.csv")
-        report = _evaluate(params, data, split.test_ids, f"lodo:{domain}",
-                           out_dir / f"eval_{domain}.json")
+        _, report = _fit(args, data, split, replace(config, seed=args.seed + index),
+                         out_dir / f"ckpt_{domain}.emlp", out_dir / f"history_{domain}.csv",
+                         test_report=True)
+        report.split_id = f"lodo:{domain}"
+        training.write_eval_report(report, out_dir / f"eval_{domain}.json")
         return report.overall_top1
 
     def hold_out_done(index: int, top1: float) -> None:

@@ -10,6 +10,7 @@ Shapes use B = batch, I = input width, H1/H2 = hidden widths, C = classes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -335,10 +336,22 @@ def predict(logits: np.ndarray) -> np.ndarray:
     return logits.argmax(axis=1)
 
 
-def save_checkpoint(params: MlpParams, path: str | Path) -> None:
-    """EMLP header, u32 dims (I, H1, H2, C), then `flat` as float32 LE."""
-    header = CHECKPOINT_MAGIC + struct.pack("<IIII", *params.dims)
-    Path(path).write_bytes(header + params.flat.astype("<f4").tobytes())
+def save_checkpoint(params: MlpParams, out) -> None:
+    """EMLP header, u32 dims (I, H1, H2, C), then `flat` as float32 LE.
+
+    out is a path, or a binary file open for writing, which stays open.
+    The float32 body is cast one dataset.BLOCK of elements at a time into
+    one buffer, so no float32 copy of `flat` is made.
+    """
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "wb") as fh:
+            return save_checkpoint(params, fh)
+    out.write(CHECKPOINT_MAGIC + struct.pack("<IIII", *params.dims))
+    buf = np.empty(min(dataset.BLOCK, params.flat.size), dtype="<f4")
+    for b in dataset.row_blocks(params.flat.size, 1):
+        chunk = buf[:b.stop - b.start]
+        np.copyto(chunk, params.flat[b], casting="same_kind")  # astype's rounding
+        out.write(chunk.data)
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> MlpParams:

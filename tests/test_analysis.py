@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import train_best
 from driftbench.analysis import (
     TABLE3_SHIFT_SCORES,
     TABLE5_MLP_LITE_ACCURACY,
@@ -18,7 +19,7 @@ from driftbench.dataset import pool_temporal
 from driftbench.shift_metric import score_dataset, shift_scores
 from driftbench.splits import build_lodo_split
 from driftbench.synth import SyntheticSpec, offset_sweep
-from driftbench.training import TrainConfig, TrainingData, evaluate, train
+from driftbench.training import TrainConfig, TrainingData, evaluate
 
 FIXTURE_SHA256 = "cf81417a6e11e1d77a264dda3d754d7cf07b75adde3318898e5e8ea3bd81ee48"
 
@@ -158,7 +159,7 @@ def test_growing_shift_drives_accuracy_down():
         data = TrainingData.from_features(man, feats, pool_mode="mean")
         split = build_lodo_split(man, "dom02", seed=1)
         cfg = TrainConfig(epochs=15, batch_size=32, drop_prob=0.0, seed=1)
-        params, _ = train(data, split, cfg, hidden1=32, hidden2=16)
+        params, _ = train_best(data, split, cfg, hidden1=32, hidden2=16)
         key = f"mag{mag:g}"
         shift[key] = {g.label: g.score for g in report.groups}["dom02"]
         acc[key] = evaluate(params, data, split.test_ids).overall_top1

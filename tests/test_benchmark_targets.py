@@ -15,7 +15,7 @@ from driftbench import mlp, training
 from driftbench.clustering import kmeans_fit
 from driftbench.splits import SplitSpec
 
-from conftest import make_features, make_manifest
+from conftest import make_features, make_manifest, train_best
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
@@ -83,8 +83,8 @@ def test_train_loop_calls_each_traced_layer_once_per_step(monkeypatch):
     data = training.TrainingData.from_features(make_manifest(rows), make_features(X))
     ids = tuple(r[0] for r in rows)
     split = SplitSpec("d1", ids[:n_train], ids[n_train:], ())
-    training.train(data, split, training.TrainConfig(epochs=epochs, batch_size=batch),
-                   hidden1=5, hidden2=4)
+    train_best(data, split, training.TrainConfig(epochs=epochs, batch_size=batch),
+               hidden1=5, hidden2=4)
 
     step = ["mlp.forward_train", "ova_bce_loss", "backward", "adam_step"]
     val = ["mlp.forward_eval"] * math.ceil(n_val / training.EVAL_BATCH)

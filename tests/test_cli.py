@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import note_stops
-from driftbench import cli, parallel, shift_metric, training
+from driftbench import cli, mlp, parallel, shift_metric, training
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
 from driftbench.mlp import init_params, save_checkpoint
 from driftbench.synth import SyntheticSpec, generate
@@ -678,6 +678,78 @@ def test_train_zero_epochs_says_no_epoch_ran(workdir, tmp_path, capsys):
         f"wrote {ckpt} {ckpt}.history.csv\n")
 
 
+def train_outputs(workdir, tmp_path, capsys):
+    """The train arguments up to --out on a dom00 split, and --out and --history
+    paths in tmp_path, each already holding bytes of its own."""
+    args = data_args(workdir)
+    split = tmp_path / "split.tsv"
+    assert cli.main(["splits", *args[:2], "--hold-out", "dom00", "--out", str(split)]) == 0
+    capsys.readouterr()
+    paths = {"--out": tmp_path / "model.emlp", "--history": tmp_path / "history.csv"}
+    for flag, path in paths.items():
+        path.write_bytes(f"old {flag}".encode())
+    return ["train", *args, "--split", str(split), "--hidden1", "8", "--hidden2", "4"], paths
+
+
+@pytest.mark.parametrize("flag", ["--out", "--history"])
+@pytest.mark.parametrize("bad", ["in a missing directory", "a directory"])
+def test_train_refuses_an_output_path_it_cannot_write_before_it_trains(
+        workdir, tmp_path, flag, bad, monkeypatch, capsys):
+    argv, paths = train_outputs(workdir, tmp_path, capsys)
+    if bad == "a directory":
+        paths[flag] = tmp_path / "a directory"
+        paths[flag].mkdir()
+        message = f"{paths[flag]}: is a directory"
+    else:
+        paths[flag] = tmp_path / "nowhere" / paths[flag].name
+        message = f"{paths[flag]}: no directory {paths[flag].parent}"
+    real_forward, steps = mlp.forward, []
+
+    def forward_noting_steps(*args, **kwargs):
+        steps.append(kwargs.get("mode"))
+        return real_forward(*args, **kwargs)
+    monkeypatch.setattr(mlp, "forward", forward_noting_steps)
+    before = sorted(tmp_path.iterdir())
+    code = cli.main([*argv, "--epochs", "20", *(a for kv in paths.items() for a in map(str, kv))])
+    assert code == 1
+    assert capsys.readouterr().err == f"driftbench: error: train: {message}\n"
+    assert "train" not in steps
+    assert sorted(tmp_path.iterdir()) == before
+    for other, path in paths.items():
+        if other != flag:
+            assert path.read_bytes() == f"old {other}".encode()
+
+
+@pytest.mark.parametrize("existing", ["--out", "--history"])
+@pytest.mark.parametrize("failure", ["diverges", "history write fails"])
+def test_failed_train_leaves_its_outputs_as_they_were(workdir, tmp_path, existing, failure,
+                                                      monkeypatch, capsys):
+    argv, paths = train_outputs(workdir, tmp_path, capsys)
+    next(path for flag, path in paths.items() if flag != existing).unlink()
+    saves, steps, real_loss = [], [], mlp.ova_bce_loss
+    monkeypatch.setattr(cli, "save_checkpoint",
+                        lambda params, out: saves.append(mlp.save_checkpoint(params, out)))
+    if failure == "diverges":  # epoch 1 is kept, then the one step of epoch 2 diverges
+        def loss(logits, targets):
+            steps.append(1)
+            return (np.nan, None) if len(steps) == 2 else real_loss(logits, targets)
+        monkeypatch.setattr(mlp, "ova_bce_loss", loss)
+        message = "non-finite loss at epoch 2, batch 0"
+    else:  # once training has ended
+        def full_disk(history, path):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(training, "write_history_csv", full_disk)
+        message = "[Errno 28] No space left on device"
+    before = sorted(tmp_path.iterdir())
+    code = cli.main([*argv, "--epochs", "2", "--batch", "64",
+                     *(a for kv in paths.items() for a in map(str, kv))])
+    assert code == 1
+    assert capsys.readouterr().err == f"driftbench: error: train: {message}\n"
+    assert len(saves) >= 1  # a checkpoint was written, just not to --out
+    assert sorted(tmp_path.iterdir()) == before
+    assert paths[existing].read_bytes() == f"old {existing}".encode()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, capsys,
                                                    monkeypatch):
@@ -1037,12 +1109,14 @@ def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_pat
     monkeypatch.setattr(parallel, "WORKERS", 1)
     real_train, trained, log = training.train, [], tmp_path / "alive.log"
 
-    def train_counting_live_weights(*args, **kwargs):
+    def train_counting_live_weights(data, split, config, keep, **kwargs):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {sum(ref() is not None for ref in trained)}\n")
-        params, history = real_train(*args, **kwargs)
-        trained.append(weakref.ref(params))
-        return params, history
+
+        def keep_noting_the_weights(params):
+            trained.append(weakref.ref(params))
+            keep(params)
+        return real_train(data, split, config, keep_noting_the_weights, **kwargs)
     monkeypatch.setattr(training, "train", train_counting_live_weights)
     assert cli.main(["train-all", *data_args(workdir), "--epochs", "1",
                      "--hidden1", "8", "--hidden2", "4", "--out-dir", str(tmp_path / "runs")]) == 0

@@ -1,6 +1,7 @@
 """Network forward/backward math, loss, and checkpoint format."""
 import dataclasses
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -623,6 +624,35 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
     save_checkpoint(p, a)
     save_checkpoint(p, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("sink", ["path", "open file"])
+def test_checkpoint_streams_the_float32_image_through_one_small_buffer(tmp_path, sink):
+    # a vector of several dataset.BLOCKs that ends in part of one
+    p = init_params(40, 3, seed=0, hidden1=1000, hidden2=37)
+    assert p.flat.size > 8 * dataset.BLOCK and p.flat.size % dataset.BLOCK
+    rng = np.random.default_rng(7)
+    p.flat[:] = rng.standard_normal(p.flat.size) * 10.0 ** rng.uniform(-40, 37, p.flat.size)
+    # -0.0, float32 subnormals, values that round to (-)0 in float32, the float32 extremes
+    edge = [-0.0, 1e-40, -3e-42, 1.4e-45, 7e-46, -1e-50, 5e-324,
+            np.finfo(np.float32).max, np.finfo(np.float32).min]
+    p.flat[:len(edge)] = edge
+    p.flat[-len(edge):] = edge
+    want = CHECKPOINT_MAGIC + struct.pack("<IIII", *p.dims) + p.flat.astype("<f4").tobytes()
+    path = tmp_path / "m.emlp"
+    tracemalloc.start()
+    try:
+        if sink == "path":
+            save_checkpoint(p, path)
+        else:
+            with path.open("wb") as fh:
+                save_checkpoint(p, fh)
+                assert not fh.closed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == want
+    assert peak < p.flat.nbytes / 8, peak
 
 
 def test_checkpoint_corruption_detected(tmp_path):

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_features, make_manifest, record_parts
+from conftest import make_features, make_manifest, record_parts, train_best
 import driftbench.mlp as mlp
-from driftbench import parallel
+from driftbench import parallel, training
 from driftbench.mlp import MlpParams, init_params, save_checkpoint
 from driftbench.splits import SplitSpec, build_lodo_split
 from driftbench.training import (
@@ -265,7 +265,7 @@ def test_train_zero_epochs_returns_init():
     man, data = make_data()
     split = build_lodo_split(man, "dom1", seed=0)
     cfg = TrainConfig(epochs=0, seed=5)
-    params, history = train(data, split, cfg, hidden1=4, hidden2=3)
+    params, history = train_best(data, split, cfg, hidden1=4, hidden2=3)
     assert history == []
     want = mlp.init_params(4, 2, seed=5, hidden1=4, hidden2=3)
     for name, t in params.tensors().items():
@@ -276,8 +276,8 @@ def test_train_is_deterministic(tmp_path):
     man, data = make_data()
     split = build_lodo_split(man, "dom1", seed=0)
     cfg = TrainConfig(epochs=5, batch_size=4, drop_prob=0.5, seed=2)
-    p1, h1 = train(data, split, cfg, hidden1=8, hidden2=4)
-    p2, h2 = train(data, split, cfg, hidden1=8, hidden2=4)
+    p1, h1 = train_best(data, split, cfg, hidden1=8, hidden2=4)
+    p2, h2 = train_best(data, split, cfg, hidden1=8, hidden2=4)
     assert h1 == h2
     a, b = tmp_path / "a.emlp", tmp_path / "b.emlp"
     save_checkpoint(p1, a)
@@ -289,7 +289,7 @@ def test_train_learns_separable_blobs():
     man, data = make_data(per_cell=8, n_domains=3)
     split = build_lodo_split(man, "dom2", seed=0)
     cfg = TrainConfig(epochs=30, batch_size=8, drop_prob=0.0, seed=0)
-    params, history = train(data, split, cfg, hidden1=16, hidden2=8)
+    params, history = train_best(data, split, cfg, hidden1=16, hidden2=8)
     assert len(history) == 30
     report = evaluate(params, data, split.test_ids)
     assert report.overall_top1 == 100.0
@@ -299,7 +299,7 @@ def test_train_returns_best_val_epoch():
     man, data = make_data(per_cell=10)
     split = build_lodo_split(man, "dom1", val_fraction=0.4, seed=1)
     cfg = TrainConfig(epochs=8, batch_size=4, drop_prob=0.5, seed=3)
-    params, history = train(data, split, cfg, hidden1=8, hidden2=4)
+    params, history = train_best(data, split, cfg, hidden1=8, hidden2=4)
     vals = [h.val_top1 for h in history]
     report = evaluate(params, data, split.val_ids)
     assert report.overall_top1 == max(vals)
@@ -319,19 +319,20 @@ def test_train_empty_val_returns_final_params():
     split = build_lodo_split(man, "dom1", val_fraction=0.0, seed=0)
     assert split.val_ids == ()
     cfg = TrainConfig(epochs=3, batch_size=4, drop_prob=0.0, seed=0)
-    params, history = train(data, split, cfg, hidden1=4, hidden2=3)
+    params, history = train_best(data, split, cfg, hidden1=4, hidden2=3)
     assert all(np.isnan(h.val_top1) for h in history)
     # rerun an identical loop to confirm the final epoch weights came back
-    p2, _ = train(data, split, cfg, hidden1=4, hidden2=3)
+    p2, _ = train_best(data, split, cfg, hidden1=4, hidden2=3)
     for name, t in params.tensors().items():
         assert np.array_equal(t, p2.tensors()[name])
 
 
-def test_train_holds_five_parameter_vectors_and_one_step():
-    """Traced peak of train stays under its working set: five parameter-sized
-    vectors (params, the best-epoch copy, Adam m and v, the gradients), one
-    step's activations (twice a ForwardTrace: the trace plus the forward and
-    backward temporaries) and one eval chunk (its input and both layers)."""
+def test_train_holds_four_parameter_vectors_and_one_step(tmp_path):
+    """Traced peak of train stays under its working set: four parameter-sized
+    vectors (params, Adam m and v, the gradients), one step's activations
+    (twice a ForwardTrace: the trace plus the forward and backward
+    temporaries) and one eval chunk (its input and both layers), while keep
+    writes each new best epoch's checkpoint into an open file."""
     i, h1, h2, c, batch = 64, 512, 256, 4, 32
     n_train, n_val = 512, EVAL_BATCH
     n = n_train + n_val
@@ -345,18 +346,69 @@ def test_train_holds_five_parameter_vectors_and_one_step():
     _, trace = mlp.forward(params, X[:batch], mode="train", drop_prob=0.5,
                            rng=np.random.default_rng(0))
     step = 2 * sum(np.asarray(getattr(trace, f.name)).nbytes for f in dataclasses.fields(trace))
-    budget = 5 * params.flat.nbytes + step + EVAL_BATCH * (i + h1 + h2) * 8
+    budget = 4 * params.flat.nbytes + step + EVAL_BATCH * (i + h1 + h2) * 8
+    size = 20 + params.flat.size * 4
     del params, trace
 
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        train(data, split, TrainConfig(epochs=1, batch_size=batch, drop_prob=0.5),
-              hidden1=h1, hidden2=h2)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    path = tmp_path / "ckpt.emlp"
+    with path.open("wb") as fh:
+        def keep(params):
+            fh.seek(0)
+            save_checkpoint(params, fh)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(data, split, TrainConfig(epochs=1, batch_size=batch, drop_prob=0.5), keep,
+                  hidden1=h1, hidden2=h2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert path.stat().st_size == size
     assert peak < budget, (peak, budget)
+
+
+def test_train_hands_keep_each_new_best_epoch_in_order(monkeypatch):
+    man, data = make_data(per_cell=20, noise=3.0, n_domains=3)  # val top-1 climbs slowly
+    widths = {"hidden1": 8, "hidden2": 4}
+    ends = []  # the weights at each epoch's end, as val top-1 is measured
+    real_top1 = training._top1
+
+    def top1_noting_the_weights(params, X, y):
+        ends.append(params.copy())
+        return real_top1(params, X, y)
+    monkeypatch.setattr(training, "_top1", top1_noting_the_weights)
+
+    def run(val_fraction, epochs):
+        split = build_lodo_split(man, "dom2", val_fraction=val_fraction, seed=1)
+        kept, live = [], []
+
+        def keep(params):
+            kept.append(params.copy())
+            live.append(params)
+        ends.clear()
+        config = TrainConfig(epochs=epochs, batch_size=8, drop_prob=0.5, seed=3)
+        history = train(data, split, config, keep, **widths)
+        return kept, live, history
+
+    kept, live, history = run(0.5, 0)
+    assert history == [] and len(kept) == 1
+    assert np.array_equal(kept[0].flat, mlp.init_params(4, 2, seed=3, **widths).flat)
+
+    kept, live, history = run(0.0, 4)
+    assert len(history) == 4 and ends == [] and len(kept) == 1
+    assert np.array_equal(kept[0].flat, live[0].flat)  # the weights train ended on
+    assert not np.array_equal(kept[0].flat, mlp.init_params(4, 2, seed=3, **widths).flat)
+
+    kept, live, history = run(0.5, 8)
+    tops = [row.val_top1 for row in history]
+    improving = [e for e in range(8) if tops[e] > max(tops[:e], default=-1.0)]
+    # several calls, so their order is put to the test, and a tie that must not call
+    assert len(improving) > 2 and len(set(tops)) < len(tops)
+    assert len(ends) == 8 and len(kept) == len(improving)
+    for params, e in zip(kept, improving):
+        assert np.array_equal(params.flat, ends[e].flat)
+    assert best_epoch(history).epoch == improving[-1] + 1
 
 
 def test_train_and_evaluate_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
@@ -373,7 +425,7 @@ def test_train_and_evaluate_bytes_do_not_depend_on_the_worker_count(monkeypatch,
     for workers in (1, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)
         parts = record_parts(monkeypatch)
-        params, history = train(data, split, config, hidden1=h1, hidden2=h2)
+        params, history = train_best(data, split, config, hidden1=h1, hidden2=h2)
         report = evaluate(params, data, split.test_ids)
         assert max(parts) == workers
         out = tmp_path / str(workers)
@@ -395,7 +447,7 @@ def test_train_rejects_overlapping_split():
         test_ids=split.test_ids,
     )
     with pytest.raises(ValueError, match="overlap"):
-        train(data, bad, TrainConfig(epochs=1))
+        train_best(data, bad, TrainConfig(epochs=1))
 
 
 def test_train_rejects_empty_train():
@@ -408,7 +460,7 @@ def test_train_rejects_empty_train():
         test_ids=split.test_ids,
     )
     with pytest.raises(ValueError, match="empty train split"):
-        train(data, bad, TrainConfig(epochs=1))
+        train_best(data, bad, TrainConfig(epochs=1))
 
 
 def test_train_reports_divergence(monkeypatch):
@@ -420,7 +472,7 @@ def test_train_reports_divergence(monkeypatch):
 
     monkeypatch.setattr(mlp, "ova_bce_loss", exploding_loss)
     with pytest.raises(ValueError, match="non-finite loss at epoch 1"):
-        train(data, split, TrainConfig(epochs=1), hidden1=4, hidden2=3)
+        train_best(data, split, TrainConfig(epochs=1), hidden1=4, hidden2=3)
 
 
 def test_evaluate_constant_predictor():
@@ -442,7 +494,7 @@ def test_evaluate_perfect_predictor_confusion():
     man, data = make_data(per_cell=8, n_domains=3)
     split = build_lodo_split(man, "dom2", seed=0)
     cfg = TrainConfig(epochs=30, batch_size=8, drop_prob=0.0, seed=0)
-    params, _ = train(data, split, cfg, hidden1=16, hidden2=8)
+    params, _ = train_best(data, split, cfg, hidden1=16, hidden2=8)
     report = evaluate(params, data, split.test_ids)
     assert report.overall_top1 == 100.0
     off_diagonal = report.confusion.sum() - np.trace(report.confusion)
