@@ -147,16 +147,14 @@ def _train_config(args):
         drop_prob=args.drop_prob, seed=args.seed)
 
 
-def _fit(args, data, split, config, checkpoint, history_path, test_report: bool = False):
+def _fit(args, data, split, config, checkpoint, history_path):
     """Train on split with config and the width flags; write the checkpoint and history.
 
     Each new best epoch's weights go straight into an unnamed temporary
     file in the checkpoint's directory, so training holds no copy of them
-    and a killed run leaves no file behind; with test_report, their report
-    on split.test_ids is taken then too. Once training ends, the history
+    and a killed run leaves no file behind. Once training ends, the history
     is written, then the file is copied to the checkpoint: a run that
-    fails before that leaves both paths as they were. Returns the history
-    and the last report (None without test_report).
+    fails before that leaves both paths as they were. Returns the history.
     """
     from . import training
     checkpoint, history_path = Path(checkpoint), Path(history_path)
@@ -166,14 +164,10 @@ def _fit(args, data, split, config, checkpoint, history_path, test_report: bool 
         if path.is_dir():
             raise ValueError(f"{path}: is a directory")
     kept = tempfile.TemporaryFile(dir=checkpoint.parent)
-    report = None
 
     def keep(params) -> None:
-        nonlocal report
         kept.seek(0)  # every save of these weights has the same length
         _this().save_checkpoint(params, kept)
-        if test_report:
-            report = training.evaluate(params, data, split.test_ids)
 
     with kept:
         history = training.train(data, split, config, keep,
@@ -182,7 +176,7 @@ def _fit(args, data, split, config, checkpoint, history_path, test_report: bool 
         kept.seek(0)
         with checkpoint.open("wb") as out:
             shutil.copyfileobj(kept, out)
-    return history, report
+    return history
 
 
 def _cmd_train(args) -> str:
@@ -191,9 +185,8 @@ def _cmd_train(args) -> str:
     data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     split = splits.read_split_file(args.split, manifest)
     history_path = args.history or f"{args.out}.history.csv"
-    history, _ = _fit(args, data, split, _train_config(args), args.out, history_path)
-    return (f"train: {_best_epoch_line(history)}, "
-            f"wrote {args.out} {history_path}")
+    history = _fit(args, data, split, _train_config(args), args.out, history_path)
+    return f"train: {_best_epoch_line(history)}, wrote {args.out} {history_path}"
 
 
 def _read_id_file(path: str | Path, known) -> list[str]:
@@ -210,24 +203,31 @@ def _read_id_file(path: str | Path, known) -> list[str]:
     return list(ids)
 
 
-def _cmd_eval(args) -> str:
-    from . import splits, training
-    manifest, features = _load_inputs(args)
-    data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
-    params = _this().load_checkpoint(args.checkpoint)
-    if args.ids:
-        ids = _read_id_file(args.ids, data.row_of)
-        split_id = str(args.ids)
-    else:
-        split = splits.read_split_file(args.split, manifest)
-        ids = list(getattr(split, f"{args.role}_ids"))
-        split_id = f"{args.split}:{args.role}"
+def _write_report(checkpoint, manifest, features, ids, split_id: str, out):
+    """Write checkpoint's eval report on the clips ids, labelled split_id, to out; return it."""
+    from . import training
+    params = _this().load_checkpoint(checkpoint)
+    # its input width picks the pooling; at T = 1 mean and flatten predict alike
+    mean = params.input_dim == features.feature_dim and features.temporal_count > 1
+    data = training.TrainingData.from_features(manifest, features, "mean" if mean else "flatten")
     try:
         report = training.evaluate(params, data, ids)
     except training.ModelMismatch as exc:
-        raise ValueError(f"{args.checkpoint}: {exc}") from None
+        raise ValueError(f"{checkpoint}: {exc}") from None
     report.split_id = split_id
-    training.write_eval_report(report, args.out)
+    training.write_eval_report(report, out)
+    return report
+
+
+def _cmd_eval(args) -> str:
+    from . import splits
+    manifest, features = _load_inputs(args)
+    if args.ids:
+        ids, split_id = _read_id_file(args.ids, manifest.by_id()), args.ids
+    else:
+        split = splits.read_split_file(args.split, manifest)
+        ids, split_id = getattr(split, f"{args.role}_ids"), f"{args.split}:{args.role}"
+    report = _write_report(args.checkpoint, manifest, features, ids, split_id, args.out)
     return (f"eval: top1 {report.overall_top1:.2f}% over {report.n_evaluated} "
             f"clips, wrote {args.out}")
 
@@ -369,12 +369,11 @@ def _cmd_train_all(args) -> str:
         domain = domains[index]
         split = lodo[domain]
         splits.write_split_file(split, out_dir / f"split_{domain}.tsv")
-        _, report = _fit(args, data, split, replace(config, seed=args.seed + index),
-                         out_dir / f"ckpt_{domain}.emlp", out_dir / f"history_{domain}.csv",
-                         test_report=True)
-        report.split_id = f"lodo:{domain}"
-        training.write_eval_report(report, out_dir / f"eval_{domain}.json")
-        return report.overall_top1
+        checkpoint = out_dir / f"ckpt_{domain}.emlp"
+        _fit(args, data, split, replace(config, seed=args.seed + index),
+             checkpoint, out_dir / f"history_{domain}.csv")
+        return _write_report(checkpoint, manifest, features, split.test_ids,
+                             f"lodo:{domain}", out_dir / f"eval_{domain}.json").overall_top1
 
     def hold_out_done(index: int, top1: float) -> None:
         if args.verbose:
@@ -477,7 +476,6 @@ def _args_eval(p: argparse.ArgumentParser) -> None:
     group.add_argument("--ids", help="file with one clip id per line")
     group.add_argument("--split", help="split file; evaluates --role ids")
     p.add_argument("--role", choices=["train", "val", "test"], default="test")
-    p.add_argument("--pool", choices=["mean", "flatten"], default="flatten")
     p.add_argument("--out", required=True, metavar="REPORT_JSON")
 
 

@@ -341,17 +341,24 @@ def save_checkpoint(params: MlpParams, out) -> None:
 
     out is a path, or a binary file open for writing, which stays open.
     The float32 body is cast one dataset.BLOCK of elements at a time into
-    one buffer, so no float32 copy of `flat` is made.
+    one buffer, so no float32 copy of `flat` is made. A weight not finite in
+    float32 (one past its range too), which load_checkpoint would refuse,
+    raises one ValueError naming its tensor; out may then hold part of the file.
     """
     if isinstance(out, (str, os.PathLike)):
         with open(out, "wb") as fh:
             return save_checkpoint(params, fh)
     out.write(CHECKPOINT_MAGIC + struct.pack("<IIII", *params.dims))
     buf = np.empty(min(dataset.BLOCK, params.flat.size), dtype="<f4")
-    for b in dataset.row_blocks(params.flat.size, 1):
-        chunk = buf[:b.stop - b.start]
-        np.copyto(chunk, params.flat[b], casting="same_kind")  # astype's rounding
-        out.write(chunk.data)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+        for b in dataset.row_blocks(params.flat.size, 1):
+            chunk = buf[:b.stop - b.start]
+            np.copyto(chunk, params.flat[b], casting="same_kind")  # astype's rounding
+            if not np.isfinite(chunk).all():
+                name = next(k for k, t in params.tensors().items()
+                            if not np.isfinite(t.astype("<f4")).all())
+                raise ValueError(f"cannot save {name}: a weight is not finite in float32")
+            out.write(chunk.data)
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> MlpParams:

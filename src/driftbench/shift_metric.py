@@ -111,6 +111,8 @@ def score_dataset(X: np.ndarray, records, k_clusters: int = DEFAULT_K_CLUSTERS,
         if labels[i - 1] == labels[i]:
             raise ValueError(f"label {labels[i]!r} names two {mode} groups, "
                              f"{keys[i - 1]} and {keys[i]}")
+    if len(keys) < 2:
+        raise ValueError(f"need >= 2 groups to compare, got {len(keys)}")
     model = kmeans_fit(X, k_clusters=k_clusters, seed=seed)
     prototypes = [model.centroids[model.assignments[members[key]]].mean(axis=0)
                   for key in keys]

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: exit codes, files, and messages."""
+import argparse
 import hashlib
 import json
 import multiprocessing
@@ -19,7 +20,8 @@ import pytest
 from conftest import note_stops
 from driftbench import cli, mlp, parallel, shift_metric, training
 from driftbench.dataset import FeatureSet, load_feature_pack, load_manifest, write_feature_pack
-from driftbench.mlp import init_params, save_checkpoint
+from driftbench.mlp import init_params, load_checkpoint, save_checkpoint
+from driftbench.splits import read_split_file
 from driftbench.synth import SyntheticSpec, generate
 
 SYNTH_ARGS = ["--domains", "3", "--classes", "3", "--per-cell", "6",
@@ -39,6 +41,44 @@ def workdir(tmp_path_factory):
 def data_args(workdir):
     return ["--manifest", str(workdir / "data" / "manifest.jsonl"),
             "--features", str(workdir / "data" / "features.egf")]
+
+
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Fail the test if shift_metric's k-means fit runs: its inputs are refused first."""
+    def fit(*args, **kwargs):
+        raise AssertionError("kmeans_fit ran before the inputs were checked")
+    monkeypatch.setattr(shift_metric, "kmeans_fit", fit)
+
+
+TRAIN_OPTIONS = {"--epochs", "--lr", "--batch", "--drop-prob", "--hidden1", "--hidden2",
+                 "--pool", "--seed"}
+INPUT_OPTIONS = {"--manifest", "--features", "--category-map"}
+# Every option string each command accepts, -h and --help aside. A knob added
+# or removed anywhere shows here.
+OPTIONS = {
+    "validate": {*INPUT_OPTIONS, "--out"},
+    "score": {*INPUT_OPTIONS, "--grouping", "--k-clusters", "--tau", "--pool", "--out-dir",
+              "--seed"},
+    "splits": {"--manifest", "--category-map", "--hold-out", "--val-fraction", "--out",
+               "--seed"},
+    "train": {*INPUT_OPTIONS, "--split", *TRAIN_OPTIONS, "--out", "--history"},
+    "train-all": {*INPUT_OPTIONS, "--val-fraction", *TRAIN_OPTIONS, "--out-dir", "--threads",
+                  "-v", "--verbose"},
+    "eval": {"--checkpoint", *INPUT_OPTIONS, "--ids", "--split", "--role", "--out"},
+    "correlate": {"--shift-report", "--eval-report", "--out"},
+    "synth": {"--domains", "--classes", "--per-cell", "--dim", "--sep", "--noise", "--offset",
+              "--out-dir", "--seed"},
+    "check-fixtures": {"--out"},
+}
+
+
+def test_each_command_accepts_exactly_its_options():
+    def options(command):
+        sub = next(a for a in cli.build_parser(command)._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert {command: options(command) - {"-h", "--help"} for command in cli.COMMANDS} == OPTIONS
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -209,10 +249,7 @@ def test_score_report_bytes_are_pinned(workdir, tmp_path, grouping, capsys):
     assert digests == SCORE_DIGESTS[grouping]
 
 
-def test_score_refuses_two_groups_with_one_label(workdir, tmp_path, monkeypatch, capsys):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("kmeans_fit ran before the labels were checked")
-    monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
+def test_score_refuses_two_groups_with_one_label(workdir, tmp_path, no_fit, capsys):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text("".join(
         json.dumps({"clip_id": f"c{i}", "domain": d, "category": c, "row_index": i}) + "\n"
@@ -225,6 +262,20 @@ def test_score_refuses_two_groups_with_one_label(workdir, tmp_path, monkeypatch,
     assert capsys.readouterr().err == (
         "driftbench: error: score: label 'a/b/c' names two domain-class groups, "
         "('a/b', 'c') and ('a', 'b/c')\n")
+    assert not out_dir.exists()
+
+
+def test_score_refuses_one_group_before_the_fit(workdir, tmp_path, no_fit, capsys):
+    lines = (workdir / "data" / "manifest.jsonl").read_text().splitlines()
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(line + "\n" for line in lines
+                                if json.loads(line)["domain"] == "dom00"))
+    out_dir = tmp_path / "score"
+    code = cli.main(["score", "--manifest", str(manifest), "--features", data_args(workdir)[3],
+                     "--grouping", "domain", "--k-clusters", "1", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "driftbench: error: score: need >= 2 groups to compare, got 1\n")
     assert not out_dir.exists()
 
 
@@ -751,8 +802,7 @@ def test_failed_train_leaves_its_outputs_as_they_were(workdir, tmp_path, existin
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, capsys,
-                                                   monkeypatch):
+def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, capsys, no_fit):
     args = data_args(workdir)
     split = tmp_path / "split.tsv"
     assert cli.main(["splits", *args[:2], "--hold-out", "dom00",
@@ -768,9 +818,6 @@ def test_non_finite_lr_and_tau_are_one_line_errors(workdir, tmp_path, value, cap
     assert "must be positive" in err
     assert not ckpt.exists()
 
-    def no_fit(*args, **kwargs):
-        raise AssertionError("kmeans_fit ran before tau was checked")
-    monkeypatch.setattr(shift_metric, "kmeans_fit", no_fit)
     out_dir = tmp_path / "score"
     code = cli.main(["score", *args, "--k-clusters", "4", "--tau", value,
                      "--out-dir", str(out_dir)])
@@ -818,6 +865,81 @@ def test_eval_ids_and_split_conflict(workdir, capsys):
                      "--ids", "a.txt", "--split", "b.tsv", "--out", "o.json"])
     assert code == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+def test_eval_takes_no_pool_flag(workdir, capsys):
+    code = cli.main(["eval", *data_args(workdir), "--checkpoint", "x.emlp", "--ids", "a.txt",
+                     "--pool", "mean", "--out", "o.json"])
+    assert code == 2
+    assert "unrecognized arguments: --pool mean" in capsys.readouterr().err
+
+
+def write_clips(workdir, path, t, d, seed):
+    """A pack of t frames of d features for each clip of the shared manifest."""
+    n = load_feature_pack(workdir / "data" / "features.egf").n_clips
+    values = np.random.default_rng(seed).standard_normal((n, t, d)).astype(np.float32)
+    write_feature_pack(FeatureSet(values), path)
+    return ["--manifest", str(workdir / "data" / "manifest.jsonl"), "--features", str(path)]
+
+
+def test_eval_pools_as_the_checkpoint_was_trained(workdir, tmp_path, capsys):
+    # T = 3 frames of D = 8: a model of mean-pooled clips takes 8 features, one
+    # of flattened clips 24, and eval tells them apart by the checkpoint alone
+    inputs = write_clips(workdir, tmp_path / "clips.egf", 3, 8, seed=0)
+    split = tmp_path / "split.tsv"
+    assert cli.main(["splits", *inputs[:2], "--hold-out", "dom01", "--out", str(split)]) == 0
+    manifest = load_manifest(workdir / "data" / "manifest.jsonl")
+    features = load_feature_pack(tmp_path / "clips.egf")
+    neither = write_clips(workdir, tmp_path / "other.egf", 2, 5, seed=1)  # 5 or 10 features
+    for pool, width in (("mean", 8), ("flatten", 24)):
+        ckpt, out = tmp_path / f"{pool}.emlp", tmp_path / f"{pool}.json"
+        assert cli.main(["train", *inputs, "--split", str(split), "--pool", pool,
+                         "--epochs", "3", "--hidden1", "8", "--hidden2", "4",
+                         "--out", str(ckpt)]) == 0
+        assert cli.main(["eval", *inputs, "--checkpoint", str(ckpt), "--split", str(split),
+                         "--out", str(out)]) == 0
+        params = load_checkpoint(ckpt)
+        assert params.input_dim == width
+        data = training.TrainingData.from_features(manifest, features, pool_mode=pool)
+        want = training.evaluate(params, data, read_split_file(split, manifest).test_ids)
+        want.split_id = f"{split}:test"
+        assert json.loads(out.read_text()) == training.eval_report_to_dict(want)
+
+        capsys.readouterr()
+        out.unlink()
+        assert cli.main(["eval", *neither, "--checkpoint", str(ckpt), "--split", str(split),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"driftbench: error: eval: {ckpt}: model takes {width} features and 3 classes, "
+            "data has 10 features and 3 classes\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-all"])
+@pytest.mark.parametrize("lr", ["1e39", "1e60"])
+def test_weights_past_float32_fail_before_any_checkpoint_is_written(tmp_path, command, lr,
+                                                                     capsys):
+    # the weights overflow float32 in the first save: one line, no RuntimeWarning
+    # (pytest makes one an error), and no checkpoint
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--domains", "3", "--classes", "3", "--per-cell", "10",
+                     "--dim", "8", "--seed", "1", "--out-dir", str(data)]) == 0
+    inputs = ["--manifest", str(data / "manifest.jsonl"),
+              "--features", str(data / "features.egf")]
+    split, runs = tmp_path / "split.tsv", tmp_path / "runs"
+    assert cli.main(["splits", *inputs[:2], "--hold-out", "dom01", "--out", str(split)]) == 0
+    runs.mkdir()
+    outputs = (["--split", str(split), "--out", str(runs / "model.emlp")]
+               if command == "train" else ["--out-dir", str(runs)])
+    capsys.readouterr()
+    code = cli.main([command, *inputs, "--hidden1", "8", "--hidden2", "4", "--epochs", "2",
+                     "--lr", lr, *outputs])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"driftbench: error: {command}: cannot save \w+: "
+                        r"a weight is not finite in float32\n", err), err
+    assert not [p for p in runs.iterdir() if p.suffix in (".emlp", ".csv", ".json")]
 
 
 def test_check_fixtures(capsys, tmp_path):
@@ -1098,6 +1220,45 @@ def test_interrupt_stops_a_one_at_a_time_train_all_at_once(workdir, tmp_path):
     assert sorted(p.name for p in out_dir.iterdir()) == ["split_dom00.tsv"]
     with pytest.raises(ProcessLookupError):  # the worker was killed and reaped
         os.kill(int(started.read_text()), 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_all_scores_each_hold_out_once_on_its_checkpoint(workdir, tmp_path, workers,
+                                                               monkeypatch, capsys):
+    # each hold-out's report is eval of the checkpoint it wrote: one evaluate
+    # call, once training has ended and the checkpoint exists, none from keep.
+    # The workers are forked, so the calls are logged to a file.
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    real_train, real_evaluate = training.train, training.evaluate
+    log, runs, keeping = tmp_path / "calls.log", tmp_path / "runs", []
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def train(data, split, config, keep, **kwargs):
+        def noted_keep(params):
+            keeping.append(True)
+            keep(params)
+            keeping.pop()
+        history = real_train(data, split, config, noted_keep, **kwargs)
+        note(f"{split.held_out_domain} trained")
+        return history
+
+    def evaluate(params, data, ids):
+        domain = data.row_domains[data.row_of[ids[0]]]
+        written = (runs / f"ckpt_{domain}.emlp").exists()
+        note(f"{domain} evaluated in_keep={bool(keeping)} checkpoint={written}")
+        return real_evaluate(params, data, ids)
+    monkeypatch.setattr(training, "train", train)
+    monkeypatch.setattr(training, "evaluate", evaluate)
+    assert cli.main(["train-all", *data_args(workdir), "--epochs", "3", "--hidden1", "8",
+                     "--hidden2", "4", "--out-dir", str(runs)]) == 0
+    capsys.readouterr()
+    lines = log.read_text().splitlines()
+    for domain in ("dom00", "dom01", "dom02"):
+        assert [line for line in lines if line.startswith(domain)] == [
+            f"{domain} trained", f"{domain} evaluated in_keep=False checkpoint=True"]
 
 
 def test_train_all_frees_each_hold_outs_weights_before_the_next(workdir, tmp_path,

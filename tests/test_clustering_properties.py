@@ -26,6 +26,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -271,15 +272,31 @@ def test_pairwise_sq_dists_match_the_explicit_form_bitwise(block, n, d, k, inf_r
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 400), st.integers(1, 40), st.integers(1, 12),
-       st.integers(0, 2**32 - 1))
-def test_cluster_means_match_the_mask_loop_bitwise(n, d, k, seed):
-    # above 16 rows NumPy's default sort is not stable; the means would notice
+       st.integers(0, 2**32 - 1), st.sampled_from([np.float64, np.float32]))
+def test_cluster_means_match_the_mask_loop_bitwise(n, d, k, seed, dtype):
+    # above 16 rows NumPy's default sort is not stable; the means would notice.
+    # A float32 X means what its float64 widening does.
     k = min(k, n)
     rng = np.random.default_rng(seed)
-    X = spread_values(seed, (n, d))
+    X = spread_values(seed, (n, d)).astype(dtype)
     labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
     got = clustering._cluster_means(X, labels, k)
-    assert got.tobytes() == expression_cluster_means(X, labels, k).tobytes()
+    want = expression_cluster_means(X.astype(np.float64), labels, k)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float32_cluster_means_of_one_column_past_a_cast_buffer(seed):
+    # A float32 mean with dtype=float64 casts through a buffer of 8,192
+    # elements and sums each chunk apart, so over one column of a cluster
+    # past that many rows it rounds otherwise than the widened rows' mean.
+    n, k = 20_000, 3
+    rng = np.random.default_rng(seed)
+    X = spread_values(seed, (n, 1)).astype(np.float32)
+    labels = np.where(rng.random(n) < 0.6, 0, rng.integers(1, k, n))  # cluster 0: ~12,000
+    assert np.bincount(labels).max() > 8192
+    got = clustering._cluster_means(X, labels, k)
+    assert got.tobytes() == expression_cluster_means(X.astype(np.float64), labels, k).tobytes()
 
 
 def traced_peak(fn, *args):

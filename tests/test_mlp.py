@@ -683,14 +683,39 @@ def test_checkpoint_rejects_zero_width(tmp_path):
 
 
 def test_checkpoint_rejects_non_finite_weight(tmp_path):
+    # save_checkpoint refuses such weights, so the file is written by hand
     for bad in (np.nan, np.inf):
         p = tiny_params()
         p.ln2_bias[1] = bad
         path = tmp_path / "bad.emlp"
-        save_checkpoint(p, path)
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIII", *p.dims)
+                         + p.flat.astype("<f4").tobytes())
         with pytest.raises(ValueError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == f"{path}: non-finite weight"
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_INF_FROM = 2.0 ** 128 - 2.0 ** 103  # the least float64 that rounds to float32 inf
+
+
+@pytest.mark.parametrize("value, saved", [
+    (F32_MAX, F32_MAX), (-F32_MAX, -F32_MAX), (np.nextafter(F32_INF_FROM, 0), F32_MAX),
+    (F32_INF_FROM, None), (1e39, None), (-1e39, None), (np.inf, None), (np.nan, None),
+])
+def test_checkpoint_save_refuses_only_weights_float32_cannot_hold(tmp_path, value, saved):
+    p = tiny_params()
+    p.w2[2, 1] = value
+    path = tmp_path / "edge.emlp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the cast
+        if saved is not None:
+            save_checkpoint(p, path)
+            assert load_checkpoint(path).w2[2, 1] == saved
+            return
+        with pytest.raises(ValueError) as exc:
+            save_checkpoint(p, path)
+    assert str(exc.value) == "cannot save w2: a weight is not finite in float32"
 
 
 def test_params_layout_is_one_vector():
