@@ -20,6 +20,9 @@ import numpy as np
 from . import dataset, parallel
 
 LN_EPS = 1e-5
+# Elements per scratch block of the layer-norm backward, per part: a lodo-desk-wide
+# layer (128 x 256) is one block, and a paper-wide one (128 x 4096) is 8 blocks a pass.
+BACKWARD_BLOCK = 1 << 16
 CHECKPOINT_MAGIC = b"EMLP"
 
 DEFAULT_HIDDEN1 = 4096
@@ -134,12 +137,12 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     Returns d (B, H) and, when rng is given (train mode), the trace
     fields (xhat, inv_std, d); backward takes the ReLU and dropout gate
     from d > 0. The whole layer's dropout doubles are one rng.random call
-    here, on the calling thread, freed on return. The rows are then cut
-    into the parts of the layer's GEMM; each part runs the whole chain on
-    its rows, into arrays allocated here, and turns its rows of the
-    doubles into the mask. The parts allocate nothing large themselves: a
-    helper thread's allocations would stay in its own malloc arena and add
-    to peak RSS.
+    here, on the calling thread, drawn into d itself. The rows are then
+    cut into the parts of the layer's GEMM; each part runs the whole chain
+    on its rows, into arrays allocated here: it first turns its rows of
+    the doubles into a bool gate, then writes the layer's output over
+    them. The parts allocate nothing large themselves: a helper thread's
+    allocations would stay in its own malloc arena and add to peak RSS.
     """
     n, h = x.shape[0], w.shape[1]
     parts = parallel.cuts(n, parallel.gemm_parts(n, x.shape[1], h))
@@ -149,21 +152,21 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     if rng is None:
         d = z
     else:
-        d = np.empty_like(z)
-        mask = rng.random(out=np.empty((n, h)))
+        d = rng.random(out=np.empty_like(z))
+        gate = np.empty((n, h), dtype=bool)
         keep = 1.0 - float(drop_prob)
 
     def part(p: int, rows: slice) -> None:
         zp, dp = np.matmul(x[rows], w, out=z[rows]), d[rows]
+        if rng is not None:
+            np.less(dp, keep, out=gate[rows])
         zp += b
         _layer_norm(zp, gain, bias, dp, inv_std[rows], squares[p])
         np.maximum(dp, 0.0, out=dp)
         if rng is None:
             return
-        mp = mask[rows]
-        np.less(mp, keep, out=mp)  # 1.0 or 0.0, then 1/keep or 0 as (r < keep) * (1/keep)
-        mp *= 1.0 / keep
-        dp *= mp
+        dp *= gate[rows]  # times 1.0 or 0.0, then 1/keep: the bits of dp * ((r < keep) * (1/keep))
+        dp *= 1.0 / keep
 
     parallel.run_parts(part, parts)
     return d, (None if rng is None else (z, inv_std, d))
@@ -218,42 +221,62 @@ def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
     d_xhat = d_out * (d > 0) * (1/keep) * gain, the roundings are those of
     inv_std * (d_xhat - d_xhat.mean(1) - (xhat * (d_xhat * xhat).sum(1)) / H).
 
-    Three passes of n_parts parts. The first and last cut the rows, as
-    their work is elementwise or per row: the gate and xhat products,
-    then the rest. The middle one cuts the columns for the g_gain and
-    g_bias sums over axis 0, which add each column's rows in row order
-    whatever the cut; two columns a part at least, as NumPy sums a
-    one-column slice pairwise. The elementwise work stays on row slices:
-    on a column slice it runs slower, and NumPy buffers it on the heap of
-    the helper thread, which raised peak RSS.
+    Three passes of n_parts parts, each through one scratch block a part,
+    never larger than the part. The first and last cut the rows, as their
+    work is elementwise or per row: the gate, then the rest with its
+    projection, in blocks of BACKWARD_BLOCK elements or one row. The middle
+    one cuts the columns for the g_gain and g_bias sums over axis 0, which
+    add each column's rows in row order whatever the cut. Its d_out * xhat
+    products go through blocks of all B rows and BACKWARD_BLOCK elements of
+    the part's columns, two columns at least, as NumPy sums a one-column
+    slice pairwise; for the same reason a part has two columns at least.
+    Elementwise work on a column slice runs slower and makes NumPy buffer
+    np.getbufsize() elements of each operand on the heap of the thread that
+    runs the part, so the row passes keep theirs on row slices.
     """
     b, h = d_out.shape
     rows, cols = parallel.cuts(b, n_parts), parallel.cuts(h, n_parts)
-    scratch = np.empty_like(d_out)
+    row_block = min(dataset.block_rows(h, BACKWARD_BLOCK), max(r.stop - r.start for r in rows))
+    col_block = min(max(2, dataset.block_rows(b, BACKWARD_BLOCK)),
+                    max(c.stop - c.start for c in cols))
+    scratch = np.empty((n_parts, max(row_block * h, b * col_block)), dtype=d_out.dtype)
 
-    def products(p: int, r: slice) -> None:
-        dp = d_out[r]
-        dp *= np.greater(d[r], 0.0, out=scratch[r])
-        dp *= 1.0 / keep
-        np.multiply(dp, xhat[r], out=scratch[r])
+    def blocks(p: int, r: slice):
+        """(rows, scratch view) per block of the part's rows r."""
+        for q in dataset.row_blocks(r.stop - r.start, h, BACKWARD_BLOCK):
+            n = q.stop - q.start
+            yield slice(r.start + q.start, r.start + q.stop), scratch[p, :n * h].reshape(n, h)
+
+    def gates(p: int, r: slice) -> None:
+        for rb, sp in blocks(p, r):
+            dp = d_out[rb]
+            dp *= np.greater(d[rb], 0.0, out=sp)
+            dp *= 1.0 / keep
 
     def column_sums(p: int, c: slice) -> None:
-        scratch[:, c].sum(axis=0, out=g_gain[c])
+        w = c.stop - c.start
+        for q in dataset.row_blocks(w, b, b * col_block):
+            # a lone last column is summed with the one before it, which gets the same bits again
+            cb = slice(c.start + max(0, min(q.start, q.stop - 2)), c.start + q.stop)
+            n = cb.stop - cb.start
+            sp = np.multiply(d_out[:, cb], xhat[:, cb], out=scratch[p, :b * n].reshape(b, n))
+            sp.sum(axis=0, out=g_gain[cb])
         d_out[:, c].sum(axis=0, out=g_bias[c])
 
     def rest(p: int, r: slice) -> None:
-        dp, xp, sp = d_out[r], xhat[r], scratch[r]
-        dp *= gain
-        mean = dp.sum(axis=1, keepdims=True)
-        mean /= h
-        proj = np.multiply(dp, xp, out=sp).sum(axis=1, keepdims=True)
-        dp -= mean
-        np.multiply(xp, proj, out=sp)
-        sp /= h  # (xhat * S) / H: xhat * (S / H) rounds differently unless H is 2^k
-        dp -= sp
-        dp *= inv_std[r]
+        for rb, sp in blocks(p, r):
+            dp, xp = d_out[rb], xhat[rb]
+            dp *= gain
+            mean = dp.sum(axis=1, keepdims=True)
+            mean /= h
+            proj = np.multiply(dp, xp, out=sp).sum(axis=1, keepdims=True)
+            dp -= mean
+            np.multiply(xp, proj, out=sp)
+            sp /= h  # (xhat * S) / H: xhat * (S / H) rounds differently unless H is 2^k
+            dp -= sp
+            dp *= inv_std[rb]
 
-    for task, cut in ((products, rows), (column_sums, cols), (rest, rows)):
+    for task, cut in ((gates, rows), (column_sums, cols), (rest, rows)):
         parallel.run_parts(task, cut)
     return d_out
 
@@ -336,19 +359,13 @@ def predict(logits: np.ndarray) -> np.ndarray:
     return logits.argmax(axis=1)
 
 
-def save_checkpoint(params: MlpParams, out) -> None:
-    """EMLP header, u32 dims (I, H1, H2, C), then `flat` as float32 LE.
+def _write_float32(params: MlpParams, write) -> None:
+    """Call write with `flat` as float32 LE, one dataset.BLOCK of elements at a time.
 
-    out is a path, or a binary file open for writing, which stays open.
-    The float32 body is cast one dataset.BLOCK of elements at a time into
-    one buffer, so no float32 copy of `flat` is made. A weight not finite in
-    float32 (one past its range too), which load_checkpoint would refuse,
-    raises one ValueError naming its tensor; out may then hold part of the file.
+    Each block is cast into one buffer, so no float32 copy of `flat` is
+    made. A weight not finite in float32 (one past its range too), which
+    load_checkpoint would refuse, raises one ValueError naming its tensor.
     """
-    if isinstance(out, (str, os.PathLike)):
-        with open(out, "wb") as fh:
-            return save_checkpoint(params, fh)
-    out.write(CHECKPOINT_MAGIC + struct.pack("<IIII", *params.dims))
     buf = np.empty(min(dataset.BLOCK, params.flat.size), dtype="<f4")
     with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
         for b in dataset.row_blocks(params.flat.size, 1):
@@ -358,19 +375,49 @@ def save_checkpoint(params: MlpParams, out) -> None:
                 name = next(k for k, t in params.tensors().items()
                             if not np.isfinite(t.astype("<f4")).all())
                 raise ValueError(f"cannot save {name}: a weight is not finite in float32")
-            out.write(chunk.data)
+            write(chunk.data)
+
+
+def save_checkpoint(params: MlpParams, out) -> None:
+    """EMLP header, u32 dims (I, H1, H2, C), then `flat` as float32 LE.
+
+    out is a path, or a binary file open for writing, which stays open.
+    Weights that _write_float32 refuses raise its ValueError. A path is
+    checked before it is opened, so it keeps what it held; an open file
+    may then hold part of the checkpoint.
+    """
+    if isinstance(out, (str, os.PathLike)):
+        _write_float32(params, lambda data: None)
+        with open(out, "wb") as fh:
+            return save_checkpoint(params, fh)
+    out.write(CHECKPOINT_MAGIC + struct.pack("<IIII", *params.dims))
+    _write_float32(params, out.write)
 
 
 def load_checkpoint(path: str | Path, dtype=np.float64) -> MlpParams:
-    """Read an EMLP file; bad magic, dims, size or a non-finite weight raise one line."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic")
-    dims = struct.unpack("<IIII", raw[4:20])
-    try:
-        params = MlpParams(dims, np.frombuffer(raw, dtype="<f4", offset=20).astype(dtype))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not np.isfinite(params.flat).all():
-        raise ValueError(f"{path}: non-finite weight")
+    """Read an EMLP file; bad magic, dims, size or a non-finite weight raise one line.
+
+    The float32 body streams into the weights one dataset.BLOCK of
+    elements at a time through one buffer, so no copy of the file is held.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(20)
+        if len(head) < 20 or head[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: bad checkpoint magic")
+        dims = struct.unpack("<IIII", head[4:])
+        try:
+            size = sum(math.prod(s) for s in tensor_shapes(dims))
+            if os.fstat(fh.fileno()).st_size != 20 + 4 * size:
+                raise ValueError(f"size mismatch for dims {dims}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        params = MlpParams(dims, np.empty(size, dtype=dtype))
+        buf = np.empty(min(dataset.BLOCK, size), dtype="<f4")
+        for b in dataset.row_blocks(size, 1):
+            chunk = buf[:b.stop - b.start]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path}: size mismatch for dims {dims}")
+            if not np.isfinite(chunk).all():
+                raise ValueError(f"{path}: non-finite weight")
+            params.flat[b] = chunk
     return params

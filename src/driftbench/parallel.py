@@ -109,6 +109,9 @@ def run_parts(task, parts: list[slice]) -> None:
             run(p)
     # Wait for the parts the pool started, so that none writes after this returns.
     wait([future for future in futures if not future.cancelled()])
+    # A pool thread may hold run a moment longer: a part it ran until it drops the
+    # work item, a cancelled one until it dequeues it. Without task, run holds no arrays.
+    del task
     if errors:
         raise errors[0]
 

@@ -19,7 +19,9 @@ from .dataset import FeatureSet, Manifest, pool_temporal, row_blocks, write_json
 from .mlp import MlpParams
 from .splits import SplitSpec
 
-EVAL_BATCH = 512
+# float64 elements of the widest layer in one eval chunk (4 MiB): 128 rows at the paper
+# widths, 2,048 at lodo-desk's, whose val set is then one chunk.
+EVAL_BLOCK = 1 << 19
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -193,8 +195,9 @@ class ModelMismatch(ValueError):
 
 
 def _eval_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    parts = [mlp.forward(params, X[i:i + EVAL_BATCH], mode="eval")
-             for i in range(0, X.shape[0], EVAL_BATCH)]
+    """Eval-mode logits of the rows of X, in chunks of EVAL_BLOCK elements of the widest layer."""
+    parts = [mlp.forward(params, X[rows], mode="eval")
+             for rows in row_blocks(X.shape[0], max(params.dims[:3]), EVAL_BLOCK)]
     return np.concatenate(parts, axis=0)
 
 
@@ -212,10 +215,11 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
     the final weights once, after the loop. keep copies what it retains,
     as the next step changes them in place. Memory: four parameter-sized
     vectors (params, Adam's m and v, one gradient buffer) plus one step's
-    activations, or one EVAL_BATCH chunk of val rows while val top-1 is
-    measured. Large GEMMs and the Adam pass run on parallel.WORKERS
-    threads; they write into those same buffers, so the working set does
-    not grow with the thread count, and neither do the bits.
+    trace, one layer's gradient and a block of layer-norm scratch; or,
+    while val top-1 is measured, one chunk of val rows of at most
+    EVAL_BLOCK elements a layer. Large GEMMs and the Adam pass run on
+    parallel.WORKERS threads; they write into those same buffers, so the
+    working set does not grow with the thread count, and neither do the bits.
     """
     train_set, val_set, test_set = set(split.train_ids), set(split.val_ids), set(split.test_ids)
     if train_set & val_set or train_set & test_set or val_set & test_set:

@@ -76,6 +76,7 @@ def test_train_loop_calls_each_traced_layer_once_per_step(monkeypatch):
     for module, attr in ((mlp, "forward"), (mlp, "ova_bce_loss"), (mlp, "backward"),
                          (training, "adam_step")):
         counting(module, attr)
+    monkeypatch.setattr(training, "EVAL_BLOCK", 10)  # 2 rows a chunk: hidden1 = 5 is widest
     n_train, n_val, batch, epochs = 10, 7, 4, 3
     n = n_train + n_val
     rows = [(f"c{i}", "d0", f"k{i % 2}", i) for i in range(n)]
@@ -87,12 +88,13 @@ def test_train_loop_calls_each_traced_layer_once_per_step(monkeypatch):
                hidden1=5, hidden2=4)
 
     step = ["mlp.forward_train", "ova_bce_loss", "backward", "adam_step"]
-    val = ["mlp.forward_eval"] * math.ceil(n_val / training.EVAL_BATCH)
+    val = ["mlp.forward_eval"] * math.ceil(n_val / 2)
     epoch = step * math.ceil(n_train / batch) + val
     assert [name for name, _, _ in calls] == epoch * epochs
     for name, args, kwargs in calls:
         if name.startswith("mlp.forward"):
             assert tracing.ATTRS["mlp.forward"](args, kwargs, None)["i"] == 3
+            assert name == "mlp.forward_train" or len(args[1]) <= 2
         elif name == "adam_step":
             assert tracing.ATTRS["training.adam_step"](args, kwargs, None)["params"] == \
                 args[0].flat.size

@@ -2,14 +2,14 @@
 
 A hand-written `for lo in range(0, n, step)` picks its own block size; the
 block decision lives in dataset.BLOCK and dataset.row_blocks. The walker
-itself and the two training batch loops, whose step is the batch size, are
-the only stepped ranges allowed.
+itself and the training batch loop, whose step is the batch size, are the
+only stepped ranges allowed.
 """
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "driftbench").glob("*.py"))
-ALLOWED = {"dataset.row_blocks", "training._eval_logits", "training.train"}
+ALLOWED = {"dataset.row_blocks", "training.train"}
 
 
 def stepped_range_loops(path):

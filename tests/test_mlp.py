@@ -473,6 +473,64 @@ def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_
         assert np.array_equal(eval_logits, want_eval), workers
 
 
+def layer_norm_backward_problem(rows, h, seed):
+    """d_out, d, xhat, inv_std and gain as a train step hands them to the
+    layer-norm backward: d is zero where ReLU or dropout gated a unit."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, h)) * 3.0
+    xhat = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, keepdims=True)
+    d = np.maximum(rng.standard_normal((rows, h)), 0.0) * (rng.random((rows, h)) < 0.5) * 2.0
+    inv_std = rng.uniform(0.5, 2.0, (rows, 1))
+    gain = 1.0 + 0.3 * rng.standard_normal(h)
+    return rng.standard_normal((rows, h)) / (5 * rows), d, xhat, inv_std, gain
+
+
+@pytest.mark.parametrize("rows,h", [(21, 136), (21, 45), (6, 7), (128, 296)])
+def test_layer_norm_backward_blocks_keep_the_bits(monkeypatch, rows, h):
+    """One-row blocks in the row passes and two-column blocks in the column
+    sums (BACKWARD_BLOCK = 1) give the bits of whole-part blocks, in 1, 2
+    and 3 parts. 45 and 7 columns leave parts of an odd width, whose last
+    two-column block would be a lone column."""
+    d_out, d, xhat, inv_std, gain = layer_norm_backward_problem(rows, h, rows * h)
+    inputs = (d, xhat, inv_std, gain)
+    before = [a.copy() for a in inputs]
+    runs = {}
+    for block in (1, 1 << 40):
+        monkeypatch.setattr(mlp, "BACKWARD_BLOCK", block)
+        for parts in (1, 2, 3):
+            calls = record_parts(monkeypatch)
+            g_gain, g_bias = np.full(h, np.nan), np.full(h, np.nan)
+            dz = mlp._layer_norm_backward(d_out.copy(), d, 0.5, xhat, inv_std, gain,
+                                          g_gain, g_bias, parts)
+            assert calls == [parts] * 3
+            runs[block, parts] = dz, g_gain, g_bias
+    want = runs[1 << 40, 1]
+    for key, got in runs.items():
+        for name, a, b in zip(("dz", "g_gain", "g_bias"), got, want):
+            assert np.array_equal(a, b), (key, name)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+
+
+@pytest.mark.parametrize("rows,h,parts", [(128, 4096, 1), (128, 4096, 2), (128, 256, 1)])
+def test_layer_norm_backward_scratch_is_one_block_a_part(rows, h, parts):
+    """The scratch is one BACKWARD_BLOCK a part, never more than the layer:
+    a paper-wide layer (128 x 4096) takes 512 KiB a part, not 4 MiB, and a
+    lodo-desk-wide one (128 x 256) is one block."""
+    d_out, d, xhat, inv_std, gain = layer_norm_backward_problem(rows, h, 0)
+    g_gain, g_bias = np.empty(h), np.empty(h)
+    tracemalloc.start()
+    try:
+        mlp._layer_norm_backward(d_out, d, 0.5, xhat, inv_std, gain, g_gain, g_bias, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = parts * min(mlp.BACKWARD_BLOCK, rows * h // parts) * 8
+    # and, a part, the buffers of NumPy's iterator for the two operands of a
+    # product on a column slice, plus the per-row sums
+    extra = parts * 2 * np.getbufsize() * 8 + 32 * 1024
+    assert peak < scratch + extra, (peak, scratch)
+
+
 def test_train_forward_takes_any_generator_whatever_the_worker_count(monkeypatch):
     """Each layer's mask is one draw on the caller, so any bit generator
     gives the masks of the expression form, in one part or in several."""
@@ -653,6 +711,35 @@ def test_checkpoint_streams_the_float32_image_through_one_small_buffer(tmp_path,
         tracemalloc.stop()
     assert path.read_bytes() == want
     assert peak < p.flat.nbytes / 8, peak
+
+
+def test_checkpoint_load_streams_the_body_through_one_small_buffer(tmp_path):
+    p = init_params(40, 3, seed=0, hidden1=1000, hidden2=37)
+    p.flat[:] = np.random.default_rng(7).standard_normal(p.flat.size)
+    path = tmp_path / "m.emlp"
+    save_checkpoint(p, path)
+    tracemalloc.start()
+    try:
+        q = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q.flat, p.flat.astype("<f4").astype(np.float64))
+    assert np.array_equal(load_checkpoint(path, dtype=np.float32).flat, p.flat.astype("<f4"))
+    assert peak < q.flat.nbytes + 8 * dataset.BLOCK, peak  # the weights and one buffer
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier checkpoint"])
+def test_refused_checkpoint_save_leaves_the_path_as_it_was(tmp_path, before):
+    p = init_params(40, 3, seed=0, hidden1=1000, hidden2=37)
+    p.head_b[-1] = 1e39  # the last weight: the header and every block before it would be written
+    path = tmp_path / "m.emlp"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(ValueError, match="cannot save head_b"):
+        save_checkpoint(p, path)
+    assert list(tmp_path.iterdir()) == ([] if before is None else [path])
+    assert before is None or path.read_bytes() == before
 
 
 def test_checkpoint_corruption_detected(tmp_path):

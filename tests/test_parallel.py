@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,10 +31,12 @@ def train_and_eval_gemms(rows, rng):
             "dz2@w2.T": (dz2, w2.T), "x.T@dz1": (x.T, dz1)}
 
 
-# train steps: B=128 and the 20-row tail of 3,220 train rows; eval: EVAL_BATCH
-# and the tails of the 980 val and 600 test rows, forward GEMMs only
-SHAPES = [(128, None), (20, None), (512, ("x@w1", "d1@w2")),
-          (468, ("x@w1", "d1@w2")), (88, ("x@w1", "d1@w2"))]
+# train steps: B=128 and the 20-row tail of 3,220 train rows; eval, forward GEMMs
+# only: chunks of training.EVAL_BLOCK // 4096 = 128 rows (the train step's shape)
+# and the 88- and 84-row tails of the 600 test and 980 val rows, and the 980 val
+# rows in 512-row chunks too (512 + 468), so that a larger EVAL_BLOCK stays pinned
+SHAPES = [(128, None), (20, None), (512, ("x@w1", "d1@w2")), (468, ("x@w1", "d1@w2")),
+          (88, ("x@w1", "d1@w2")), (84, ("x@w1", "d1@w2"))]
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -87,6 +90,34 @@ def test_run_parts_runs_parts_the_pool_has_not_started_on_the_caller(monkeypatch
                            parallel.cuts(4, 4))
         assert ran_on == dict.fromkeys(range(4), threading.get_ident())
         assert not any(blocker.done() for blocker in blockers)  # did not wait for them
+    finally:
+        release.set()
+        for blocker in blockers:
+            blocker.result(timeout=30)
+
+
+def test_run_parts_leaves_nothing_of_its_task_in_the_pool(monkeypatch):
+    """A part the pool had not started runs on the caller, but its cancelled
+    work item stays in the pool's queue until a pool thread dequeues it. It
+    must not keep the task, and so the arrays the task holds, alive."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    release, started = threading.Event(), threading.Event()
+
+    def hold():
+        started.set()
+        release.wait(30)
+
+    class Arrays:
+        pass
+
+    blockers = [parallel.POOL.submit(hold) for _ in range(parallel.POOL._max_workers)]
+    try:
+        assert started.wait(30)
+        arrays = Arrays()
+        held = weakref.ref(arrays)
+        parallel.run_parts(lambda p, part, arrays=arrays: None, parallel.cuts(2, 2))
+        del arrays
+        assert held() is None
     finally:
         release.set()
         for blocker in blockers:

@@ -16,7 +16,7 @@ from driftbench.training import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
-    EVAL_BATCH,
+    EVAL_BLOCK,
     AdamState,
     EpochStats,
     EvalReport,
@@ -329,12 +329,14 @@ def test_train_empty_val_returns_final_params():
 
 def test_train_holds_four_parameter_vectors_and_one_step(tmp_path):
     """Traced peak of train stays under its working set: four parameter-sized
-    vectors (params, Adam m and v, the gradients), one step's activations
-    (twice a ForwardTrace: the trace plus the forward and backward
-    temporaries) and one eval chunk (its input and both layers), while keep
-    writes each new best epoch's checkpoint into an open file."""
-    i, h1, h2, c, batch = 64, 512, 256, 4, 32
-    n_train, n_val = 512, EVAL_BATCH
+    vectors (params, Adam m and v, the gradients); then one ForwardTrace,
+    one layer's d_out and one block of layer-norm scratch while a step runs,
+    or one eval chunk (its input and both layers, EVAL_BLOCK elements of the
+    widest) while val top-1 is measured; while keep writes each new best
+    epoch's checkpoint into an open file. H1 = 2048 makes an eval chunk 256
+    rows, where a fixed 512-row chunk would overrun the budget."""
+    i, h1, h2, c, batch = 64, 2048, 256, 4, 32
+    n_train, n_val = 512, 512
     n = n_train + n_val
     rows = [(f"c{r}", f"dom{r % 3}", f"cat{r % c}", r) for r in range(n)]
     X = np.random.default_rng(0).standard_normal((n, i)).astype(np.float32)
@@ -345,8 +347,10 @@ def test_train_holds_four_parameter_vectors_and_one_step(tmp_path):
     params = mlp.init_params(i, c, hidden1=h1, hidden2=h2)
     _, trace = mlp.forward(params, X[:batch], mode="train", drop_prob=0.5,
                            rng=np.random.default_rng(0))
-    step = 2 * sum(np.asarray(getattr(trace, f.name)).nbytes for f in dataclasses.fields(trace))
-    budget = 4 * params.flat.nbytes + step + EVAL_BATCH * (i + h1 + h2) * 8
+    step = (sum(np.asarray(getattr(trace, f.name)).nbytes for f in dataclasses.fields(trace))
+            + batch * h1 * 8 + mlp.BACKWARD_BLOCK * 8)
+    chunk = EVAL_BLOCK // h1 * (i + h1 + h2) * 8
+    budget = 4 * params.flat.nbytes + step + chunk
     size = 20 + params.flat.size * 4
     del params, trace
 
@@ -366,6 +370,35 @@ def test_train_holds_four_parameter_vectors_and_one_step(tmp_path):
             tracemalloc.stop()
     assert path.stat().st_size == size
     assert peak < budget, (peak, budget)
+
+
+@pytest.mark.parametrize("hidden2", [136, 300])
+def test_eval_logits_come_in_chunks_of_the_element_budget(monkeypatch, hidden2):
+    """Chunks of a few rows, of all rows, and of the default budget (one
+    chunk here) give the same predictions. The logits agree to the last
+    bits only up to the BLAS kernel: for small products OpenBLAS takes
+    kernels whose roundings depend on the row count, so only the one-chunk
+    cases are bitwise one forward call. 300 is not a multiple of 8."""
+    i, h1, c, n = 40, 296, 5, 50
+    p = init_params(i, c, seed=2, hidden1=h1, hidden2=hidden2)
+    p.flat[:] += 0.3 * np.random.default_rng(3).standard_normal(p.flat.size)
+    X = np.random.default_rng(4).standard_normal((n, i)).astype(np.float32)
+    whole = mlp.forward(p, X)
+    widest = max(i, h1, hidden2)
+    forward, seen = mlp.forward, []
+
+    def noting(params, batch, **kwargs):
+        seen.append(len(batch))
+        return forward(params, batch, **kwargs)
+    monkeypatch.setattr(mlp, "forward", noting)
+    for rows, chunks in ((3, [3] * 16 + [2]), (n, [n]), (EVAL_BLOCK // widest, [n])):
+        monkeypatch.setattr(training, "EVAL_BLOCK", rows * widest + widest - 1)
+        seen.clear()
+        logits = training._eval_logits(p, X)
+        assert seen == chunks
+        assert np.array_equal(mlp.predict(logits), mlp.predict(whole))
+        np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=1e-12)
+        assert len(chunks) > 1 or np.array_equal(logits, whole)
 
 
 def test_train_hands_keep_each_new_best_epoch_in_order(monkeypatch):
