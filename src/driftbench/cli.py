@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -147,14 +148,23 @@ def _train_config(args):
         drop_prob=args.drop_prob, seed=args.seed)
 
 
+def _new_file_beside(path: Path) -> Path:
+    """A new empty file beside path, named .<name>.<random>, made as open(path, "wb") would."""
+    new = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    new.open("xb").close()
+    return new
+
+
 def _fit(args, data, split, config, checkpoint, history_path):
     """Train on split with config and the width flags; write the checkpoint and history.
 
     Each new best epoch's weights go straight into an unnamed temporary
     file in the checkpoint's directory, so training holds no copy of them
     and a killed run leaves no file behind. Once training ends, the history
-    is written, then the file is copied to the checkpoint: a run that
-    fails before that leaves both paths as they were. Returns the history.
+    and a copy of that file go into new files beside their paths, and only
+    once both are complete does each replace its path. A run that fails
+    before then, on a full disk too, leaves both paths as they were and
+    removes the new files. Returns the history.
     """
     from . import training
     checkpoint, history_path = Path(checkpoint), Path(history_path)
@@ -169,13 +179,23 @@ def _fit(args, data, split, config, checkpoint, history_path):
         kept.seek(0)  # every save of these weights has the same length
         _this().save_checkpoint(params, kept)
 
-    with kept:
-        history = training.train(data, split, config, keep,
-                                 hidden1=args.hidden1, hidden2=args.hidden2)
-        training.write_history_csv(history, history_path)
-        kept.seek(0)
-        with checkpoint.open("wb") as out:
-            shutil.copyfileobj(kept, out)
+    staged = []  # (path, its new file), in the order they replace their paths
+    try:
+        with kept:
+            history = training.train(data, split, config, keep,
+                                     hidden1=args.hidden1, hidden2=args.hidden2)
+            staged.append((history_path, _new_file_beside(history_path)))
+            training.write_history_csv(history, staged[-1][1])
+            staged.append((checkpoint, _new_file_beside(checkpoint)))
+            kept.seek(0)
+            with staged[-1][1].open("wb") as out:
+                shutil.copyfileobj(kept, out)
+        for path, new in staged:
+            os.replace(new, path)
+    except BaseException:
+        for _, new in staged:
+            new.unlink(missing_ok=True)
+        raise
     return history
 
 

@@ -31,6 +31,7 @@ DEFAULT_HIDDEN2 = 512
 
 FIELDS = ("w1", "b1", "ln1_gain", "ln1_bias", "w2", "b2", "ln2_gain", "ln2_bias",
           "head_w", "head_b")
+WEIGHTS = ("w1", "w2")  # the hidden layers' weights: gradients that Gradients streams
 
 
 def tensor_shapes(dims) -> tuple[tuple[int, ...], ...]:
@@ -69,6 +70,38 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return MlpParams(self.dims, self.flat.copy())
+
+
+class Gradients:
+    """A step's gradients with the two weight gradients left as their GEMMs' operands.
+
+    Like MlpParams, each name in FIELDS is an attribute, in its tensor's
+    shape. The small tensors (biases, layer-norm gains and biases, the
+    head) are views of one float64 vector `small`, in FIELDS order; w1
+    and w2 are each an (a, b) pair whose product a @ b is that gradient,
+    or None.
+    """
+
+    def __init__(self, dims):
+        shapes = tensor_shapes(dims)
+        sizes = [0 if name in WEIGHTS else math.prod(s) for name, s in zip(FIELDS, shapes)]
+        self.dims = tuple(dims)
+        self.small = np.empty(sum(sizes))
+        for name, shape, part in zip(FIELDS, shapes, np.split(self.small, np.cumsum(sizes[:-1]))):
+            setattr(self, name, None if name in WEIGHTS else part.reshape(shape))
+
+    def tensors(self) -> dict[str, np.ndarray | tuple[np.ndarray, np.ndarray] | None]:
+        """Field name -> view or weight operands, in FIELDS order."""
+        return {name: getattr(self, name) for name in FIELDS}
+
+    def runs(self) -> list[tuple[str, slice, np.ndarray | tuple[np.ndarray, np.ndarray]]]:
+        """(name, elements of MlpParams.flat, gradient) in order: each weight's
+        operands, then the small tensors up to the next weight as one view of `small`."""
+        i, h1, h2, _ = self.dims
+        w1, w2, mid = i * h1, h1 * h2, 3 * h1  # b1, ln1_gain and ln1_bias lie between
+        return [("w1", slice(0, w1), self.w1), ("b1", slice(w1, w1 + mid), self.small[:mid]),
+                ("w2", slice(w1 + mid, w1 + mid + w2), self.w2),
+                ("b2", slice(w1 + mid + w2, w1 + w2 + self.small.size), self.small[mid:])]
 
 
 @dataclass
@@ -282,12 +315,16 @@ def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
 
 
 def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
-             out: MlpParams | None = None) -> MlpParams:
+             out: MlpParams | Gradients | None = None) -> MlpParams | Gradients:
     """Exact parameter gradients for the forward composition above.
 
-    Returns them as an MlpParams laid out like params: out if given (every
-    element is overwritten), else a fresh one. grad_logits is the loss
-    gradient w.r.t. the logits from the matching forward call.
+    Fills out and returns it: an MlpParams laid out like params (every
+    element is overwritten; a fresh one if out is None), or a Gradients.
+    A Gradients gets the small gradients and, for the weights, the
+    operands of their GEMMs: w1 = (x.T, dz1) and w2 = (d1.T, dz2), with x
+    and d1 the trace's, so that training.adam_step computes them a row
+    block at a time. grad_logits is the loss gradient w.r.t. the logits
+    from the matching forward call.
     """
     if trace.d2.shape[1] != params.hidden2 or trace.x.shape[1] != params.input_dim:
         raise ValueError("trace does not match params shapes")
@@ -298,8 +335,8 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
             f"({trace.x.shape[0]}, {params.n_classes})"
         )
     g = MlpParams(params.dims, np.empty_like(params.flat)) if out is None else out
-    if g.dims != params.dims or g.flat.dtype != params.flat.dtype:
-        raise ValueError(f"out buffer {g.dims} {g.flat.dtype} does not match "
+    if g.dims != params.dims or g.head_b.dtype != params.flat.dtype:
+        raise ValueError(f"out buffer {g.dims} {g.head_b.dtype} does not match "
                          f"params {params.dims} {params.flat.dtype}")
 
     np.matmul(grad_logits.T, trace.d2, out=g.head_w)
@@ -310,15 +347,18 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
     dz2 = _layer_norm_backward(dd2, trace.d2, trace.keep, trace.xhat2, trace.inv_std2,
                                params.ln2_gain, g.ln2_gain, g.ln2_bias,
                                parallel.gemm_parts(b, params.hidden1, params.hidden2))
-    parallel.matmul(trace.d1.T, dz2, out=g.w2)
     dz2.sum(axis=0, out=g.b2)
     dd1 = parallel.matmul(dz2, params.w2.T)
 
     dz1 = _layer_norm_backward(dd1, trace.d1, trace.keep, trace.xhat1, trace.inv_std1,
                                params.ln1_gain, g.ln1_gain, g.ln1_bias,
                                parallel.gemm_parts(b, params.input_dim, params.hidden1))
-    parallel.matmul(trace.x.T, dz1, out=g.w1)
     dz1.sum(axis=0, out=g.b1)
+    if isinstance(g, Gradients):
+        g.w1, g.w2 = (trace.x.T, dz1), (trace.d1.T, dz2)
+    else:
+        parallel.matmul(trace.d1.T, dz2, out=g.w2)
+        parallel.matmul(trace.x.T, dz1, out=g.w1)
     return g
 
 

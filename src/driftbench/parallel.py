@@ -14,13 +14,22 @@ tasks in forked worker processes instead, one per CPU: `train-all`
 trains every hold-out there, one index at a time per worker.
 
 `gemm_parts` is the one gate of a GEMM and of the layer work on its
-parts, and `matmul` splits a GEMM by output rows. Each row of a @ b comes
-from that row of a and all of b, so where BLAS runs it through the same
-kernel the bits match the unsplit np.matmul; a test pins this at every
-shape the trainer issues at the paper widths. With OpenBLAS on AVX-512
-the last columns of an output width that is not a multiple of 8 round
-differently, so such a GEMM runs in one part. Splits by columns were
-measured to differ at some widths, so they are not used.
+parts, and `matmul` splits a GEMM by output rows; `gemm_blocks` also
+cuts the row blocks in which training.adam_step computes a weight
+gradient. Each row of a @ b comes from that row of a and all of b, but
+its bits depend on the BLAS kernel, which BLAS picks by the shape of the
+whole call. OpenBLAS (0.3.31, AVX-512) takes small-matrix kernels, whose
+roundings differ, for products up to M*N*K = 10**6; the head's, whenever
+its rows x C <= 1,200. GEMM_PART_FLOPS keeps every cut part above them
+and GEMM_BLOCK_FLOPS every gradient block, so these match the unsplit
+np.matmul bit for bit; tests pin this at every shape the trainer issues
+at the paper widths. An eval chunk is a whole forward pass over fewer
+rows and can fall below them (the 84-row tail of 980 val rows), so eval
+logits are pinned within 1e-12 whatever the chunking, and predictions
+exactly. With OpenBLAS on AVX-512 the last columns of an output width
+that is not a multiple of 8 round differently, so such a GEMM runs in
+one part and its gradient in one block. Splits by columns were measured
+to differ at some widths, so they are not used.
 
 Elementwise work rides on the same parts: mlp runs a hidden layer's
 bias, layer norm, ReLU and dropout on the rows its part of the GEMM
@@ -50,6 +59,10 @@ WORKERS = _cpus()
 # parts lose more to the hand-off than they gain, and much smaller ones
 # reach BLAS paths whose roundings differ (measured at 2**20 flops).
 GEMM_PART_FLOPS = 1 << 25
+# Fewest flops of a row block that keeps the bits of the whole product:
+# M*N*K = 2**21. With OpenBLAS 0.3.31 on AVX-512 the largest product seen
+# to round otherwise had M*N*K = 786,432 (its small-matrix kernels, up to 10**6).
+GEMM_BLOCK_FLOPS = 1 << 22
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -65,16 +78,22 @@ def parts_for(work: int, per_part: int, limit: int) -> int:
     return max(1, min(WORKERS, limit, work // per_part))
 
 
-def gemm_parts(m: int, k: int, n: int) -> int:
-    """Row parts of an (m, k) @ (k, n) product, and of the layer work that rides on them.
+def gemm_blocks(m: int, k: int, n: int, flops: int) -> int:
+    """Row blocks of an (m, k) @ (k, n) product that each give the bits of the whole.
 
-    At least GEMM_PART_FLOPS a part, and two rows and two columns: a
+    At least `flops` a block, and two rows and two columns: a
     one-row product takes NumPy's matrix-vector path, whose roundings
     differ, and NumPy sums a one-column slice pairwise. An output width
-    that is not a multiple of 8 runs in one part, as BLAS rounds the last
+    that is not a multiple of 8 is one block, as BLAS rounds the last
     n % 8 columns of a row-cut product differently.
     """
-    return parts_for(2 * m * k * n, GEMM_PART_FLOPS, min(m, n) // 2 if n % 8 == 0 else 1)
+    return max(1, min(2 * m * k * n // flops, min(m, n) // 2 if n % 8 == 0 else 1))
+
+
+def gemm_parts(m: int, k: int, n: int) -> int:
+    """Row parts of an (m, k) @ (k, n) product, and of the layer work that rides on them:
+    its gemm_blocks, at most WORKERS."""
+    return min(WORKERS, gemm_blocks(m, k, n, GEMM_PART_FLOPS))
 
 
 def cuts(n: int, parts: int) -> list[slice]:

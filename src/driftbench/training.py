@@ -9,6 +9,7 @@ are checked for disjointness up front.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,11 @@ ADAM_EPS = 1e-8
 # update blocks, against 18.3 ms here, and 21.9 against 19.6 ms on 2^13 check blocks.
 ADAM_BLOCK = 1 << 15
 ADAM_PART = 1 << 19  # fewest elements worth a thread of the Adam pass
+# Elements of a row block of a weight gradient (1 MiB), which adam_step computes into a
+# scratch block of its part: 32 rows of w1 and 256 of w2 at the paper widths. Smaller
+# blocks repack the GEMM's right operand more often: x.T @ dz1 (B=128) took 3.7 ms whole,
+# 5.4 ms in 32-row blocks and 7.8 ms in 16-row ones.
+GRADIENT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -59,68 +65,154 @@ class AdamState:
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def _adam_range(params: MlpParams, grads: MlpParams, state: AdamState, lr: float,
-                elements: slice, scratch: np.ndarray) -> None:
-    """Update the elements in blocks; the first block's intermediates go into scratch."""
-    t = state.step
+def _adam_range(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float,
+                scratch: np.ndarray) -> None:
+    """Update p, m and v from their gradients g, aligned 1-D arrays, in blocks; consumes g.
+
+    The first block's intermediates go into scratch, each later block's
+    into the spent gradients of the blocks before it, ADAM_BLOCK at most.
+    """
     m_scale, v_scale = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
-    start = lo = elements.start
-    hi = elements.stop
-    while lo < hi:
-        b = slice(lo, min(lo + scratch.size, hi))
-        g, m, v = grads.flat[b], state.m[b], state.v[b]
-        s = scratch[:g.size]
-        m *= ADAM_BETA1
-        m += np.multiply(1 - ADAM_BETA1, g, out=s)
-        v *= ADAM_BETA2
-        np.multiply(1 - ADAM_BETA2, g, out=s)
-        v += np.multiply(s, g, out=s)
-        np.divide(m, m_scale, out=g)
-        g *= lr
-        np.divide(v, v_scale, out=s)
+    lo = 0
+    while lo < g.size:
+        b = slice(lo, min(lo + scratch.size, g.size))
+        gb, mb, vb = g[b], m[b], v[b]
+        s = scratch[:gb.size]
+        mb *= ADAM_BETA1
+        mb += np.multiply(1 - ADAM_BETA1, gb, out=s)
+        vb *= ADAM_BETA2
+        np.multiply(1 - ADAM_BETA2, gb, out=s)
+        vb += np.multiply(s, gb, out=s)
+        np.divide(mb, m_scale, out=gb)
+        gb *= lr
+        np.divide(vb, v_scale, out=s)
         np.sqrt(s, out=s)
-        g /= np.add(s, ADAM_EPS, out=s)
-        params.flat[b] -= g
-        # The gradients of this range up to here are spent: the next block's scratch.
+        gb /= np.add(s, ADAM_EPS, out=s)
+        p[b] -= gb
         lo = b.stop
-        scratch = grads.flat[max(start, lo - ADAM_BLOCK):lo]
+        scratch = g[max(0, lo - ADAM_BLOCK):lo]
 
 
-def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
+def _bounded(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a @ b is finite for sure: |a|*|b| (Frobenius norms) is at most half the float max.
+
+    No element of the exact product exceeds |a|*|b| (Cauchy-Schwarz). The
+    roundings of its k products, summed in any order, with or without FMA,
+    and those of the two norms grow that by a factor far below 2. A norm
+    that overflows is inf and one of a NaN operand is NaN, and neither
+    passes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # such a norm fails the test below
+        norms = [math.sqrt(np.dot(r, r)) for r in (a.ravel("K"), b.ravel("K"))]
+    return norms[0] * norms[1] <= np.finfo(np.result_type(a, b)).max / 2
+
+
+def _product(operands, out: np.ndarray) -> np.ndarray:
+    """a @ b into the first elements of the 1-D out, as one flat array."""
+    a, b = operands
+    shape = (a.shape[0], b.shape[1])
+    return np.matmul(a, b, out=out[:math.prod(shape)].reshape(shape)).reshape(-1)
+
+
+def _weight_blocks(elements: slice, a: np.ndarray, b: np.ndarray) -> list[tuple]:
+    """(elements, (a[rows], b)) per row block of the weight gradient a @ b laid out over elements.
+
+    GRADIENT_BLOCK elements a block, as parallel.gemm_blocks allows at
+    GEMM_BLOCK_FLOPS, so that each block has the bits of the whole product.
+    """
+    m, (k, n) = a.shape[0], b.shape
+    blocks = min(max(1, m * n // GRADIENT_BLOCK),
+                 parallel.gemm_blocks(m, k, n, parallel.GEMM_BLOCK_FLOPS))
+    return [(slice(elements.start + r.start * n, elements.start + r.stop * n), (a[r], b))
+            for r in parallel.cuts(m, blocks)]
+
+
+def _parts(runs, size: int, n: int) -> list[list]:
+    """The walk of runs, (name, elements, gradient), cut into at most n parts of about size / n.
+
+    A weight's run walks its _weight_blocks, and a part starts at the block
+    a cut falls in; a view is cut where the cut falls. No part is empty.
+    """
+    cuts = [size * p // n for p in range(1, n)]
+    parts: list[list] = [[]]
+    for name, elements, g in runs:
+        for e, g in _weight_blocks(elements, *g) if isinstance(g, tuple) else [(elements, g)]:
+            lo = e.start
+            while cuts and cuts[0] < e.stop:
+                cut = cuts.pop(0)
+                if not isinstance(g, tuple) and cut > lo:
+                    parts[-1].append((name, slice(lo, cut), g[lo - e.start:cut - e.start]))
+                    lo = cut
+                if parts[-1]:
+                    parts.append([])
+            parts[-1].append((name, slice(lo, e.stop),
+                              g if isinstance(g, tuple) else g[lo - e.start:]))
+    return parts
+
+
+def adam_step(params: MlpParams, grads: MlpParams | mlp.Gradients, state: AdamState,
               config: TrainConfig) -> tuple[MlpParams, AdamState]:
-    """Bias-corrected Adam update of params.flat, in place, in one blockwise pass.
+    """Bias-corrected Adam update of params.flat, in place, in one blockwise walk.
 
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). Consumes grads. A
-    non-finite gradient is refused, one ADAM_BLOCK slice at a time, before
-    params, m, v or state.step change. The update then runs in blocks of
-    at most ADAM_BLOCK elements; each block's intermediates go into the
-    spent gradients of the blocks before it, the first block's into one
-    scratch vector of at most ADAM_BLOCK elements. From 2 * ADAM_PART elements up,
-    both passes cut the vector into contiguous parts that run on
-    parallel.WORKERS threads. Each element is computed on its own, so the
-    bits do not depend on the cut.
+    p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). grads is what
+    mlp.backward filled, and is consumed. The walk reads an MlpParams'
+    gradients as views. Of an mlp.Gradients it reads the small gradients
+    as views, and computes w1 and w2 one _weight_blocks block at a time,
+    into one scratch block a part, then updates from the block while it
+    is still in cache.
+
+    A non-finite gradient is refused, naming the first such tensor in
+    FIELDS order, before params, m, v or state.step change. Views are
+    checked ADAM_BLOCK elements at a time. A weight's product needs no
+    check where its operands pass _bounded; where they do not, the check
+    walk computes its blocks too, and the update computes them again, with
+    the same bits. The update runs in blocks of at most ADAM_BLOCK
+    elements; each block's intermediates go into the spent gradients of
+    the blocks before it, the first block's into a scratch of at most
+    ADAM_BLOCK elements a part. From 2 * ADAM_PART elements up, both walks
+    are cut into contiguous parts that run on parallel.WORKERS threads,
+    into scratch allocated here. Each element is computed on its own, and
+    the blocks do not depend on the cut, so neither do the bits.
     """
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
     size = params.flat.size
-    parts = parallel.cuts(size, parallel.parts_for(size, ADAM_PART, size))
+    runs = [(None, slice(0, size), grads.flat)] if isinstance(grads, MlpParams) else grads.runs()
+    parts = _parts(runs, size, parallel.parts_for(size, ADAM_PART, size))
     first = max(1, min(ADAM_BLOCK, size) // len(parts))
-    scratch = np.empty(first * len(parts), dtype=params.flat.dtype)
-    checks = [True] * len(parts)
+    # per part: its largest weight block, then the first Adam block's intermediates
+    scratch = [np.empty(max((e.stop - e.start for _, e, g in part if isinstance(g, tuple)),
+                            default=0) + first, dtype=params.flat.dtype) for part in parts]
+    unbounded = {name for name, _, g in runs if isinstance(g, tuple) and not _bounded(*g)}
+    failed = set()  # the run names in which the check walk found a non-finite gradient
 
-    def check(p: int, elements: slice) -> None:
-        g = grads.flat[elements]
-        checks[p] = all(np.isfinite(g[b]).all() for b in row_blocks(g.size, 1, ADAM_BLOCK))
+    def check(p: int, pieces) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            for name, _, g in pieces:
+                if isinstance(g, tuple):
+                    if name not in unbounded:
+                        continue
+                    g = _product(g, scratch[p])
+                if not all(np.isfinite(g[b]).all() for b in row_blocks(g.size, 1, ADAM_BLOCK)):
+                    failed.add(name)
+                    return
 
     parallel.run_parts(check, parts)
-    if not all(checks):
-        name = next(k for k, g in grads.tensors().items() if not np.isfinite(g).all())
+    if failed:
+        name = next(k for k, g in grads.tensors().items()
+                    if (k in failed if isinstance(g, tuple) else not np.isfinite(g).all()))
         raise ValueError(f"non-finite gradient in {name} at Adam step {state.step + 1}")
     state.step += 1
-    parallel.run_parts(lambda p, elements: _adam_range(
-        params, grads, state, config.learning_rate, elements,
-        scratch[p * first:(p + 1) * first]), parts)
+
+    def update(p: int, pieces) -> None:
+        for _, e, g in pieces:
+            if isinstance(g, tuple):
+                g = _product(g, scratch[p])
+            _adam_range(params.flat[e], state.m[e], state.v[e], g, state.step,
+                        config.learning_rate, scratch[p][-first:])
+
+    parallel.run_parts(update, parts)
     return params, state
 
 
@@ -213,13 +305,14 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
     keep(params) gets the live weights at each epoch that becomes
     best_epoch(history); if none does (no val rows, or no epoch), it gets
     the final weights once, after the loop. keep copies what it retains,
-    as the next step changes them in place. Memory: four parameter-sized
-    vectors (params, Adam's m and v, one gradient buffer) plus one step's
-    trace, one layer's gradient and a block of layer-norm scratch; or,
-    while val top-1 is measured, one chunk of val rows of at most
-    EVAL_BLOCK elements a layer. Large GEMMs and the Adam pass run on
-    parallel.WORKERS threads; they write into those same buffers, so the
-    working set does not grow with the thread count, and neither do the bits.
+    as the next step changes them in place. Memory: three parameter-sized
+    vectors (params, Adam's m and v) plus one step's trace, one layer's
+    gradient and a block of layer-norm scratch, then the trace, both
+    layers' dz and the small gradients while Adam computes the weight
+    gradients, one GRADIENT_BLOCK a part; or, while val top-1 is measured,
+    one chunk of val rows of at most EVAL_BLOCK elements a layer. Large
+    GEMMs and the Adam walk run on parallel.WORKERS threads; only the Adam
+    blocks grow with the thread count, and the bits do not.
     """
     train_set, val_set, test_set = set(split.train_ids), set(split.val_ids), set(split.test_ids)
     if train_set & val_set or train_set & test_set or val_set & test_set:
@@ -238,7 +331,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
     shuffle_rng = np.random.default_rng([config.seed, 0])
     dropout_rng = np.random.default_rng([config.seed, 1])
 
-    grads = MlpParams(params.dims, np.empty_like(params.flat))  # reused by every step
+    grads = mlp.Gradients(params.dims)  # the small gradients, reused by every step
 
     def step(rows: np.ndarray, epoch: int, batch: int) -> float:
         # One forward, loss, backward and Adam update. The trace and the other
@@ -252,6 +345,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
             raise ValueError(f"non-finite loss at epoch {epoch}, batch {batch}")
         mlp.backward(params, trace, grad_logits, out=grads)
         adam_step(params, grads, state, config)
+        grads.w1 = grads.w2 = None  # they hold this step's trace and dz
         return loss
 
     n = len(train_rows)

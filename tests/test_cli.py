@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: exit codes, files, and messages."""
 import argparse
+import errno
 import hashlib
 import json
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -799,6 +801,66 @@ def test_failed_train_leaves_its_outputs_as_they_were(workdir, tmp_path, existin
     assert len(saves) >= 1  # a checkpoint was written, just not to --out
     assert sorted(tmp_path.iterdir()) == before
     assert paths[existing].read_bytes() == f"old {existing}".encode()
+
+
+def full_disk(monkeypatch, failing):
+    """Make _fit's history write or its checkpoint copy fail with ENOSPC, part-way."""
+    def fail(fh, data):
+        fh.write(data[:5])
+        fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    if failing == "history":
+        def write_history_csv(history, path):
+            with open(path, "w") as fh:
+                fail(fh, "epoch,train_loss,val_top1\n")
+        monkeypatch.setattr(training, "write_history_csv", write_history_csv)
+    else:
+        monkeypatch.setattr(shutil, "copyfileobj", lambda src, dst: fail(dst, src.read()))
+    return f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+def file_bytes(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["old files", "no files"])
+@pytest.mark.parametrize("failing", ["history", "checkpoint"])
+def test_a_full_disk_as_train_writes_its_outputs_leaves_them_as_they_were(
+        workdir, tmp_path, existing, failing, monkeypatch, capsys):
+    """The history and the checkpoint go to new files that replace --history
+    and --out only once both are complete: a write that fails part-way
+    leaves each path's bytes, or no file, and no new file beside them."""
+    argv, paths = train_outputs(workdir, tmp_path, capsys)
+    if not existing:
+        for path in paths.values():
+            path.unlink()
+    message = full_disk(monkeypatch, failing)
+    before = file_bytes(tmp_path)
+    code = cli.main([*argv, "--epochs", "2", *(a for kv in paths.items() for a in map(str, kv))])
+    assert code == 1
+    assert capsys.readouterr().err == f"driftbench: error: train: {message}\n"
+    assert file_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("failing", ["history", "checkpoint"])
+def test_a_full_disk_as_train_all_writes_a_hold_out_leaves_its_outputs_as_they_were(
+        workdir, tmp_path, failing, monkeypatch, capsys):
+    out_dir = tmp_path / "runs"
+    out_dir.mkdir()
+    for domain in ("dom00", "dom01", "dom02"):
+        (out_dir / f"ckpt_{domain}.emlp").write_bytes(b"old checkpoint")
+        (out_dir / f"history_{domain}.csv").write_bytes(b"old history")
+    message = full_disk(monkeypatch, failing)  # the forked workers inherit it
+    code = cli.main(["train-all", *data_args(workdir), "--epochs", "1", "--hidden1", "8",
+                     "--hidden2", "4", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"driftbench: error: train-all: {message}\n"
+    written = file_bytes(out_dir)
+    for domain in ("dom00", "dom01", "dom02"):
+        assert written.pop(f"ckpt_{domain}.emlp") == b"old checkpoint"
+        assert written.pop(f"history_{domain}.csv") == b"old history"
+    assert {re.sub("dom0[0-2]", "dom", name) for name in written} <= {"split_dom.tsv"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import note_stops, record_parts
-from driftbench import parallel
+from driftbench import parallel, training
 
 I, H1, H2 = 256, 4096, 512  # the paper widths the trainer runs at
 
@@ -31,7 +31,8 @@ def train_and_eval_gemms(rows, rng):
             "dz2@w2.T": (dz2, w2.T), "x.T@dz1": (x.T, dz1)}
 
 
-# train steps: B=128 and the 20-row tail of 3,220 train rows; eval, forward GEMMs
+# train steps: B=128 and the 20-row tail of 3,220 train rows, whose weight-gradient
+# blocks a test below pins too; eval, forward GEMMs
 # only: chunks of training.EVAL_BLOCK // 4096 = 128 rows (the train step's shape)
 # and the 88- and 84-row tails of the 600 test and 980 val rows, and the 980 val
 # rows in 512-row chunks too (512 + 468), so that a larger EVAL_BLOCK stays pinned
@@ -56,6 +57,24 @@ def test_row_split_matmul_is_bitwise_np_matmul(monkeypatch, parts, rows, names):
         out = np.full_like(want, np.nan)
         assert parallel.matmul(a, b, out=out) is out
         assert np.array_equal(out, want), (rows, name)
+
+
+@pytest.mark.parametrize("rows", [rows for rows, names in SHAPES if names is None])
+def test_weight_gradient_blocks_are_bitwise_rows_of_the_whole_product(rows):
+    """Every row block in which training.adam_step computes a weight gradient
+    of a train step, at the paper widths, has the bits of those rows of the
+    whole product, the last block included: x.T@dz1 in 8 blocks of 32
+    rows and d1.T@dz2 in 16 of 256, at B=128 and at the 20-row tail."""
+    gemms = train_and_eval_gemms(rows, np.random.default_rng(rows))
+    for name, blocks in (("x.T@dz1", 8), ("d1.T@dz2", 16)):
+        a, b = gemms[name]
+        whole = np.matmul(a, b)
+        cut = training._weight_blocks(slice(0, whole.size), a, b)
+        assert len(cut) == blocks and cut[-1][0].stop == whole.size, name
+        for elements, (a_rows, b_same) in cut:
+            assert b_same is b
+            got = np.matmul(a_rows, b).reshape(-1)
+            assert np.array_equal(got, whole.reshape(-1)[elements]), (name, elements)
 
 
 def test_matmul_splits_from_the_flop_gate_and_keeps_two_rows_a_part(monkeypatch):

@@ -230,6 +230,151 @@ def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, 
         assert np.array_equal(got, want)
 
 
+def step_problem(dims, rows, seed=0):
+    """Params, a train-mode trace and its logits gradient at dims (I, H1, H2, C),
+    and Adam moments as they might stand after four steps."""
+    i, h1, h2, c = dims
+    rng = np.random.default_rng(seed)
+    params = init_params(i, c, seed=seed, hidden1=h1, hidden2=h2)
+    x = rng.standard_normal((rows, i))
+    logits, trace = mlp.forward(params, x, mode="train", drop_prob=0.5, rng=rng)
+    _, grad_logits = mlp.ova_bce_loss(logits, mlp.one_hot(np.arange(rows) % c, c))
+    state = AdamState(m=1e-3 * rng.standard_normal(params.flat.size),
+                      v=1e-6 * rng.random(params.flat.size), step=4)
+    return params, trace, grad_logits, state
+
+
+def streamed(params, trace, grad_logits):
+    return mlp.backward(params, trace, grad_logits, out=mlp.Gradients(params.dims))
+
+
+def copies(params, state):
+    return params.copy(), AdamState(state.m.copy(), state.v.copy(), state.step)
+
+
+def assert_same_step(got, want):
+    (params, state), (want_params, want_state) = got, want
+    assert state.step == want_state.step
+    for a, b in ((params.flat, want_params.flat), (state.m, want_state.m), (state.v, want_state.v)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims,rows", [((256, 4096, 512, 10), 128), ((256, 4096, 512, 10), 20),
+                                       ((256, 4096, 300, 10), 128), ((64, 256, 128, 6), 128)],
+                         ids=["paper", "paper-tail", "hidden2-300", "lodo-desk"])
+def test_a_streamed_step_matches_adam_on_the_materialised_gradient(monkeypatch, fast_switching,
+                                                                   dims, rows):
+    """Weight gradients computed a row block at a time inside adam_step give
+    the bits of backward's whole products, in 1, 2 and 3 parts. The
+    lodo-desk vector is cut into parts by a smaller ADAM_PART; 300 is not a
+    multiple of 8, so that w2 is one block."""
+    params, trace, grad_logits, state = step_problem(dims, rows)
+    monkeypatch.setattr(training, "ADAM_PART", min(training.ADAM_PART, params.flat.size // 6))
+    monkeypatch.setattr(parallel, "WORKERS", 1)
+    want = copies(params, state)
+    adam_step(want[0], mlp.backward(params, trace, grad_logits), want[1], TrainConfig())
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        grads, got = streamed(params, trace, grad_logits), copies(params, state)
+        calls = record_parts(monkeypatch)
+        adam_step(got[0], grads, got[1], TrainConfig())
+        assert_same_step(got, want)
+        assert calls == [workers] * 2, workers  # the check walk, then the update
+
+
+def materialised(grads):
+    """The MlpParams of an mlp.Gradients: each weight gradient as its whole product."""
+    out = MlpParams.zeros(grads.dims)
+    for name, g in grads.tensors().items():
+        getattr(out, name)[...] = np.matmul(*g) if isinstance(g, tuple) else g
+    return out
+
+
+def counting_products(monkeypatch):
+    """Make training._product log each weight block it computes; returns the log."""
+    products, product = [], training._product
+    monkeypatch.setattr(training, "_product",
+                        lambda operands, out: products.append(1) or product(operands, out))
+    return products
+
+
+def n_blocks(a, b):
+    return len(training._weight_blocks(slice(0, a.shape[0] * b.shape[1]), a, b))
+
+
+def test_a_weight_gradient_whose_bound_fails_is_checked_in_the_same_blocks(monkeypatch):
+    """Operands whose norms overflow, so that the bound cannot clear them, but
+    whose product is finite (each huge entry meets only zeros), are not
+    refused: the check walk computes their blocks, the update computes
+    them again, and the step has the bits of Adam on the whole product.
+    Bounded operands are computed once."""
+    params, trace, grad_logits, state = step_problem((256, 1024, 512, 4), 64)
+    products = counting_products(monkeypatch)
+    grads = streamed(params, trace, grad_logits)
+    w1, w2 = n_blocks(*grads.w1), n_blocks(*grads.w2)
+    got = copies(params, state)
+    adam_step(got[0], grads, got[1], TrainConfig())
+    assert (w1, w2) == (2, 4) and len(products) == w1 + w2
+
+    grads = streamed(params, trace, grad_logits)
+    a, b = (t.copy() for t in grads.w2)  # d1.T (H1, B) and dz2 (B, H2)
+    a[0, 0], a[:, 1], b[0, :], b[1, 0] = 1e300, 0.0, 0.0, 1e300
+    grads.w2 = (a, b)
+    assert not training._bounded(a, b)
+    reference = materialised(grads)
+    assert np.isfinite(reference.flat).all()
+    want = copies(params, state)
+    adam_step(want[0], reference, want[1], TrainConfig())
+    products.clear()
+    got = copies(params, state)
+    adam_step(got[0], grads, got[1], TrainConfig())
+    assert len(products) == w1 + 2 * w2
+    assert_same_step(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+@pytest.mark.parametrize("name", ["w1", "w2"])
+def test_a_non_finite_weight_gradient_is_refused_before_any_change(monkeypatch, workers, bad,
+                                                                   name):
+    """A NaN or an inf operand, or finite operands whose product overflows in
+    the weight's last element, in one part or three: refused with the
+    weight's name, and params, m, v and the step count stay as they were.
+    A product that overflows raises no RuntimeWarning (pytest makes one an
+    error)."""
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    monkeypatch.setattr(training, "ADAM_PART", 1000)
+    params, trace, grad_logits, state = step_problem((256, 1024, 512, 4), 64)
+    grads = streamed(params, trace, grad_logits)
+    a, b = (t.copy() for t in getattr(grads, name))
+    if bad == "overflow":
+        a[-1, 0], b[0, -1] = 1e200, 1e200
+    else:
+        b[-1, -1] = float(bad)
+    setattr(grads, name, (a, b))
+    before = copies(params, state)
+    calls = record_parts(monkeypatch)
+    with pytest.raises(ValueError, match=f"^non-finite gradient in {name} at Adam step 5$"):
+        adam_step(params, grads, state, TrainConfig())
+    assert calls == [workers]  # the check walk only
+    assert_same_step((params, state), before)
+
+
+@pytest.mark.parametrize("bad,named", [(("w2", "b1"), "b1"), (("w1", "head_b"), "w1"),
+                                       (("w2", "head_w"), "w2")])
+def test_a_refusal_names_the_first_non_finite_tensor_in_fields_order(bad, named):
+    params, trace, grad_logits, state = step_problem((64, 256, 128, 6), 32)
+    grads = streamed(params, trace, grad_logits)
+    weight, small = bad
+    a, b = (t.copy() for t in getattr(grads, weight))
+    b[0, 0] = np.nan
+    setattr(grads, weight, (a, b))
+    getattr(grads, small).flat[-1] = np.inf
+    with pytest.raises(ValueError, match=f"non-finite gradient in {named} at Adam step 5"):
+        adam_step(params, grads, state, TrainConfig())
+    assert state.step == 4
+
+
 def test_training_data_follows_manifest_order():
     # row_index deliberately permuted relative to record order
     man = make_manifest([
@@ -327,14 +472,17 @@ def test_train_empty_val_returns_final_params():
         assert np.array_equal(t, p2.tensors()[name])
 
 
-def test_train_holds_four_parameter_vectors_and_one_step(tmp_path):
-    """Traced peak of train stays under its working set: four parameter-sized
-    vectors (params, Adam m and v, the gradients); then one ForwardTrace,
-    one layer's d_out and one block of layer-norm scratch while a step runs,
-    or one eval chunk (its input and both layers, EVAL_BLOCK elements of the
-    widest) while val top-1 is measured; while keep writes each new best
-    epoch's checkpoint into an open file. H1 = 2048 makes an eval chunk 256
-    rows, where a fixed 512-row chunk would overrun the budget."""
+def test_train_holds_three_parameter_vectors_and_one_step(tmp_path):
+    """Traced peak of train stays under its working set: three parameter-sized
+    vectors (params, Adam m and v); then, while a step runs, one
+    ForwardTrace, one layer's d_out and one block of layer-norm scratch,
+    then the trace, both layers' dz, the small gradients and, a part, one
+    weight-gradient block and the first Adam block's scratch; or one eval
+    chunk (its input and both layers, EVAL_BLOCK elements of the widest)
+    while val top-1 is measured; while keep writes each new best epoch's
+    checkpoint into an open file. A fourth vector, such as a gradient
+    buffer, would overrun the budget, and so would a fixed 512-row eval
+    chunk: H1 = 2048 makes a chunk 256 rows."""
     i, h1, h2, c, batch = 64, 2048, 256, 4, 32
     n_train, n_val = 512, 512
     n = n_train + n_val
@@ -347,10 +495,12 @@ def test_train_holds_four_parameter_vectors_and_one_step(tmp_path):
     params = mlp.init_params(i, c, hidden1=h1, hidden2=h2)
     _, trace = mlp.forward(params, X[:batch], mode="train", drop_prob=0.5,
                            rng=np.random.default_rng(0))
+    small = params.flat.size - i * h1 - h1 * h2
+    blocks = parallel.WORKERS * (training.GRADIENT_BLOCK + ADAM_BLOCK)
     step = (sum(np.asarray(getattr(trace, f.name)).nbytes for f in dataclasses.fields(trace))
-            + batch * h1 * 8 + mlp.BACKWARD_BLOCK * 8)
+            + (batch * (h1 + h2) + small + mlp.BACKWARD_BLOCK + blocks) * 8)
     chunk = EVAL_BLOCK // h1 * (i + h1 + h2) * 8
-    budget = 4 * params.flat.nbytes + step + chunk
+    budget = 3 * params.flat.nbytes + step + chunk
     size = 20 + params.flat.size * 4
     del params, trace
 
