@@ -98,7 +98,11 @@ def _cmd_score(args) -> str:
     # names, not on the order of its lines.
     records = sorted(manifest.records, key=lambda r: r.row_index)
     rows = [r.row_index for r in records]
-    X = dataset.pool_temporal(features, args.pool)
+    # At T = 1 the mean would copy the pack, and differ from its flattened
+    # view only in turning each -0.0 into +0.0, which no distance, and so no
+    # output, can see. The view is clustered instead.
+    pool = "flatten" if features.temporal_count == 1 else args.pool
+    X = dataset.pool_temporal(features, pool)
     if rows != list(range(len(X))):  # a manifest naming every row in order needs no copy
         X = X[rows]
     report = shift_metric.score_dataset(

@@ -9,6 +9,12 @@ rows it reads into float64 first, one row block (or one cluster) at a
 time. Widening is exact, so a float32 X fits bit for bit as its float64
 copy would, without that copy being built. Any other input is converted
 to float64 once.
+
+A Lloyd iteration reads X twice: the M-step gathers each cluster's rows,
+and the E-step ranks a block of rows against every centroid and, once
+the block's labels are final, takes each row's explicit squared distance
+to its centroid. Those distances serve the empty-cluster repair and sum
+to the inertia.
 """
 from __future__ import annotations
 
@@ -24,7 +30,12 @@ REL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Fitted k-means model: centroids, per-sample assignments, final inertia."""
+    """Fitted k-means model: centroids, per-sample assignments, final inertia.
+
+    inertia is float(((X - centroids[assignments]) ** 2).sum(axis=1).sum())
+    bit for bit: each row's explicit squared distance to its centroid,
+    summed by NumPy's pairwise sum over the rows in row order.
+    """
 
     centroids: np.ndarray  # (K, D)
     assignments: np.ndarray  # (N,) int
@@ -49,7 +60,8 @@ def _pairwise_sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def assign_nearest(X: np.ndarray, centroids: np.ndarray,
-                   x_sq: np.ndarray | None = None) -> np.ndarray:
+                   x_sq: np.ndarray | None = None,
+                   row_sq: np.ndarray | None = None) -> np.ndarray:
     """Index of the Euclidean-nearest centroid per row; ties -> lowest index.
 
     The result equals `_pairwise_sq_dists(X, centroids).argmin(axis=1)`
@@ -57,12 +69,17 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray,
     ||x||^2 - 2x.c + ||c||^2, one matrix product per block of rows
     (widened to float64 if X is float32). A row whose best-versus-second
     margin there is not above `_expansion_tol` (ties, cancellation, inf or
-    NaN) is recomputed by the explicit form over all K columns. Labels are
-    thus exact whatever the block size or the rounding of the expansion.
-    x_sq, the rows' squared norms, may be passed in (`kmeans_fit` computes
-    them once per fit); any rounding of them is covered by the tolerance.
-    Memory is a few length-N vectors and one block's (rows, K) distances:
-    no (N, K), N x D or (rows, K, D) array is built.
+    NaN) is recomputed by the explicit form over all K columns, within its
+    block. Labels are thus exact whatever the block size or the rounding
+    of the expansion. x_sq, the rows' squared norms, may be passed in
+    (`kmeans_fit` computes them once per fit); any rounding of them is
+    covered by the tolerance. Given a length-N row_sq, each block, once
+    its labels are final, also writes there its rows' explicit squared
+    distances to their centroids, ((x - c) ** 2).sum() as `_sq_dists_to`
+    forms them, while the widened block is still in cache.
+    Memory is a few length-N vectors and one block's (rows, K) distances
+    and (rows, D) differences: no (N, K), N x D or (rows, K, D) array is
+    built.
     """
     X = _float_rows(X)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -74,13 +91,16 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray,
     if x_sq is None:
         x_sq = _row_norms(X)
     labels = np.empty(n, dtype=np.intp)
-    margin = np.empty(n)
+    diffs = None
     # `~(margin > tol)` also sends NaN or inf margins, and rows whose tol
     # overflowed, to the recheck, which then warns as the explicit form
     # always has; hence the silenced errstate here.
     with np.errstate(over="ignore", invalid="ignore"):
         c_sq = np.einsum("ij,ij->i", centroids, centroids)
-        for rows, block in _float64_blocks(X):
+        # S = (||x|| + max||c||)^2 bounds every exact squared distance of a row
+        tol = _expansion_tol(d, np.sqrt(x_sq) + np.sqrt(c_sq.max(initial=0.0)))
+    for rows, block in _float64_blocks(X):
+        with np.errstate(over="ignore", invalid="ignore"):
             dists = block @ centroids.T
             dists *= -2.0
             dists += x_sq[rows, None]
@@ -89,13 +109,15 @@ def assign_nearest(X: np.ndarray, centroids: np.ndarray,
             at = np.arange(len(best))
             best_dist = dists[at, best]
             dists[at, best] = np.inf
-            np.subtract(dists.min(axis=1), best_dist, out=margin[rows])
-        # S = (||x|| + max||c||)^2 bounds every exact squared distance of a row
-        tol = _expansion_tol(d, np.sqrt(x_sq) + np.sqrt(c_sq.max(initial=0.0)))
-    recheck = np.flatnonzero(~(margin > tol))
-    for block in dataset.row_blocks(recheck.size, d):
-        rows = recheck[block]
-        labels[rows] = _pairwise_sq_dists(X[rows], centroids).argmin(axis=1)
+            margin = dists.min(axis=1) - best_dist
+        recheck = rows.start + np.flatnonzero(~(margin > tol[rows]))
+        for part in dataset.row_blocks(recheck.size, d):
+            again = recheck[part]
+            labels[again] = _pairwise_sq_dists(X[again], centroids).argmin(axis=1)
+        if row_sq is not None:
+            if diffs is None:  # the first block is the largest
+                diffs = np.empty(block.shape)
+            _sq_dists_to(block, centroids, diffs, row_sq[rows], labels[rows])
     return labels
 
 
@@ -170,24 +192,20 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _scratch(n: int, d: int) -> np.ndarray:
-    """The row blocks one fit reuses, enough rows for any leaf of `_inertia`.
-
-    A leaf of at most max(dataset.BLOCK, 128) elements covers the whole
-    rows inside it plus at most two rows it cuts at its ends.
-    """
-    return np.empty((min(n, max(dataset.BLOCK, 128) // max(d, 1) + 2), d))
+    """One block of rows, dataset.BLOCK elements, for `_sq_dists_to` to walk X through."""
+    return np.empty((min(n, dataset.block_rows(d)), d))
 
 
 def _sq_dists_to(X: np.ndarray, points: np.ndarray, scratch: np.ndarray,
                  out: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
-    """((X - points) ** 2).sum(axis=1) into out, bit for bit, a row block at a time.
+    """((X - points) ** 2).sum(axis=1) into out, bit for bit, len(scratch) rows at a time.
 
     points is one float64 point, or the float64 centroids that labels
     picks per row; a float32 X is widened by the subtraction's cast, which
     is exact. Each row's D squares sum the same way in any block, so no bit
     depends on its size.
     """
-    for rows in dataset.row_blocks(len(X), X.shape[1]):
+    for rows in dataset.row_blocks(len(X), 1, len(scratch)):
         block = scratch[:rows.stop - rows.start]
         if labels is not None:
             np.take(points, labels[rows], axis=0, out=block, mode="clip")
@@ -245,41 +263,6 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator,
     return np.asarray(X[indices], dtype=np.float64)
 
 
-def _inertia(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
-             scratch: np.ndarray) -> float:
-    """float(((X - centroids[labels]) ** 2).sum()), bit for bit, through scratch.
-
-    A float32 X counts as its float64 widening, which the subtraction's
-    cast makes exactly, as in `_sq_dists_to`.
-
-    NumPy sums a contiguous float64 array along a pairwise tree (Higham,
-    "The accuracy of floating point summation", SIAM J. Sci. Comput. 1993):
-    a node of n > 128 elements splits at n // 2 rounded down to a multiple
-    of 8, and a node of at most 128 is one unrolled loop. This walks the
-    same tree over the flat N*D squares and sums each node of at most
-    max(dataset.BLOCK, 128) elements with np.add.reduce, after building
-    the rows it covers in scratch; a row cut by a node boundary is built
-    for both nodes. tests/test_clustering_properties.py pins this against
-    the full sum, so a change of that NumPy internal fails loudly.
-    """
-    d = X.shape[1]
-    leaf = max(dataset.BLOCK, 128)
-
-    def node(lo: int, size: int) -> float:
-        if size > leaf:
-            half = size // 2 - size // 2 % 8
-            return node(lo, half) + node(lo + half, size - half)
-        first, last = lo // d, (lo + size - 1) // d + 1
-        rows = scratch[:last - first]
-        np.take(centroids, labels[first:last], axis=0, out=rows, mode="clip")
-        np.subtract(X[first:last], rows, out=rows)
-        np.square(rows, out=rows)
-        start = lo - first * d
-        return float(np.add.reduce(rows.reshape(-1)[start:start + size]))
-
-    return node(0, X.size) if X.size else 0.0
-
-
 def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Row j is X[labels == j].mean(axis=0), bit for bit, for each of k clusters.
 
@@ -311,27 +294,25 @@ def _gathered(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
-                  k: int, scratch: np.ndarray) -> np.ndarray:
+                  k: int, row_sq: np.ndarray) -> np.ndarray:
     """Give each empty cluster the point currently farthest from its centroid.
 
     Donor points are only taken from clusters with >= 2 members so the
-    repair never empties another cluster. The distances go through scratch.
+    repair never empties another cluster. row_sq holds each row's explicit
+    squared distance to its centroid under labels, as `assign_nearest`
+    writes it; it is kept so under the repaired labels, in place.
     """
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
-        return labels
-    dists = _sq_dists_to(X, centroids, scratch, np.empty(len(X)), labels)
-    for empty in empties:
+    for empty in np.flatnonzero(counts == 0):
         donors = counts[labels] >= 2
-        mover = int(np.where(donors, dists, -1.0).argmax())
+        mover = int(np.where(donors, row_sq, -1.0).argmax())
         counts[labels[mover]] -= 1
         labels[mover] = empty
         counts[empty] = 1
         centroids[empty] = X[mover]
         # The mover now sits on its own centroid; no other point's changed.
-        dists[mover] = 0.0
+        row_sq[mover] = 0.0
     return labels
 
 
@@ -349,7 +330,10 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     A float32 X is read in place, never copied to float64 (see the module
     docstring): the fit equals that of X.astype(np.float64) bit for bit.
     The row norms ||x||^2 are computed once and serve the seeding and
-    every E-step.
+    every E-step. Each E-step also writes every row's explicit squared
+    distance to its centroid into one length-N vector, which the repair
+    reads and updates and whose sum is the inertia, so an iteration reads
+    X once in the E-step and once in the M-step.
     """
     X = _float_rows(X)
     if X.ndim != 2:
@@ -363,11 +347,11 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
         raise ValueError(f"k_clusters={k_clusters} exceeds sample count {n}")
 
     rng = np.random.default_rng(seed)
-    scratch = _scratch(n, X.shape[1])
     x_sq = _row_norms(X)
-    centroids = _kmeanspp_init(X, k_clusters, rng, scratch, x_sq)
-    labels = assign_nearest(X, centroids, x_sq)
-    labels = _repair_empty(X, labels, centroids, k_clusters, scratch)
+    centroids = _kmeanspp_init(X, k_clusters, rng, _scratch(n, X.shape[1]), x_sq)
+    row_sq = np.empty(n)
+    labels = assign_nearest(X, centroids, x_sq, row_sq)
+    labels = _repair_empty(X, labels, centroids, k_clusters, row_sq)
 
     prev_inertia = np.inf
     iterations = 0
@@ -375,9 +359,9 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
         # M-step: centroid = mean of members (repair guarantees none empty).
         centroids = _cluster_means(X, labels, k_clusters)
         # E-step against the fresh centroids.
-        new_labels = assign_nearest(X, centroids, x_sq)
-        new_labels = _repair_empty(X, new_labels, centroids, k_clusters, scratch)
-        inertia = _inertia(X, centroids, new_labels, scratch)
+        new_labels = assign_nearest(X, centroids, x_sq, row_sq)
+        new_labels = _repair_empty(X, new_labels, centroids, k_clusters, row_sq)
+        inertia = float(np.add.reduce(row_sq))
         if not inertia <= prev_inertia * (1 + 1e-12) + 1e-12:
             raise RuntimeError(
                 f"inertia rose {prev_inertia} -> {inertia} at iteration {iterations}")

@@ -130,14 +130,17 @@ def _weight_blocks(elements: slice, a: np.ndarray, b: np.ndarray) -> list[tuple]
 def _parts(runs, size: int, n: int) -> list[list]:
     """The walk of runs, (name, elements, gradient), cut into at most n parts of about size / n.
 
-    A weight's run walks its _weight_blocks, and a part starts at the block
-    a cut falls in; a view is cut where the cut falls. No part is empty.
+    A weight's run walks its _weight_blocks, and a cut that falls in a
+    block moves to the block's nearer edge; a view is cut where the cut
+    falls. No part is empty.
     """
     cuts = [size * p // n for p in range(1, n)]
     parts: list[list] = [[]]
     for name, elements, g in runs:
         for e, g in _weight_blocks(elements, *g) if isinstance(g, tuple) else [(elements, g)]:
             lo = e.start
+            if isinstance(g, tuple):  # nearer the end: the next part starts after the block
+                cuts = [e.stop if lo < c < e.stop and c - lo > e.stop - c else c for c in cuts]
             while cuts and cuts[0] < e.stop:
                 cut = cuts.pop(0)
                 if not isinstance(g, tuple) and cut > lo:

@@ -213,9 +213,13 @@ def test_score_manifest_subset_scores_named_rows(workdir, tmp_path, capsys):
 def test_score_hands_over_the_pooled_array_when_the_manifest_names_every_row(
         workdir, tmp_path, monkeypatch, capsys):
     # every row in any line order: no copy; a manifest that skips a row gets
-    # its rows gathered (the subset test above checks such a report's bytes)
-    pool, score = cli.dataset.pool_temporal, shift_metric.score_dataset
-    pooled, handed = [], []
+    # its rows gathered (the subset test above checks such a report's bytes).
+    # A one-frame pack is pooled as a view of itself, a two-frame pack by its mean.
+    load, pool, score = cli.dataset.load_feature_pack, cli.dataset.pool_temporal, \
+        shift_metric.score_dataset
+    loaded, pooled, handed = [], [], []
+    monkeypatch.setattr(cli.dataset, "load_feature_pack",
+                        lambda *args: loaded.append(load(*args)) or loaded[-1])
     monkeypatch.setattr(cli.dataset, "pool_temporal",
                         lambda *args: pooled.append(pool(*args)) or pooled[-1])
     monkeypatch.setattr(shift_metric, "score_dataset",
@@ -227,6 +231,44 @@ def test_score_hands_over_the_pooled_array_when_the_manifest_names_every_row(
     _score_bytes(tmp_path, "skipped", lines[1:], data / "features.egf")
     assert handed[0] is pooled[0]
     assert handed[1].tobytes() == pooled[1][1:].tobytes()
+    assert loaded[0].temporal_count == 1
+    assert np.shares_memory(handed[0], loaded[0].values)
+
+    two_frames = tmp_path / "two_frames.egf"
+    values = loaded[0].values
+    write_feature_pack(FeatureSet(np.concatenate([values, values + 1], axis=1)), two_frames)
+    _score_bytes(tmp_path, "two_frames", lines, two_frames)
+    assert handed[2] is pooled[2]
+    assert handed[2].tobytes() == loaded[2].values.mean(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_score_of_a_pack_with_negative_zeros_matches_its_pooled_mean(workdir, tmp_path, seed,
+                                                                      capsys):
+    # score clusters a one-frame pack as a view of it, where pool_temporal's
+    # mean would turn each -0.0 into +0.0. No report byte may tell the two apart.
+    data = workdir / "data"
+    values = load_feature_pack(data / "features.egf").values.copy()
+    rng = np.random.default_rng(seed)
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[:, :, rng.integers(values.shape[2])] = -0.0
+    canonical = values + np.float32(0.0)
+    assert canonical[:, 0].tobytes() == values.mean(axis=1).tobytes()  # what pooling gives
+    assert canonical.tobytes() != values.tobytes()
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    reports = []
+    for name, pack in (("signed", values), ("pooled", canonical)):
+        path = tmp_path / f"{name}.egf"
+        write_feature_pack(FeatureSet(pack), path)
+        manifest = tmp_path / f"{name}.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / name
+        assert cli.main(["score", "--manifest", str(manifest), "--features", str(path),
+                         "--k-clusters", "6", "--seed", str(seed),
+                         "--out-dir", str(out_dir)]) == 0
+        reports.append([(out_dir / f).read_bytes()
+                        for f in ("shift_report.csv", "shift_report.json")])
+    assert reports[0] == reports[1]
 
 
 # sha256 of shift_report.csv and .json for the shared synth data; a change

@@ -62,16 +62,19 @@ class TestKmeansFit:
 
     def test_rising_inertia_raises(self, monkeypatch):
         # a poor start, one true Lloyd E-step, then every point sent to the
-        # other blob's centroid: iteration 2 raises the inertia of iteration 1
+        # other blob's centroid: iteration 2 raises the inertia of iteration 1.
+        # The rigged E-step writes the distances its labels give, as the real one does.
         real = clustering.assign_nearest
         calls = []
 
-        def rigged(X, centroids, x_sq=None):
+        def rigged(X, centroids, x_sq=None, row_sq=None):
             calls.append(1)
-            if len(calls) == 1:
-                return np.array([0, 0, 0, 1])
-            labels = real(X, centroids, x_sq)
-            return labels if len(calls) == 2 else 1 - labels
+            labels = real(X, centroids, x_sq, row_sq)
+            if len(calls) == 2:
+                return labels
+            labels = np.array([0, 0, 0, 1]) if len(calls) == 1 else 1 - labels
+            row_sq[:] = ((X - centroids[labels]) ** 2).sum(axis=1)
+            return labels
 
         monkeypatch.setattr(clustering, "assign_nearest", rigged)
         X = np.array([[0.0], [0.1], [10.0], [10.1]])
@@ -209,8 +212,12 @@ class TestRepairEmpty:
             ref_centroids = centroids.copy()
             want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, k)
             monkeypatch.setattr(dataset, "BLOCK", (1 + trial % 4) * d)  # blocks of 1 to 4 rows
-            got = clustering._repair_empty(X, labels, centroids, k, clustering._scratch(n, d))
+            row_sq = np.empty(n)
+            assert np.array_equal(assign_nearest(X, centroids, row_sq=row_sq), labels)
+            got = clustering._repair_empty(X, labels, centroids, k, row_sq)
             assert np.array_equal(got, want), trial
+            # the distances follow the repaired labels and the movers' new centroids
+            assert row_sq.tobytes() == ((X - centroids[got]) ** 2).sum(axis=1).tobytes(), trial
             assert centroids.tobytes() == ref_centroids.tobytes(), trial
             assert (np.bincount(got, minlength=k) > 0).all()
 
@@ -228,8 +235,9 @@ class TestRepairEmpty:
         labels = assign_nearest(X, centroids)
         ref_centroids = centroids.copy()
         want = _repair_empty_per_cluster_loop(X, labels, ref_centroids, 4)
-        got = clustering._repair_empty(X, labels, centroids, 4,
-                                       clustering._scratch(*X.shape))
+        row_sq = ((X - centroids[labels]) ** 2).sum(axis=1)
+        got = clustering._repair_empty(X, labels, centroids, 4, row_sq)
         assert np.array_equal(got, want)
+        assert row_sq.tobytes() == ((X - centroids[got]) ** 2).sum(axis=1).tobytes()
         assert centroids.tobytes() == ref_centroids.tobytes()
         assert (np.bincount(got, minlength=4) > 0).all()

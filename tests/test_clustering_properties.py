@@ -11,12 +11,10 @@ rows holding +-inf.
 stay distinguishable (grid values, so no squared distance underflows) and
 with k at most the number of distinct rows: no empty cluster, labels equal
 `assign_nearest` of the returned centroids, the stored inertia equals the
-recomputed sum, and ties go to the lowest index.
+recomputed sum of the rows' distances, and ties go to the lowest index.
 
-The k-means++ seeding, the inertia walk and the M-step are checked bit for
-bit against the one-expression forms they replace. The inertia walk
-follows NumPy's pairwise summation, an internal; these tests are what
-make a change of it fail loudly.
+The k-means++ seeding, the E-step's per-row distances and the M-step are
+checked bit for bit against the one-expression forms they replace.
 
 float32 input (the feature pack's type) is read in place and widened a
 block at a time: assignment, seeding and whole fits on float32 rows are
@@ -73,8 +71,8 @@ def problems(draw):
     return X, centroids
 
 
-# BLOCK as shipped, and patched down to 8 and 24: below NumPy's unrolled
-# leaf of 128, so the walk then reaches every node NumPy sums in one loop.
+# BLOCK as shipped, and patched down to 8 and 24, so that every walk
+# takes a few rows, or one, at a time.
 BLOCKS = [dataset.BLOCK, 8, 24]
 
 
@@ -83,14 +81,18 @@ BLOCKS = [dataset.BLOCK, 8, 24]
 def test_assign_nearest_equals_explicit_argmin(problem, block, dtype):
     # at BLOCK 8 the products take 32 // D rows at a time and the rows to
     # recheck go through in blocks of 8 // D rows; float32 rows count as
-    # their float64 widening (with the offsets many round to ties)
+    # their float64 widening (with the offsets many round to ties). Each
+    # row's distance to its centroid, taken in the same walk, is explicit.
     X, centroids = problem
     X = X.astype(dtype)
+    row_sq = np.empty(len(X))
     with mock.patch.object(dataset, "BLOCK", block):
-        got = assign_nearest(X, centroids)
-    want = reference(X.astype(np.float64), centroids)
+        got = assign_nearest(X, centroids, row_sq=row_sq)
+    X64 = X.astype(np.float64)
+    want = reference(X64, centroids)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    assert row_sq.tobytes() == ((X64 - centroids[want]) ** 2).sum(axis=1).tobytes()
 
 
 @st.composite
@@ -117,7 +119,7 @@ def test_kmeans_fit_invariants(fit):
     assert centroids.shape == (k, X.shape[1])
     assert np.bincount(labels, minlength=k).min() >= 1
     assert np.array_equal(labels, assign_nearest(X, centroids))
-    assert model.inertia == float(((X - centroids[labels]) ** 2).sum())
+    assert model.inertia == float(((X - centroids[labels]) ** 2).sum(axis=1).sum())
     # ties, between duplicated centroids or equidistant ones, go to the lowest index
     dists = explicit_sq_dists(X, centroids)
     assert labels.tolist() == [np.flatnonzero(row == row.min())[0] for row in dists]
@@ -167,10 +169,6 @@ def expression_kmeanspp_init(X, k, rng):
     return X[indices].copy()
 
 
-def expression_inertia(X, centroids, labels):
-    return float(((X - centroids[labels]) ** 2).sum())
-
-
 def expression_cluster_means(X, labels, k):
     means = np.empty((k, X.shape[1]))
     for j in range(k):
@@ -182,32 +180,6 @@ def spread_values(seed, shape):
     """Values over six decades, so that a sum in another order rounds differently."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-
-
-@st.composite
-def flat_sizes(draw, block):
-    """(n, d) with n*d below 8, not a multiple of 8, at block and 128 or one
-    either side, or anywhere up to a few leaves."""
-    total = draw(st.one_of(
-        st.integers(1, 7),
-        st.integers(1, 3 * max(block, 128)).filter(lambda t: t % 8),
-        st.sampled_from([t + e for t in (block, 128) for e in (-1, 0, 1)]),
-        st.integers(1, 3 * max(block, 128))))
-    d = draw(st.sampled_from([d for d in range(1, 65) if total % d == 0]))
-    return total // d, d
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BLOCKS).flatmap(lambda b: st.tuples(st.just(b), flat_sizes(b))),
-       st.integers(1, 9), st.integers(0, 2**32 - 1))
-def test_inertia_walk_matches_the_full_sum_bitwise(block_shape, k, seed):
-    block, (n, d) = block_shape
-    X = spread_values(seed, (n, d))
-    centroids = spread_values(seed + 1, (k, d))
-    labels = np.random.default_rng(seed).integers(0, k, n)
-    with mock.patch.object(dataset, "BLOCK", block):
-        got = clustering._inertia(X, centroids, labels, clustering._scratch(n, d))
-    assert got == expression_inertia(X, centroids, labels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,13 +335,18 @@ def test_kmeans_fit_that_repairs_builds_no_n_by_d_temporary():
     empties = []
     repair = clustering._repair_empty
 
-    def counting_repair(X, labels, centroids, k, scratch):
+    def counting_repair(X, labels, centroids, k, row_sq):
         empties.append(int((np.bincount(labels, minlength=k) == 0).sum()))
-        return repair(X, labels, centroids, k, scratch)
+        repaired = repair(X, labels, centroids, k, row_sq)
+        # the distances the inertia sums follow the repaired labels
+        assert row_sq.tobytes() == ((X - centroids[repaired]) ** 2).sum(axis=1).tobytes()
+        return repaired
 
     with mock.patch.object(clustering, "_repair_empty", counting_repair):
-        kmeans_fit(X, k, seed)
+        model = kmeans_fit(X, k, seed)
     assert empties and min(empties) > 0
+    assert model.inertia == float(
+        ((X - model.centroids[model.assignments]) ** 2).sum(axis=1).sum())
     assert traced_peak(kmeans_fit, X, k, seed) < X.nbytes / 2
 
 

@@ -230,6 +230,23 @@ def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, 
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_adam_parts_at_the_paper_widths_are_even_within_half_a_gradient_block(workers):
+    # a cut inside a weight's gradient block moves to the block's nearer edge
+    # (x.T @ dz1 and d1.T @ dz2 for a 128-row batch)
+    grads = mlp.Gradients((256, 4096, 512, 10))
+    grads.w1 = (np.empty((256, 128)), np.empty((128, 4096)))
+    grads.w2 = (np.empty((4096, 128)), np.empty((128, 512)))
+    size = sum(e.stop - e.start for _, e, _ in grads.runs())
+    parts = training._parts(grads.runs(), size, workers)
+    pieces = [e for part in parts for _, e, _ in part]
+    assert [e.start for e in pieces] == [0] + [e.stop for e in pieces[:-1]]
+    assert pieces[-1].stop == size and len(parts) == workers
+    for part in parts:
+        elements = sum(e.stop - e.start for _, e, _ in part)
+        assert abs(elements - size / workers) <= training.GRADIENT_BLOCK / 2
+
+
 def step_problem(dims, rows, seed=0):
     """Params, a train-mode trace and its logits gradient at dims (I, H1, H2, C),
     and Adam moments as they might stand after four steps."""
