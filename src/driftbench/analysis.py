@@ -59,6 +59,8 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 points, got {len(x)}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("correlation undefined for constant input")
     # exact power-of-two scales: no bit moves, and corrcoef's products stay finite

@@ -294,17 +294,22 @@ def _gathered(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _repair_empty(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
-                  k: int, row_sq: np.ndarray) -> np.ndarray:
+                  k: int, row_sq: np.ndarray | None = None) -> np.ndarray:
     """Give each empty cluster the point currently farthest from its centroid.
 
     Donor points are only taken from clusters with >= 2 members so the
     repair never empties another cluster. row_sq holds each row's explicit
     squared distance to its centroid under labels, as `assign_nearest`
-    writes it; it is kept so under the repaired labels, in place.
+    writes it; it is kept so under the repaired labels, in place. Without
+    row_sq, the distances are computed here through `_sq_dists_to`, and
+    only if a cluster is empty.
     """
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k)
-    for empty in np.flatnonzero(counts == 0):
+    empties = np.flatnonzero(counts == 0)
+    if empties.size and row_sq is None:
+        row_sq = _sq_dists_to(X, centroids, _scratch(*X.shape), np.empty(len(X)), labels)
+    for empty in empties:
         donors = counts[labels] >= 2
         mover = int(np.where(donors, row_sq, -1.0).argmax())
         counts[labels[mover]] -= 1
@@ -330,10 +335,12 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     A float32 X is read in place, never copied to float64 (see the module
     docstring): the fit equals that of X.astype(np.float64) bit for bit.
     The row norms ||x||^2 are computed once and serve the seeding and
-    every E-step. Each E-step also writes every row's explicit squared
-    distance to its centroid into one length-N vector, which the repair
-    reads and updates and whose sum is the inertia, so an iteration reads
-    X once in the E-step and once in the M-step.
+    every E-step. Each E-step of the loop also writes every row's explicit
+    squared distance to its centroid into one length-N vector, which the
+    repair reads and updates and whose sum is the inertia, so an iteration
+    reads X once in the E-step and once in the M-step. The E-step before
+    the loop takes no inertia, and its repair computes those distances
+    only if a cluster is empty.
     """
     X = _float_rows(X)
     if X.ndim != 2:
@@ -349,10 +356,10 @@ def kmeans_fit(X: np.ndarray, k_clusters: int, seed: int = 0) -> ClusterModel:
     rng = np.random.default_rng(seed)
     x_sq = _row_norms(X)
     centroids = _kmeanspp_init(X, k_clusters, rng, _scratch(n, X.shape[1]), x_sq)
-    row_sq = np.empty(n)
-    labels = assign_nearest(X, centroids, x_sq, row_sq)
-    labels = _repair_empty(X, labels, centroids, k_clusters, row_sq)
+    # no inertia is taken here, so the distances are computed only if a repair needs them
+    labels = _repair_empty(X, assign_nearest(X, centroids, x_sq), centroids, k_clusters)
 
+    row_sq = np.empty(n)
     prev_inertia = np.inf
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):

@@ -106,15 +106,22 @@ class Gradients:
 
 @dataclass
 class ForwardTrace:
-    """What backward reads of one train-mode forward pass; the ReLU and dropout gate is d > 0."""
+    """What backward reads of one train-mode forward pass; backward consumes it.
 
-    x: np.ndarray
-    xhat1: np.ndarray
-    inv_std1: np.ndarray
-    d1: np.ndarray  # layer-2 input
-    xhat2: np.ndarray
-    inv_std2: np.ndarray
-    d2: np.ndarray  # head input
+    Layer 1 keeps xhat1, its 1/std and the bool gate1 = d1 > 0, where a
+    unit passed both ReLU and dropout, but not its output d1: backward
+    rebuilds d1 from these in xhat1's buffer. Layer 2 keeps d2, the head's
+    input, whose gate is d2 > 0. backward sets each array to None once it
+    has read it for the last time.
+    """
+
+    x: np.ndarray | None
+    xhat1: np.ndarray | None
+    inv_std1: np.ndarray | None
+    gate1: np.ndarray | None  # bool d1 > 0
+    xhat2: np.ndarray | None
+    inv_std2: np.ndarray | None
+    d2: np.ndarray | None  # head input
     keep: float  # 1 - drop_prob
 
 
@@ -137,15 +144,13 @@ def init_params(input_dim: int, n_classes: int, seed: int = 0,
     return params
 
 
-def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray,
-                inv_std: np.ndarray, scratch: np.ndarray) -> None:
-    """Write gain * xhat + bias over the rows of z (B, H) into out, 1/std into inv_std (B, 1).
+def _layer_norm(z: np.ndarray, inv_std: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn the rows of z (B, H) into xhat in place, and write their 1/std into inv_std (B, 1).
 
-    Consumes z: it is centred and scaled in place and becomes xhat. out
-    may be z itself (eval mode, where xhat is not kept). The squares for
-    the variance go through scratch, one block of dataset.row_blocks(B, H)
-    at a time. Every step works on each row alone, so any cut of the rows
-    keeps the roundings of z.mean, z.var and the expression form.
+    The squares for the variance go through scratch, one block of
+    dataset.row_blocks(B, H) at a time. Every step works on each row
+    alone, so any cut of the rows keeps the roundings of z.mean, z.var and
+    the expression form.
     """
     b, h = z.shape
     mean = z.sum(axis=1, keepdims=True, out=inv_std)  # what ndarray.mean does, then /= h
@@ -160,28 +165,45 @@ def _layer_norm(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarr
     np.sqrt(var, out=var)
     np.divide(1.0, var, out=inv_std)
     z *= inv_std
-    np.multiply(z, gain, out=out)  # gain * xhat: the product rounds the same either way round
+
+
+def _output(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray,
+            gate: np.ndarray | None, keep: float) -> None:
+    """A hidden layer's output from its xhat, into out (which may be xhat itself).
+
+    gain * xhat + bias, then ReLU; given the bool gate (train mode), times
+    the gate and then 1/keep. backward rebuilds layer 1's output through
+    this same function, so the rebuild has the forward's bits.
+    """
+    np.multiply(xhat, gain, out=out)  # gain * xhat: the product rounds the same either way round
     out += bias
+    np.maximum(out, 0.0, out=out)
+    if gate is not None:
+        out *= gate  # times 1.0 or 0.0, then 1/keep: the bits of out * ((r < keep) * (1/keep))
+        out *= 1.0 / keep
 
 
 def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
     """linear -> layer norm -> ReLU -> dropout over the rows of x.
 
     Returns d (B, H) and, when rng is given (train mode), the trace
-    fields (xhat, inv_std, d); backward takes the ReLU and dropout gate
-    from d > 0. The whole layer's dropout doubles are one rng.random call
-    here, on the calling thread, drawn into d itself. The rows are then
-    cut into the parts of the layer's GEMM; each part runs the whole chain
-    on its rows, into arrays allocated here: it first turns its rows of
-    the doubles into a bool gate, then writes the layer's output over
-    them. The parts allocate nothing large themselves: a helper thread's
-    allocations would stay in its own malloc arena and add to peak RSS.
+    fields (xhat, inv_std, gate), gate being the bool d > 0: where a unit
+    passed both ReLU and dropout, as 1/keep >= 1. The whole layer's
+    dropout doubles are one rng.random call here, on the calling thread,
+    drawn into d itself. The rows are then cut into the parts of the
+    layer's GEMM; each part runs the whole chain on its rows, into arrays
+    allocated here: it first turns its rows of the doubles into the bool
+    dropout gate, then writes the layer's output over them, and then d > 0
+    over the dropout gate. The parts allocate nothing large themselves: a
+    helper thread's allocations would stay in its own malloc arena and add
+    to peak RSS.
     """
     n, h = x.shape[0], w.shape[1]
     parts = parallel.cuts(n, parallel.gemm_parts(n, x.shape[1], h))
     z = np.empty((n, h), dtype=np.result_type(x, w))
     inv_std = np.empty((n, 1), dtype=z.dtype)
     squares = np.empty((len(parts), min(dataset.block_rows(h), n), h), dtype=z.dtype)
+    gate = keep = None
     if rng is None:
         d = z
     else:
@@ -191,18 +213,16 @@ def _hidden_layer(x, w, b, gain, bias, drop_prob, rng):
 
     def part(p: int, rows: slice) -> None:
         zp, dp = np.matmul(x[rows], w, out=z[rows]), d[rows]
-        if rng is not None:
+        if gate is not None:
             np.less(dp, keep, out=gate[rows])
         zp += b
-        _layer_norm(zp, gain, bias, dp, inv_std[rows], squares[p])
-        np.maximum(dp, 0.0, out=dp)
-        if rng is None:
-            return
-        dp *= gate[rows]  # times 1.0 or 0.0, then 1/keep: the bits of dp * ((r < keep) * (1/keep))
-        dp *= 1.0 / keep
+        _layer_norm(zp, inv_std[rows], squares[p])
+        _output(zp, gain, bias, dp, None if gate is None else gate[rows], keep)
+        if gate is not None:
+            np.greater(dp, 0.0, out=gate[rows])
 
     parallel.run_parts(part, parts)
-    return d, (None if rng is None else (z, inv_std, d))
+    return d, (None if rng is None else (z, inv_std, gate))
 
 
 def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
@@ -240,19 +260,26 @@ def forward(params: MlpParams, batch: np.ndarray, mode: str = "eval",
     logits += params.head_b
     if not train:
         return logits
-    return logits, ForwardTrace(batch, *cache1, *cache2, 1.0 - float(drop_prob))
+    (xhat1, inv_std1, gate1), (xhat2, inv_std2, _) = cache1, cache2
+    return logits, ForwardTrace(batch, xhat1, inv_std1, gate1, xhat2, inv_std2, d2,
+                                1.0 - float(drop_prob))
 
 
-def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
+def _layer_norm_backward(d_out: np.ndarray, gate: np.ndarray, keep: float,
                          xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
-                         g_gain: np.ndarray, g_bias: np.ndarray, n_parts: int):
+                         g_gain: np.ndarray, g_bias: np.ndarray, n_parts: int,
+                         bias: np.ndarray | None = None):
     """dz through dropout, ReLU, y = gain * xhat + bias and the norm statistics.
 
     d_out is the gradient w.r.t. the layer's output d; fills g_gain and
     g_bias. Consumes d_out: dz is computed in place and d_out is returned.
-    A unit passed ReLU and dropout exactly where d > 0, as 1/keep >= 1. With
-    d_xhat = d_out * (d > 0) * (1/keep) * gain, the roundings are those of
+    A unit passed ReLU and dropout exactly where gate > 0: gate is the
+    layer's output d (1/keep >= 1) or the bool d > 0. With
+    d_xhat = d_out * (gate > 0) * (1/keep) * gain, the roundings are those of
     inv_std * (d_xhat - d_xhat.mean(1) - (xhat * (d_xhat * xhat).sum(1)) / H).
+    Given bias (with the bool gate), xhat is consumed too: each block of
+    the last pass, once it has read its rows of xhat, rebuilds the layer's
+    output d over them through _output, so xhat returns holding d.
 
     Three passes of n_parts parts, each through one scratch block a part,
     never larger than the part. The first and last cut the rows, as their
@@ -283,7 +310,7 @@ def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
     def gates(p: int, r: slice) -> None:
         for rb, sp in blocks(p, r):
             dp = d_out[rb]
-            dp *= np.greater(d[rb], 0.0, out=sp)
+            dp *= np.greater(gate[rb], 0.0, out=sp)
             dp *= 1.0 / keep
 
     def column_sums(p: int, c: slice) -> None:
@@ -308,6 +335,8 @@ def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
             sp /= h  # (xhat * S) / H: xhat * (S / H) rounds differently unless H is 2^k
             dp -= sp
             dp *= inv_std[rb]
+            if bias is not None:  # the block's last read of xhat is done
+                _output(xp, gain, bias, xp, gate[rb], keep)
 
     for task, cut in ((gates, rows), (column_sums, cols), (rest, rows)):
         parallel.run_parts(task, cut)
@@ -316,16 +345,23 @@ def _layer_norm_backward(d_out: np.ndarray, d: np.ndarray, keep: float,
 
 def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
              out: MlpParams | Gradients | None = None) -> MlpParams | Gradients:
-    """Exact parameter gradients for the forward composition above.
+    """Exact parameter gradients for the forward composition above; consumes trace.
 
     Fills out and returns it: an MlpParams laid out like params (every
     element is overwritten; a fresh one if out is None), or a Gradients.
     A Gradients gets the small gradients and, for the weights, the
-    operands of their GEMMs: w1 = (x.T, dz1) and w2 = (d1.T, dz2), with x
-    and d1 the trace's, so that training.adam_step computes them a row
-    block at a time. grad_logits is the loss gradient w.r.t. the logits
-    from the matching forward call.
+    operands of their GEMMs: w1 = (x.T, dz1) and w2 = (d1.T, dz2), so that
+    training.adam_step computes them a row block at a time. grad_logits is
+    the loss gradient w.r.t. the logits from the matching forward call.
+
+    Each of the trace's arrays is set to None after its last read here:
+    xhat2, inv_std2 and d2 once layer 2's backward is done. Layer 1's
+    layer-norm backward rebuilds d1, bit for bit, in xhat1's buffer, on
+    the forward's row parts, so no step holds xhat1 and d1 at once; then
+    the trace holds nothing, and a second backward on it raises ValueError.
     """
+    if trace.xhat1 is None:
+        raise ValueError("trace already consumed: backward takes each forward's trace once")
     if trace.d2.shape[1] != params.hidden2 or trace.x.shape[1] != params.input_dim:
         raise ValueError("trace does not match params shapes")
     grad_logits = np.asarray(grad_logits, dtype=params.flat.dtype)
@@ -347,18 +383,22 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
     dz2 = _layer_norm_backward(dd2, trace.d2, trace.keep, trace.xhat2, trace.inv_std2,
                                params.ln2_gain, g.ln2_gain, g.ln2_bias,
                                parallel.gemm_parts(b, params.hidden1, params.hidden2))
+    trace.xhat2 = trace.inv_std2 = trace.d2 = None
     dz2.sum(axis=0, out=g.b2)
     dd1 = parallel.matmul(dz2, params.w2.T)
 
-    dz1 = _layer_norm_backward(dd1, trace.d1, trace.keep, trace.xhat1, trace.inv_std1,
+    dz1 = _layer_norm_backward(dd1, trace.gate1, trace.keep, trace.xhat1, trace.inv_std1,
                                params.ln1_gain, g.ln1_gain, g.ln1_bias,
-                               parallel.gemm_parts(b, params.input_dim, params.hidden1))
+                               parallel.gemm_parts(b, params.input_dim, params.hidden1),
+                               bias=params.ln1_bias)
+    x, d1 = trace.x, trace.xhat1
+    trace.x = trace.xhat1 = trace.inv_std1 = trace.gate1 = None
     dz1.sum(axis=0, out=g.b1)
     if isinstance(g, Gradients):
-        g.w1, g.w2 = (trace.x.T, dz1), (trace.d1.T, dz2)
+        g.w1, g.w2 = (x.T, dz1), (d1.T, dz2)
     else:
-        parallel.matmul(trace.d1.T, dz2, out=g.w2)
-        parallel.matmul(trace.x.T, dz1, out=g.w1)
+        parallel.matmul(d1.T, dz2, out=g.w2)
+        parallel.matmul(x.T, dz1, out=g.w1)
     return g
 
 

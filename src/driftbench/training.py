@@ -289,15 +289,19 @@ class ModelMismatch(ValueError):
     """The model's input width or class count differs from the data's."""
 
 
-def _eval_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of the rows of X, in chunks of EVAL_BLOCK elements of the widest layer."""
-    parts = [mlp.forward(params, X[rows], mode="eval")
-             for rows in row_blocks(X.shape[0], max(params.dims[:3]), EVAL_BLOCK)]
+def _eval_logits(params: MlpParams, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Eval-mode logits of X[rows], in chunks of EVAL_BLOCK elements of the widest layer.
+
+    Each chunk's rows are gathered from X as the chunk runs, so no copy of
+    all the rows is made.
+    """
+    parts = [mlp.forward(params, X[rows[chunk]], mode="eval")
+             for chunk in row_blocks(len(rows), max(params.dims[:3]), EVAL_BLOCK)]
     return np.concatenate(parts, axis=0)
 
 
-def _top1(params: MlpParams, X: np.ndarray, labels: np.ndarray) -> float:
-    preds = mlp.predict(_eval_logits(params, X))
+def _top1(params: MlpParams, X: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> float:
+    preds = mlp.predict(_eval_logits(params, X, rows))
     return float((preds == labels).mean() * 100.0)
 
 
@@ -309,13 +313,16 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
     best_epoch(history); if none does (no val rows, or no epoch), it gets
     the final weights once, after the loop. keep copies what it retains,
     as the next step changes them in place. Memory: three parameter-sized
-    vectors (params, Adam's m and v) plus one step's trace, one layer's
-    gradient and a block of layer-norm scratch, then the trace, both
-    layers' dz and the small gradients while Adam computes the weight
-    gradients, one GRADIENT_BLOCK a part; or, while val top-1 is measured,
-    one chunk of val rows of at most EVAL_BLOCK elements a layer. Large
-    GEMMs and the Adam walk run on parallel.WORKERS threads; only the Adam
-    blocks grow with the thread count, and the bits do not.
+    vectors (params, Adam's m and v) plus one step's activations, each
+    freed at its last reader: the trace, one layer's gradient and a block
+    of layer-norm scratch, as backward consumes the trace; then x, d1
+    (rebuilt in xhat1's buffer), both layers' dz and the small gradients
+    while Adam computes the weight gradients, one GRADIENT_BLOCK a part;
+    or, while val top-1 is measured, one chunk of val rows of at most
+    EVAL_BLOCK elements a layer, gathered as it runs, so no copy of the
+    val rows is kept. Large GEMMs and the Adam walk run on
+    parallel.WORKERS threads; only the Adam blocks grow with the thread
+    count, and the bits do not.
     """
     train_set, val_set, test_set = set(split.train_ids), set(split.val_ids), set(split.test_ids)
     if train_set & val_set or train_set & test_set or val_set & test_set:
@@ -325,8 +332,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
 
     train_rows = data.rows_for(split.train_ids)
     val_rows = data.rows_for(split.val_ids)
-    y_train = data.labels[train_rows]
-    X_val, y_val = data.X[val_rows], data.labels[val_rows]  # one float32 copy
+    y_train, y_val = data.labels[train_rows], data.labels[val_rows]
 
     params = mlp.init_params(data.X.shape[1], data.n_classes, seed=config.seed,
                              hidden1=hidden1, hidden2=hidden2)
@@ -346,9 +352,9 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
         loss, grad_logits = mlp.ova_bce_loss(logits, targets)
         if not np.isfinite(loss):
             raise ValueError(f"non-finite loss at epoch {epoch}, batch {batch}")
-        mlp.backward(params, trace, grad_logits, out=grads)
+        mlp.backward(params, trace, grad_logits, out=grads)  # consumes the trace
         adam_step(params, grads, state, config)
-        grads.w1 = grads.w2 = None  # they hold this step's trace and dz
+        grads.w1 = grads.w2 = None  # they hold this step's x, d1 and both dz
         return loss
 
     n = len(train_rows)
@@ -359,7 +365,7 @@ def train(data: TrainingData, split: SplitSpec, config: TrainConfig, keep,
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             loss_sum += step(rows, epoch, start // config.batch_size) * len(rows)
-        val_top1 = _top1(params, X_val, y_val) if len(val_rows) else float("nan")
+        val_top1 = _top1(params, data.X, val_rows, y_val) if len(val_rows) else float("nan")
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, val_top1=val_top1))
         if best_epoch(history) is history[-1]:
             keep(params)
@@ -379,7 +385,7 @@ def evaluate(params: MlpParams, data: TrainingData, ids) -> EvalReport:
         raise ValueError("empty id list")
     rows = data.rows_for(ids)
     labels = data.labels[rows]
-    preds = mlp.predict(_eval_logits(params, data.X[rows]))
+    preds = mlp.predict(_eval_logits(params, data.X, rows))
 
     n_classes = data.n_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)

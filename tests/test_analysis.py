@@ -68,6 +68,12 @@ def test_pearson_affine_exact():
         pearson(np.ones(4), x)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_pearson_refuses_fewer_than_two_points(n):
+    with pytest.raises(ValueError, match=f"^need at least 2 points, got {n}$"):
+        pearson(np.arange(n, dtype=float), np.arange(n, dtype=float))
+
+
 def test_pearson_stays_finite_near_the_float_maximum():
     # corrcoef's sums of products overflow on these unless the scores are scaled
     r = pearson([1e308, -1e308, 1e307], [90.0, 70.0, 10.0])

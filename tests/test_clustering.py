@@ -63,7 +63,8 @@ class TestKmeansFit:
     def test_rising_inertia_raises(self, monkeypatch):
         # a poor start, one true Lloyd E-step, then every point sent to the
         # other blob's centroid: iteration 2 raises the inertia of iteration 1.
-        # The rigged E-step writes the distances its labels give, as the real one does.
+        # The rigged E-step writes the distances its labels give where it is
+        # asked to, as the real one does (not before the loop).
         real = clustering.assign_nearest
         calls = []
 
@@ -73,7 +74,8 @@ class TestKmeansFit:
             if len(calls) == 2:
                 return labels
             labels = np.array([0, 0, 0, 1]) if len(calls) == 1 else 1 - labels
-            row_sq[:] = ((X - centroids[labels]) ** 2).sum(axis=1)
+            if row_sq is not None:
+                row_sq[:] = ((X - centroids[labels]) ** 2).sum(axis=1)
             return labels
 
         monkeypatch.setattr(clustering, "assign_nearest", rigged)
@@ -195,6 +197,51 @@ def _repair_empty_per_cluster_loop(X, labels, centroids, k):
         counts[empty] = 1
         centroids[empty] = X[mover]
     return labels
+
+
+def counting_distance_passes(monkeypatch):
+    """Log the rows of each explicit distance-to-centroid pass (`_sq_dists_to`
+    given labels) and, per `_repair_empty` call, whether it got row_sq and
+    found an empty cluster; each repair is checked against the reference."""
+    measured, repairs = [], []
+    sq_dists_to, repair = clustering._sq_dists_to, clustering._repair_empty
+
+    def counting_sq_dists_to(X, points, scratch, out, labels=None):
+        if labels is not None:
+            measured.append(len(X))
+        return sq_dists_to(X, points, scratch, out, labels)
+
+    def checked_repair(X, labels, centroids, k, row_sq=None):
+        want = _repair_empty_per_cluster_loop(X, labels, centroids.copy(), k)
+        got = repair(X, labels, centroids, k, row_sq)
+        repairs.append((row_sq is not None, bool((np.bincount(labels, minlength=k) == 0).any())))
+        assert np.array_equal(got, want)
+        return got
+    monkeypatch.setattr(clustering, "_sq_dists_to", counting_sq_dists_to)
+    monkeypatch.setattr(clustering, "_repair_empty", checked_repair)
+    return measured, repairs
+
+
+def test_kmeans_fit_measures_distances_before_its_loop_only_to_repair(monkeypatch):
+    """The E-step before the loop takes no inertia, so it measures no
+    distances: a fit makes one distance pass an iteration, plus one before
+    the loop only when the start leaves a cluster empty. Four distinct rows
+    and k = 5 double a start, so that fit repairs before its loop, from
+    the explicit distances."""
+    measured, repairs = counting_distance_passes(monkeypatch)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((300, 6)) + 20.0 * np.eye(5, 6)[np.arange(300) % 5]
+    model = kmeans_fit(X, 5, seed=0)
+    assert sum(measured) == 300 * model.iterations_run
+    assert repairs == [(False, False)] + [(True, False)] * model.iterations_run
+
+    measured.clear(), repairs.clear()
+    X = np.repeat(10.0 * np.eye(4, 3), [3, 5, 7, 9], axis=0)  # 24 rows, 4 distinct
+    model = kmeans_fit(X, 5, seed=0)
+    assert sum(measured) == 24 * (model.iterations_run + 1)
+    assert repairs[0] == (False, True) and all(given for given, _ in repairs[1:])
+    assert (np.bincount(model.assignments, minlength=5) > 0).all()
+    assert model.inertia == float(((X - model.centroids[model.assignments]) ** 2).sum(axis=1).sum())
 
 
 class TestRepairEmpty:

@@ -47,6 +47,14 @@ def loss_at(p, x, targets):
     return ova_bce_loss(logits, targets)[0]
 
 
+def layer_outputs(p, x, drop_prob, rng):
+    """Each hidden layer's output d, through the layers a train-mode forward
+    runs, from the same draws: the trace keeps only d1's gate and d2."""
+    d1, _ = mlp._hidden_layer(x, p.w1, p.b1, p.ln1_gain, p.ln1_bias, drop_prob, rng)
+    d2, _ = mlp._hidden_layer(d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias, drop_prob, rng)
+    return d1, d2
+
+
 def test_init_is_seed_deterministic():
     a, b = tiny_params(seed=5), tiny_params(seed=5)
     for name, t in a.tensors().items():
@@ -106,8 +114,10 @@ def test_train_mode_with_no_dropout_matches_eval():
     assert np.allclose(logits, forward(p, x, mode="eval"), atol=1e-12)
     # no unit dropped or scaled: each layer's d is its ReLU output
     assert trace.keep == 1.0
-    for d, x_in, w, b, gain, bias in ((trace.d1, x, p.w1, p.b1, p.ln1_gain, p.ln1_bias),
-                                      (trace.d2, trace.d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias)):
+    d1, d2 = layer_outputs(p, x, 0.0, np.random.default_rng(0))
+    assert np.array_equal(trace.gate1, d1 > 0) and np.array_equal(trace.d2, d2)
+    for d, x_in, w, b, gain, bias in ((d1, x, p.w1, p.b1, p.ln1_gain, p.ln1_bias),
+                                      (d2, d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias)):
         a = expression_layer_norm(x_in @ w + b, gain, bias)[0]
         assert np.array_equal(d, np.maximum(a, 0.0))
 
@@ -153,8 +163,10 @@ def test_dropout_mask_values():
     _, trace = forward(p, x, mode="train", drop_prob=0.5,
                        rng=np.random.default_rng(7))
     assert trace.keep == 0.5
-    for d, x_in, w, b, gain, bias in ((trace.d1, x, p.w1, p.b1, p.ln1_gain, p.ln1_bias),
-                                      (trace.d2, trace.d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias)):
+    d1, d2 = layer_outputs(p, x, 0.5, np.random.default_rng(7))
+    assert np.array_equal(trace.gate1, d1 > 0) and np.array_equal(trace.d2, d2)
+    for d, x_in, w, b, gain, bias in ((d1, x, p.w1, p.b1, p.ln1_gain, p.ln1_bias),
+                                      (d2, d1, p.w2, p.b2, p.ln2_gain, p.ln2_bias)):
         r = np.maximum(expression_layer_norm(x_in @ w + b, gain, bias)[0], 0.0)
         assert np.all((d == 0.0) | (d == 2.0 * r))
         assert ((d == 0.0) & (r > 0.0)).any() and ((d == 2.0 * r) & (r > 0.0)).any()
@@ -164,16 +176,13 @@ def test_dropout_scaling_preserves_expectation():
     p = tiny_params(seed=2)
     x = np.random.default_rng(3).standard_normal((4, 4))
     # layer 1's output: the clean activation is its dropout's target
-    _, clean = forward(p, x, mode="train", drop_prob=0.0,
-                       rng=np.random.default_rng(0))
-    target = clean.d1
+    target = layer_outputs(p, x, 0.0, np.random.default_rng(0))[0]
     drop = 0.5
     rng = np.random.default_rng(42)
     n = 10000
     acc = np.zeros_like(target)
     for _ in range(n):
-        _, trace = forward(p, x, mode="train", drop_prob=drop, rng=rng)
-        acc += trace.d1
+        acc += layer_outputs(p, x, drop, rng)[0]
     mean = acc / n
     # per-element SE of the inverted-dropout estimator is |target| / sqrt(n)
     tol = 3.0 * np.abs(target) / np.sqrt(n) + 1e-12
@@ -234,9 +243,10 @@ def test_backward_zero_grad_logits():
 def reference_backward(params, trace, grad_logits, gates):
     """Backward written per tensor, returning a dict: the reference for backward.
 
-    gates is (relu1, mask1, relu2, mask2) as expression_forward returns them.
+    trace is expression_forward's, and gates is (relu1, mask1, relu2,
+    mask2, d1) as it returns them.
     """
-    relu1, mask1, relu2, mask2 = gates
+    relu1, mask1, relu2, mask2, d1 = gates
 
     def ln_backward(d_out, xhat, inv_std, gain):
         d_gain = (d_out * xhat).sum(axis=0)
@@ -257,7 +267,7 @@ def reference_backward(params, trace, grad_logits, gates):
     da2 = dr2 * relu2
     dz2, g_ln2_gain, g_ln2_bias = ln_backward(da2, trace.xhat2, trace.inv_std2,
                                               params.ln2_gain)
-    g_w2 = trace.d1.T @ dz2
+    g_w2 = d1.T @ dz2
     g_b2 = dz2.sum(axis=0)
     dd1 = dz2 @ params.w2.T
     dr1 = dd1 * mask1
@@ -282,11 +292,11 @@ def test_backward_matches_dict_reference_bitwise(case):
     x = rng.standard_normal((int(rng.integers(1, 40)), i)) * 3.0
     logits, trace = forward(p, x, mode="train", drop_prob=0.5,
                             rng=np.random.default_rng(case))
-    *_, gates = expression_forward(p, x, mode="train", drop_prob=0.5,
-                                   rng=np.random.default_rng(case), gates=True)
+    _, want_trace, gates = expression_forward(p, x, mode="train", drop_prob=0.5,
+                                              rng=np.random.default_rng(case), gates=True)
     _, grad_logits = ova_bce_loss(logits, one_hot(rng.integers(0, c, len(x)), c))
     got = backward(p, trace, grad_logits)
-    want = reference_backward(p, trace, grad_logits, gates)
+    want = reference_backward(p, want_trace, grad_logits, gates)
     assert list(got.tensors()) == list(want)
     for name, g in got.tensors().items():
         assert g.shape == want[name].shape, name
@@ -310,7 +320,8 @@ def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None, gate
     """forward with one fresh array per expression: the bitwise reference.
 
     In train mode, gates=True also returns its own (relu1, mask1, relu2,
-    mask2): the bool ReLU masks and the scaled dropout masks.
+    mask2, d1): the bool ReLU masks, the scaled dropout masks and layer 1's
+    output, which the trace does not keep.
     """
     train = mode == "train"
     z1 = batch @ params.w1 + params.b1
@@ -328,10 +339,10 @@ def expression_forward(params, batch, mode="eval", drop_prob=0.9, rng=None, gate
     logits = d2 @ params.head_w.T + params.head_b
     if not train:
         return logits
-    trace = ForwardTrace(x=batch, xhat1=xhat1, inv_std1=inv_std1, d1=d1,
+    trace = ForwardTrace(x=batch, xhat1=xhat1, inv_std1=inv_std1, gate1=d1 > 0,
                          xhat2=xhat2, inv_std2=inv_std2, d2=d2, keep=1.0 - drop_prob)
     if gates:
-        return logits, trace, (a1 > 0, mask1, a2 > 0, mask2)
+        return logits, trace, (a1 > 0, mask1, a2 > 0, mask2, d1)
     return logits, trace
 
 
@@ -373,44 +384,103 @@ def test_forward_matches_expression_form_bitwise(case, drop_prob):
     assert np.array_equal(p.flat, flat_before) and np.array_equal(x, x_before)
 
 
-@pytest.mark.parametrize("case", range(4))
-def test_backward_leaves_trace_unchanged(case):
+def traced_problem(case):
+    """random_problem's params, a train-mode trace of its batch and the trace's
+    logits gradient; the same arrays at every call, as backward consumes a trace."""
     p, x = random_problem(case)
     logits, trace = forward(p, x, mode="train", drop_prob=0.5,
                             rng=np.random.default_rng(case))
-    before = ForwardTrace(**{f.name: np.asarray(getattr(trace, f.name)).copy()
-                             for f in dataclasses.fields(ForwardTrace)})
-    flat_before = p.flat.copy()
     _, grad_logits = ova_bce_loss(logits, one_hot(np.arange(len(x)) % p.n_classes,
                                                   p.n_classes))
+    return p, trace, grad_logits
+
+
+def trace_arrays(trace):
+    return {f.name: getattr(trace, f.name) for f in dataclasses.fields(ForwardTrace)
+            if f.name != "keep"}
+
+
+def copy_trace(trace):
+    return dataclasses.replace(trace, **{k: a.copy() for k, a in trace_arrays(trace).items()})
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_backward_consumes_the_trace_and_leaves_params_unchanged(case):
+    """backward drops every array of the trace and changes no parameter. A
+    second backward on the spent trace is refused in one line, before it
+    writes any gradient."""
+    p, trace, grad_logits = traced_problem(case)
+    flat_before = p.flat.copy()
     backward(p, trace, grad_logits)
-    assert_traces_equal(trace, before)
+    assert all(a is None for a in trace_arrays(trace).values())
     assert np.array_equal(p.flat, flat_before)
+    buf = MlpParams(p.dims, np.full_like(p.flat, np.nan))
+    with pytest.raises(ValueError, match="^trace already consumed") as err:
+        backward(p, trace, grad_logits, out=buf)
+    assert "\n" not in str(err.value) and np.isnan(buf.flat).all()
 
 
-def test_train_trace_holds_x_and_three_float_arrays_a_layer():
-    """x, then xhat, 1/std and d per layer: no ReLU mask and no dropout mask."""
+def test_train_trace_holds_layer_1s_gate_in_place_of_its_output():
+    """x, layer 1's xhat, 1/std and bool gate d1 > 0, and layer 2's xhat,
+    1/std and d: no ReLU or dropout mask, and no d1."""
     i, h1, h2, b = 7, 13, 5, 11
     p = init_params(i, 3, hidden1=h1, hidden2=h2)
     x = np.random.default_rng(0).standard_normal((b, i))
     _, trace = forward(p, x, mode="train", drop_prob=0.5, rng=np.random.default_rng(0))
-    arrays = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
-    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert not any(a.dtype == bool for a in arrays)
-    assert sum(a.nbytes for a in arrays) == 8 * b * (i + 2 * h1 + 2 * h2 + 2)
+    arrays = list(trace_arrays(trace).values())
+    assert [a.dtype == bool for a in arrays] == [False, False, False, True, False, False, False]
+    assert sum(a.nbytes for a in arrays) == 8 * b * (i + h1 + 2 * h2 + 2) + b * h1
+
+
+@pytest.mark.parametrize("dims,rows", [((256, 4096, 512, 10), 128), ((256, 4096, 512, 10), 20),
+                                       ((256, 4096, 300, 10), 128)],
+                         ids=["paper", "paper-tail", "hidden2-300"])
+def test_backward_hands_adam_the_forwards_d1_rebuilt_in_xhat1(monkeypatch, fast_switching,
+                                                               dims, rows):
+    """The d1 in w2's operands is the forward's d1 bit for bit, in xhat1's
+    buffer, with 1, 2 and 3 workers. The rebuild runs in the last pass of
+    layer 1's layer-norm backward, on the forward's row parts (one for the
+    20-row tail), so backward makes no run_parts call beyond its 3 + 1 + 3.
+    Units with a zero gain and a -0.0 bias put signed zeros before the
+    ReLU."""
+    i, h1, h2, c = dims
+    hidden_layer, outputs = mlp._hidden_layer, []
+
+    def noting(*args):
+        d, fields = hidden_layer(*args)
+        outputs.append(d.copy())
+        return d, fields
+    monkeypatch.setattr(mlp, "_hidden_layer", noting)
+    rng = np.random.default_rng(0)
+    p = init_params(i, c, seed=0, hidden1=h1, hidden2=h2)
+    p.flat[:] += 0.3 * rng.standard_normal(p.flat.size)
+    p.ln1_gain[:64], p.ln1_bias[:64] = 0.0, -0.0
+    x = rng.standard_normal((rows, i))
+    targets = one_hot(np.arange(rows) % c, c)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        outputs.clear()
+        logits, trace = forward(p, x, mode="train", drop_prob=0.5, rng=np.random.default_rng(1))
+        xhat1 = trace.xhat1
+        _, grad_logits = ova_bce_loss(logits, targets)
+        parts = record_parts(monkeypatch)
+        grads = backward(p, trace, grad_logits, out=mlp.Gradients(p.dims))
+        d1 = grads.w2[0].T
+        assert d1.tobytes() == outputs[0].tobytes(), workers
+        assert np.shares_memory(d1, xhat1) and grads.w1[0].base is x
+        layer1, layer2 = parallel.gemm_parts(rows, i, h1), parallel.gemm_parts(rows, h1, h2)
+        assert parts == [layer2] * 3 + [parallel.gemm_parts(rows, h2, h1)] + [layer1] * 3
+        assert layer1 == (workers if rows == 128 else 1), workers
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_backward_fills_a_given_buffer(case):
-    p, x = random_problem(case)
-    logits, trace = forward(p, x, mode="train", drop_prob=0.5,
-                            rng=np.random.default_rng(case))
-    _, grad_logits = ova_bce_loss(logits, one_hot(np.arange(len(x)) % p.n_classes,
-                                                  p.n_classes))
+    p, trace, grad_logits = traced_problem(case)
     buf = MlpParams(p.dims, np.full_like(p.flat, np.nan))
     got = backward(p, trace, grad_logits, out=buf)
     assert got is buf
     assert np.isfinite(buf.flat).all()
+    p, trace, grad_logits = traced_problem(case)  # backward consumed the first trace
     assert np.array_equal(buf.flat, backward(p, trace, grad_logits).flat)
 
 
@@ -434,10 +504,12 @@ def test_layer_norm_row_blocks_keep_the_bits(case, drop_prob, ln_block, monkeypa
 
 
 def forward_backward_eval(p, x, targets):
+    """Logits, a copy of the trace as forward made it, the gradients and eval logits."""
     logits, trace = forward(p, x, mode="train", drop_prob=0.5,
                             rng=np.random.default_rng(5))
+    made = copy_trace(trace)
     _, grad_logits = ova_bce_loss(logits, targets)
-    return logits, trace, backward(p, trace, grad_logits), forward(p, x)
+    return logits, made, backward(p, trace, grad_logits), forward(p, x)
 
 
 @pytest.mark.parametrize("rows,hidden2,split_calls",
@@ -490,21 +562,28 @@ def test_layer_norm_backward_blocks_keep_the_bits(monkeypatch, rows, h):
     """One-row blocks in the row passes and two-column blocks in the column
     sums (BACKWARD_BLOCK = 1) give the bits of whole-part blocks, in 1, 2
     and 3 parts. 45 and 7 columns leave parts of an odd width, whose last
-    two-column block would be a lone column."""
+    two-column block would be a lone column. With the bool gate d > 0 and
+    the bias, as for layer 1, dz is the same, and xhat becomes the layer's
+    output, which the forward's operations give, in each block."""
     d_out, d, xhat, inv_std, gain = layer_norm_backward_problem(rows, h, rows * h)
+    bias = 0.3 * np.random.default_rng(h).standard_normal(h)
+    output = np.maximum(xhat * gain + bias, 0.0) * (d > 0) * (1 / 0.5)
     inputs = (d, xhat, inv_std, gain)
     before = [a.copy() for a in inputs]
     runs = {}
     for block in (1, 1 << 40):
         monkeypatch.setattr(mlp, "BACKWARD_BLOCK", block)
         for parts in (1, 2, 3):
-            calls = record_parts(monkeypatch)
-            g_gain, g_bias = np.full(h, np.nan), np.full(h, np.nan)
-            dz = mlp._layer_norm_backward(d_out.copy(), d, 0.5, xhat, inv_std, gain,
-                                          g_gain, g_bias, parts)
-            assert calls == [parts] * 3
-            runs[block, parts] = dz, g_gain, g_bias
-    want = runs[1 << 40, 1]
+            for gate, rebuild in ((d, None), (d > 0, bias)):
+                calls = record_parts(monkeypatch)
+                g_gain, g_bias = np.full(h, np.nan), np.full(h, np.nan)
+                x = xhat if rebuild is None else xhat.copy()
+                dz = mlp._layer_norm_backward(d_out.copy(), gate, 0.5, x, inv_std, gain,
+                                              g_gain, g_bias, parts, rebuild)
+                assert calls == [parts] * 3
+                assert rebuild is None or x.tobytes() == output.tobytes()
+                runs[block, parts, rebuild is None] = dz, g_gain, g_bias
+    want = runs[1 << 40, 1, True]
     for key, got in runs.items():
         for name, a, b in zip(("dz", "g_gain", "g_bias"), got, want):
             assert np.array_equal(a, b), (key, name)

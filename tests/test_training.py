@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_features, make_manifest, record_parts, train_best
 import driftbench.mlp as mlp
-from driftbench import parallel, training
+from driftbench import dataset, parallel, training
 from driftbench.mlp import MlpParams, init_params, save_checkpoint
 from driftbench.splits import SplitSpec, build_lodo_split
 from driftbench.training import (
@@ -284,7 +284,8 @@ def test_a_streamed_step_matches_adam_on_the_materialised_gradient(monkeypatch, 
     """Weight gradients computed a row block at a time inside adam_step give
     the bits of backward's whole products, in 1, 2 and 3 parts. The
     lodo-desk vector is cut into parts by a smaller ADAM_PART; 300 is not a
-    multiple of 8, so that w2 is one block."""
+    multiple of 8, so that w2 is one block. backward consumes its trace, so
+    each backward gets a fresh one from the same seed."""
     params, trace, grad_logits, state = step_problem(dims, rows)
     monkeypatch.setattr(training, "ADAM_PART", min(training.ADAM_PART, params.flat.size // 6))
     monkeypatch.setattr(parallel, "WORKERS", 1)
@@ -292,6 +293,7 @@ def test_a_streamed_step_matches_adam_on_the_materialised_gradient(monkeypatch, 
     adam_step(want[0], mlp.backward(params, trace, grad_logits), want[1], TrainConfig())
     for workers in (1, 2, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)
+        params, trace, grad_logits, state = step_problem(dims, rows)
         grads, got = streamed(params, trace, grad_logits), copies(params, state)
         calls = record_parts(monkeypatch)
         adam_step(got[0], grads, got[1], TrainConfig())
@@ -333,6 +335,7 @@ def test_a_weight_gradient_whose_bound_fails_is_checked_in_the_same_blocks(monke
     adam_step(got[0], grads, got[1], TrainConfig())
     assert (w1, w2) == (2, 4) and len(products) == w1 + w2
 
+    params, trace, grad_logits, state = step_problem((256, 1024, 512, 4), 64)  # a fresh trace
     grads = streamed(params, trace, grad_logits)
     a, b = (t.copy() for t in grads.w2)  # d1.T (H1, B) and dz2 (B, H2)
     a[0, 0], a[:, 1], b[0, :], b[1, 0] = 1e300, 0.0, 0.0, 1e300
@@ -489,19 +492,23 @@ def test_train_empty_val_returns_final_params():
         assert np.array_equal(t, p2.tensors()[name])
 
 
-def test_train_holds_three_parameter_vectors_and_one_step(tmp_path):
-    """Traced peak of train stays under its working set: three parameter-sized
-    vectors (params, Adam m and v); then, while a step runs, one
-    ForwardTrace, one layer's d_out and one block of layer-norm scratch,
-    then the trace, both layers' dz, the small gradients and, a part, one
-    weight-gradient block and the first Adam block's scratch; or one eval
-    chunk (its input and both layers, EVAL_BLOCK elements of the widest)
-    while val top-1 is measured; while keep writes each new best epoch's
-    checkpoint into an open file. A fourth vector, such as a gradient
-    buffer, would overrun the budget, and so would a fixed 512-row eval
-    chunk: H1 = 2048 makes a chunk 256 rows."""
+def test_train_holds_three_parameter_vectors_and_one_step(tmp_path, monkeypatch):
+    """Traced peaks of train stay under its working set: three parameter-sized
+    vectors (params, Adam m and v), plus, while the steps run, x, two B x H1
+    arrays (xhat1, in which backward rebuilds d1, and layer 1's d_out, which
+    becomes dz1), dz2 and the small gradients, and, a part, one block of
+    layer-norm scratch, one weight-gradient block and the first Adam
+    block's scratch; or, while val top-1 is measured and keep writes each
+    new best epoch's checkpoint into an open file, the small gradients, one
+    eval chunk (its input and both layers, EVAL_BLOCK elements of the
+    widest), a block of squares a part of each layer, the val logits (each chunk's and
+    their concatenation) and 512 KiB of row indices, labels, predictions
+    and a chunk's float32 rows. A fourth vector, such as a gradient buffer,
+    would overrun it, and so would a step that keeps d1 beside xhat1, a
+    float32 copy of the val rows (1 MiB here) or a fixed 512-row eval chunk:
+    H1 = 2048 makes a chunk 256 rows."""
     i, h1, h2, c, batch = 64, 2048, 256, 4, 32
-    n_train, n_val = 512, 512
+    n_train, n_val = 512, 4096
     n = n_train + n_val
     rows = [(f"c{r}", f"dom{r % 3}", f"cat{r % c}", r) for r in range(n)]
     X = np.random.default_rng(0).standard_normal((n, i)).astype(np.float32)
@@ -510,16 +517,33 @@ def test_train_holds_three_parameter_vectors_and_one_step(tmp_path):
     split = SplitSpec("dom9", ids[:n_train], ids[n_train:], ())
 
     params = mlp.init_params(i, c, hidden1=h1, hidden2=h2)
-    _, trace = mlp.forward(params, X[:batch], mode="train", drop_prob=0.5,
-                           rng=np.random.default_rng(0))
     small = params.flat.size - i * h1 - h1 * h2
-    blocks = parallel.WORKERS * (training.GRADIENT_BLOCK + ADAM_BLOCK)
-    step = (sum(np.asarray(getattr(trace, f.name)).nbytes for f in dataclasses.fields(trace))
-            + (batch * (h1 + h2) + small + mlp.BACKWARD_BLOCK + blocks) * 8)
-    chunk = EVAL_BLOCK // h1 * (i + h1 + h2) * 8
-    budget = 3 * params.flat.nbytes + step + chunk
+    adam_parts = parallel.parts_for(params.flat.size, training.ADAM_PART, params.flat.size)
+    blocks = adam_parts * (training.GRADIENT_BLOCK + ADAM_BLOCK)
+    norm_parts = parallel.gemm_parts(batch, i, h1)
+    step = (batch * (i + 2 * h1 + h2) + small + norm_parts * mlp.BACKWARD_BLOCK + blocks) * 8
+    chunk_rows = EVAL_BLOCK // h1
+    squares = (parallel.gemm_parts(chunk_rows, i, h1)
+               + parallel.gemm_parts(chunk_rows, h1, h2)) * dataset.BLOCK
+    evaluating = (chunk_rows * (i + h1 + h2) + 2 * n_val * c + small + squares) * 8 + (1 << 19)
+    vectors = 3 * params.flat.nbytes
     size = 20 + params.flat.size * 4
-    del params, trace
+    del params
+
+    peaks = {}  # phase -> its traced peak above the base
+    top1 = training._top1
+
+    def phase(name):
+        peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.reset_peak()
+
+    def top1_between_phases(*args):
+        phase("step")
+        try:
+            return top1(*args)
+        finally:
+            phase("evaluate")
+    monkeypatch.setattr(training, "_top1", top1_between_phases)
 
     path = tmp_path / "ckpt.emlp"
     with path.open("wb") as fh:
@@ -530,13 +554,14 @@ def test_train_holds_three_parameter_vectors_and_one_step(tmp_path):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train(data, split, TrainConfig(epochs=1, batch_size=batch, drop_prob=0.5), keep,
+            train(data, split, TrainConfig(epochs=2, batch_size=batch, drop_prob=0.5), keep,
                   hidden1=h1, hidden2=h2)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            phase("evaluate")  # keep's last checkpoint
         finally:
             tracemalloc.stop()
     assert path.stat().st_size == size
-    assert peak < budget, (peak, budget)
+    assert peaks["step"] < vectors + step, (peaks, vectors + step)
+    assert peaks["evaluate"] < vectors + evaluating, (peaks, vectors + evaluating)
 
 
 @pytest.mark.parametrize("hidden2", [136, 300])
@@ -545,12 +570,14 @@ def test_eval_logits_come_in_chunks_of_the_element_budget(monkeypatch, hidden2):
     chunk here) give the same predictions. The logits agree to the last
     bits only up to the BLAS kernel: for small products OpenBLAS takes
     kernels whose roundings depend on the row count, so only the one-chunk
-    cases are bitwise one forward call. 300 is not a multiple of 8."""
+    cases are bitwise one forward call. 300 is not a multiple of 8. Each
+    chunk gathers its own rows of X, here in a shuffled order."""
     i, h1, c, n = 40, 296, 5, 50
     p = init_params(i, c, seed=2, hidden1=h1, hidden2=hidden2)
     p.flat[:] += 0.3 * np.random.default_rng(3).standard_normal(p.flat.size)
-    X = np.random.default_rng(4).standard_normal((n, i)).astype(np.float32)
-    whole = mlp.forward(p, X)
+    X = np.random.default_rng(4).standard_normal((n + 7, i)).astype(np.float32)
+    picked = np.random.default_rng(5).permutation(n + 7)[:n]
+    whole = mlp.forward(p, X[picked])
     widest = max(i, h1, hidden2)
     forward, seen = mlp.forward, []
 
@@ -561,7 +588,7 @@ def test_eval_logits_come_in_chunks_of_the_element_budget(monkeypatch, hidden2):
     for rows, chunks in ((3, [3] * 16 + [2]), (n, [n]), (EVAL_BLOCK // widest, [n])):
         monkeypatch.setattr(training, "EVAL_BLOCK", rows * widest + widest - 1)
         seen.clear()
-        logits = training._eval_logits(p, X)
+        logits = training._eval_logits(p, X, picked)
         assert seen == chunks
         assert np.array_equal(mlp.predict(logits), mlp.predict(whole))
         np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=1e-12)
@@ -574,9 +601,9 @@ def test_train_hands_keep_each_new_best_epoch_in_order(monkeypatch):
     ends = []  # the weights at each epoch's end, as val top-1 is measured
     real_top1 = training._top1
 
-    def top1_noting_the_weights(params, X, y):
+    def top1_noting_the_weights(params, X, rows, y):
         ends.append(params.copy())
-        return real_top1(params, X, y)
+        return real_top1(params, X, rows, y)
     monkeypatch.setattr(training, "_top1", top1_noting_the_weights)
 
     def run(val_fraction, epochs):
