@@ -378,15 +378,18 @@ def _cmd_check_fixtures(args) -> str:
 def _cmd_train_all(args) -> str:
     from . import mlp, parallel, splits, training
     manifest, features = _load_inputs(args)
-    data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     lodo = splits.build_all_lodo_splits(
         manifest, val_fraction=args.val_fraction, seed=args.seed)
-    # refuse a bad flag here, not in a worker once hold-outs have written files
+    # refuse bad data or a bad flag here, not in a worker once hold-outs have written files
+    domains = list(lodo)
+    for domain in domains:
+        if "/" in domain or "\0" in domain:
+            raise ValueError(f"domain {domain!r} holds '/' or NUL, so it cannot name its files")
+    data = training.TrainingData.from_features(manifest, features, pool_mode=args.pool)
     config = _train_config(args)
     mlp.tensor_shapes((data.X.shape[1], args.hidden1, args.hidden2, data.n_classes))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    domains = list(lodo)
     accuracies = dict.fromkeys(domains, 0.0)  # in hold-out order, whatever order they end in
 
     def train_hold_out(index: int) -> float:

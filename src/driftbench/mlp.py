@@ -344,15 +344,14 @@ def _layer_norm_backward(d_out: np.ndarray, gate: np.ndarray, keep: float,
 
 
 def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
-             out: MlpParams | Gradients | None = None) -> MlpParams | Gradients:
+             out: Gradients | None = None) -> Gradients:
     """Exact parameter gradients for the forward composition above; consumes trace.
 
-    Fills out and returns it: an MlpParams laid out like params (every
-    element is overwritten; a fresh one if out is None), or a Gradients.
-    A Gradients gets the small gradients and, for the weights, the
-    operands of their GEMMs: w1 = (x.T, dz1) and w2 = (d1.T, dz2), so that
-    training.adam_step computes them a row block at a time. grad_logits is
-    the loss gradient w.r.t. the logits from the matching forward call.
+    Fills out (a fresh Gradients if None) and returns it: the small
+    gradients, and for the weights the operands of their GEMMs,
+    w1 = (x.T, dz1) and w2 = (d1.T, dz2), which training.adam_step
+    multiplies out a row block at a time. grad_logits is the loss gradient
+    w.r.t. the logits from the matching forward call.
 
     Each of the trace's arrays is set to None after its last read here:
     xhat2, inv_std2 and d2 once layer 2's backward is done. Layer 1's
@@ -370,9 +369,9 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
             f"grad_logits shape {grad_logits.shape} != "
             f"({trace.x.shape[0]}, {params.n_classes})"
         )
-    g = MlpParams(params.dims, np.empty_like(params.flat)) if out is None else out
+    g = Gradients(params.dims) if out is None else out
     if g.dims != params.dims or g.head_b.dtype != params.flat.dtype:
-        raise ValueError(f"out buffer {g.dims} {g.head_b.dtype} does not match "
+        raise ValueError(f"gradients {g.dims} {g.head_b.dtype} do not match "
                          f"params {params.dims} {params.flat.dtype}")
 
     np.matmul(grad_logits.T, trace.d2, out=g.head_w)
@@ -391,14 +390,9 @@ def backward(params: MlpParams, trace: ForwardTrace, grad_logits: np.ndarray,
                                params.ln1_gain, g.ln1_gain, g.ln1_bias,
                                parallel.gemm_parts(b, params.input_dim, params.hidden1),
                                bias=params.ln1_bias)
-    x, d1 = trace.x, trace.xhat1
+    g.w1, g.w2 = (trace.x.T, dz1), (trace.xhat1.T, dz2)  # xhat1's buffer holds d1 now
     trace.x = trace.xhat1 = trace.inv_std1 = trace.gate1 = None
     dz1.sum(axis=0, out=g.b1)
-    if isinstance(g, Gradients):
-        g.w1, g.w2 = (x.T, dz1), (d1.T, dz2)
-    else:
-        parallel.matmul(d1.T, dz2, out=g.w2)
-        parallel.matmul(x.T, dz1, out=g.w1)
     return g
 
 

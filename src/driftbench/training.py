@@ -28,7 +28,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Elements per block of the Adam pass, and at most in its scratch: not dataset.BLOCK,
 # as at paper widths (2 CPUs, BLAS on one thread) a step took 33.0 ms on fixed 2^13-element
-# update blocks, against 18.3 ms here, and 21.9 against 19.6 ms on 2^13 check blocks.
+# update blocks, against 18.3 ms here.
 ADAM_BLOCK = 1 << 15
 ADAM_PART = 1 << 19  # fewest elements worth a thread of the Adam pass
 # Elements of a row block of a weight gradient (1 MiB), which adam_step computes into a
@@ -130,87 +130,65 @@ def _weight_blocks(elements: slice, a: np.ndarray, b: np.ndarray) -> list[tuple]
 def _parts(runs, size: int, n: int) -> list[list]:
     """The walk of runs, (name, elements, gradient), cut into at most n parts of about size / n.
 
-    A weight's run walks its _weight_blocks, and a cut that falls in a
-    block moves to the block's nearer edge; a view is cut where the cut
-    falls. No part is empty.
+    A piece is a block of a weight's _weight_blocks, or a run of small
+    gradients, and goes whole to part (start + stop) * n // (2 * size),
+    the part its midpoint falls in: a cut moves to the nearer edge of the
+    piece it falls in. Empty parts are dropped.
     """
-    cuts = [size * p // n for p in range(1, n)]
-    parts: list[list] = [[]]
+    parts: list[list] = [[] for _ in range(n)]
     for name, elements, g in runs:
-        for e, g in _weight_blocks(elements, *g) if isinstance(g, tuple) else [(elements, g)]:
-            lo = e.start
-            if isinstance(g, tuple):  # nearer the end: the next part starts after the block
-                cuts = [e.stop if lo < c < e.stop and c - lo > e.stop - c else c for c in cuts]
-            while cuts and cuts[0] < e.stop:
-                cut = cuts.pop(0)
-                if not isinstance(g, tuple) and cut > lo:
-                    parts[-1].append((name, slice(lo, cut), g[lo - e.start:cut - e.start]))
-                    lo = cut
-                if parts[-1]:
-                    parts.append([])
-            parts[-1].append((name, slice(lo, e.stop),
-                              g if isinstance(g, tuple) else g[lo - e.start:]))
-    return parts
+        for e, piece in _weight_blocks(elements, *g) if name in mlp.WEIGHTS else [(elements, g)]:
+            parts[(e.start + e.stop) * n // (2 * size)].append((name, e, piece))
+    return [part for part in parts if part]
 
 
-def adam_step(params: MlpParams, grads: MlpParams | mlp.Gradients, state: AdamState,
+def adam_step(params: MlpParams, grads: mlp.Gradients, state: AdamState,
               config: TrainConfig) -> tuple[MlpParams, AdamState]:
     """Bias-corrected Adam update of params.flat, in place, in one blockwise walk.
 
     Per element, in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps). grads is what
-    mlp.backward filled, and is consumed. The walk reads an MlpParams'
-    gradients as views. Of an mlp.Gradients it reads the small gradients
-    as views, and computes w1 and w2 one _weight_blocks block at a time,
-    into one scratch block a part, then updates from the block while it
-    is still in cache.
+    mlp.backward filled, and is consumed. The walk reads the small
+    gradients as views, and computes w1 and w2 one _weight_blocks block at
+    a time, into one scratch block a part, then updates from the block
+    while it is still in cache.
 
     A non-finite gradient is refused, naming the first such tensor in
-    FIELDS order, before params, m, v or state.step change. Views are
-    checked ADAM_BLOCK elements at a time. A weight's product needs no
-    check where its operands pass _bounded; where they do not, the check
-    walk computes its blocks too, and the update computes them again, with
-    the same bits. The update runs in blocks of at most ADAM_BLOCK
+    FIELDS order, before params, m, v or state.step change. One serial
+    walk checks each small tensor whole, and a weight only where its
+    operands fail _bounded: its blocks are then computed into one scratch
+    allocated for them and checked, and the update computes them again,
+    with the same bits. The update runs in blocks of at most ADAM_BLOCK
     elements; each block's intermediates go into the spent gradients of
     the blocks before it, the first block's into a scratch of at most
-    ADAM_BLOCK elements a part. From 2 * ADAM_PART elements up, both walks
-    are cut into contiguous parts that run on parallel.WORKERS threads,
+    ADAM_BLOCK elements a part. From 2 * ADAM_PART elements up, the update
+    is cut into contiguous _parts that run on parallel.WORKERS threads,
     into scratch allocated here. Each element is computed on its own, and
     the blocks do not depend on the cut, so neither do the bits.
     """
     if grads.dims != params.dims:
         raise ValueError(f"gradient shape {grads.dims} != params {params.dims}")
+    for name, g in grads.tensors().items():
+        if isinstance(g, tuple) and not _bounded(*g):  # compute the weight's blocks to check
+            blocks = _weight_blocks(slice(0, g[0].shape[0] * g[1].shape[1]), *g)
+            block = np.empty(max(e.stop - e.start for e, _ in blocks))
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+                finite = all(np.isfinite(_product(ops, block)).all() for _, ops in blocks)
+        else:  # a small tensor whole, or a weight whose product is finite for sure
+            finite = isinstance(g, tuple) or np.isfinite(g).all()
+        if not finite:
+            raise ValueError(f"non-finite gradient in {name} at Adam step {state.step + 1}")
+    state.step += 1
     size = params.flat.size
-    runs = [(None, slice(0, size), grads.flat)] if isinstance(grads, MlpParams) else grads.runs()
-    parts = _parts(runs, size, parallel.parts_for(size, ADAM_PART, size))
+    parts = _parts(grads.runs(), size, parallel.parts_for(size, ADAM_PART, size))
     first = max(1, min(ADAM_BLOCK, size) // len(parts))
     # per part: its largest weight block, then the first Adam block's intermediates
-    scratch = [np.empty(max((e.stop - e.start for _, e, g in part if isinstance(g, tuple)),
+    scratch = [np.empty(max((e.stop - e.start for name, e, _ in part if name in mlp.WEIGHTS),
                             default=0) + first, dtype=params.flat.dtype) for part in parts]
-    unbounded = {name for name, _, g in runs if isinstance(g, tuple) and not _bounded(*g)}
-    failed = set()  # the run names in which the check walk found a non-finite gradient
-
-    def check(p: int, pieces) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            for name, _, g in pieces:
-                if isinstance(g, tuple):
-                    if name not in unbounded:
-                        continue
-                    g = _product(g, scratch[p])
-                if not all(np.isfinite(g[b]).all() for b in row_blocks(g.size, 1, ADAM_BLOCK)):
-                    failed.add(name)
-                    return
-
-    parallel.run_parts(check, parts)
-    if failed:
-        name = next(k for k, g in grads.tensors().items()
-                    if (k in failed if isinstance(g, tuple) else not np.isfinite(g).all()))
-        raise ValueError(f"non-finite gradient in {name} at Adam step {state.step + 1}")
-    state.step += 1
 
     def update(p: int, pieces) -> None:
-        for _, e, g in pieces:
-            if isinstance(g, tuple):
+        for name, e, g in pieces:
+            if name in mlp.WEIGHTS:
                 g = _product(g, scratch[p])
             _adam_range(params.flat[e], state.m[e], state.v[e], g, state.step,
                         config.learning_rate, scratch[p][-first:])
@@ -226,7 +204,9 @@ class TrainingData:
     X is the pooled pack itself, in the pack's dtype (float32 for a loaded
     pack; for flatten pooling, a view of it); mlp.forward widens each batch
     to the weights' dtype, which is exact. A row that no record names has
-    label -1 and domain None; rows_for never returns it.
+    label -1 and domain None; rows_for never returns it. from_features
+    refuses fewer than two categories, before any training: mlp.predict
+    needs two.
     """
 
     X: np.ndarray  # (N, D')
@@ -238,6 +218,9 @@ class TrainingData:
     @classmethod
     def from_features(cls, manifest: Manifest, features: FeatureSet,
                       pool_mode: str = "flatten") -> "TrainingData":
+        if len(manifest.categories) < 2:
+            raise ValueError(f"one-vs-all top-1 needs at least 2 categories, the manifest has "
+                             f"{len(manifest.categories)}: {list(manifest.categories)}")
         X = pool_temporal(features, pool_mode)
         class_index = {c: i for i, c in enumerate(manifest.categories)}
         labels = np.full(len(X), -1)

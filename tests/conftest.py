@@ -5,6 +5,7 @@ import pytest
 
 from driftbench import parallel, training
 from driftbench.dataset import ClipRecord, FeatureSet, Manifest
+from driftbench.mlp import MlpParams
 
 
 def make_manifest(rows):
@@ -40,6 +41,14 @@ def train_best(data, split, config, **widths):
 
     history = training.train(data, split, config, keep, **widths)
     return kept[0], history
+
+
+def materialised(grads):
+    """The MlpParams of an mlp.Gradients: each weight gradient as its whole product."""
+    out = MlpParams.zeros(grads.dims)
+    for name, g in grads.tensors().items():
+        getattr(out, name)[...] = np.matmul(*g) if isinstance(g, tuple) else g
+    return out
 
 
 def record_parts(monkeypatch):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_split_integrity, log_parts, train_best
+from conftest import check_split_integrity, log_parts, materialised, train_best
 from driftbench import cli, mlp, parallel
 from driftbench.analysis import (
     TABLE3_SHIFT_SCORES,
@@ -159,7 +159,7 @@ def test_criterion_06_gradients_match_finite_differences():
     logits, trace = mlp.forward(params, x, mode="train", drop_prob=0.0,
                                 rng=np.random.default_rng(0))
     _, grad_logits = mlp.ova_bce_loss(logits, targets)
-    grads = mlp.backward(params, trace, grad_logits)
+    grads = materialised(mlp.backward(params, trace, grad_logits))
 
     def loss_now():
         return mlp.ova_bce_loss(mlp.forward(params, x, mode="eval"), targets)[0]

@@ -1099,6 +1099,59 @@ def test_train_all_refuses_a_bad_training_flag_before_it_forks_or_writes(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("domain", ["US/CMU", "dom\0x"], ids=["slash", "nul"])
+def test_train_all_refuses_a_domain_that_cannot_name_a_file_before_it_forks_or_writes(
+        workdir, tmp_path, domain, monkeypatch, capsys):
+    # score takes such a domain, but train-all names each hold-out's files by it
+    def refuse(*args):
+        raise AssertionError("train-all forked")
+    monkeypatch.setattr(parallel, "run_forked", refuse)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text((workdir / "data" / "manifest.jsonl").read_text().replace(
+        '"domain": "dom01"', f'"domain": {json.dumps(domain)}'))
+    assert domain in load_manifest(manifest).domains
+    out_dir = tmp_path / "runs"
+    code = cli.main(["train-all", "--manifest", str(manifest),
+                     "--features", str(workdir / "data" / "features.egf"), "--epochs", "1",
+                     "--hidden1", "8", "--hidden2", "4", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"driftbench: error: train-all: domain {domain!r} "
+                                       "holds '/' or NUL, so it cannot name its files\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-all", "eval"])
+def test_one_category_data_is_refused_before_any_training(tmp_path, command, monkeypatch,
+                                                          capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli.main(["synth", "--domains", "2", "--classes", "1", "--per-cell", "4",
+                     "--dim", "8", "--seed", "0", "--out-dir", str(data)]) == 0
+    split = tmp_path / "split.tsv"
+    assert cli.main(["splits", "--manifest", str(data / "manifest.jsonl"),
+                     "--hold-out", "dom01", "--out", str(split)]) == 0
+    checkpoint = tmp_path / "model.emlp"
+    save_checkpoint(init_params(8, 2, hidden1=8, hidden2=4), checkpoint)
+    out.mkdir()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(training, "train", refuse)
+    monkeypatch.setattr(parallel, "run_forked", refuse)
+    inputs = ["--manifest", str(data / "manifest.jsonl"), "--features", str(data / "features.egf")]
+    argv = {"train": ["--split", str(split), "--epochs", "1", "--hidden1", "8", "--hidden2", "4",
+                      "--out", str(out / "model.emlp")],
+            "train-all": ["--val-fraction", "0", "--epochs", "1", "--hidden1", "8",
+                          "--hidden2", "4", "--out-dir", str(out / "runs")],
+            "eval": ["--checkpoint", str(checkpoint), "--split", str(split), "--role", "test",
+                     "--out", str(out / "eval.json")]}[command]
+    capsys.readouterr()
+    assert cli.main([command, *inputs, *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"driftbench: error: {command}: one-vs-all top-1 needs at least 2 categories, "
+        "the manifest has 1: ['cat00']\n")
+    assert not any(out.iterdir())
+
+
 # Every command but train-all, with its required flags (paths are not opened).
 REQUIRED_ARGS = {
     "validate": ["--manifest", "m.jsonl"],

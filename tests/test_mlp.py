@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import record_parts
+from conftest import materialised, record_parts
 from driftbench import dataset, mlp, parallel
 from driftbench.mlp import (
     CHECKPOINT_MAGIC,
@@ -232,8 +232,9 @@ def test_backward_zero_grad_logits():
     x = np.random.default_rng(2).standard_normal((5, 4))
     _, trace = forward(p, x, mode="train", drop_prob=0.0,
                        rng=np.random.default_rng(0))
-    grads = backward(p, trace, np.zeros((5, 2)))
-    assert isinstance(grads, MlpParams) and grads.dims == p.dims
+    got = backward(p, trace, np.zeros((5, 2)))
+    assert isinstance(got, mlp.Gradients) and got.dims == p.dims
+    grads = materialised(got)
     assert set(grads.tensors()) == set(p.tensors())
     for name, g in grads.tensors().items():
         assert np.all(g == 0.0), name
@@ -295,7 +296,7 @@ def test_backward_matches_dict_reference_bitwise(case):
     _, want_trace, gates = expression_forward(p, x, mode="train", drop_prob=0.5,
                                               rng=np.random.default_rng(case), gates=True)
     _, grad_logits = ova_bce_loss(logits, one_hot(rng.integers(0, c, len(x)), c))
-    got = backward(p, trace, grad_logits)
+    got = materialised(backward(p, trace, grad_logits))
     want = reference_backward(p, want_trace, grad_logits, gates)
     assert list(got.tensors()) == list(want)
     for name, g in got.tensors().items():
@@ -414,10 +415,12 @@ def test_backward_consumes_the_trace_and_leaves_params_unchanged(case):
     backward(p, trace, grad_logits)
     assert all(a is None for a in trace_arrays(trace).values())
     assert np.array_equal(p.flat, flat_before)
-    buf = MlpParams(p.dims, np.full_like(p.flat, np.nan))
+    buf = mlp.Gradients(p.dims)
+    buf.small[:] = np.nan
     with pytest.raises(ValueError, match="^trace already consumed") as err:
         backward(p, trace, grad_logits, out=buf)
-    assert "\n" not in str(err.value) and np.isnan(buf.flat).all()
+    assert "\n" not in str(err.value) and np.isnan(buf.small).all()
+    assert buf.w1 is None and buf.w2 is None
 
 
 def test_train_trace_holds_layer_1s_gate_in_place_of_its_output():
@@ -476,12 +479,15 @@ def test_backward_hands_adam_the_forwards_d1_rebuilt_in_xhat1(monkeypatch, fast_
 @pytest.mark.parametrize("case", range(4))
 def test_backward_fills_a_given_buffer(case):
     p, trace, grad_logits = traced_problem(case)
-    buf = MlpParams(p.dims, np.full_like(p.flat, np.nan))
+    buf = mlp.Gradients(p.dims)
+    buf.small[:] = np.nan
     got = backward(p, trace, grad_logits, out=buf)
     assert got is buf
-    assert np.isfinite(buf.flat).all()
+    assert np.isfinite(buf.small).all()
+    assert all(isinstance(getattr(buf, name), tuple) for name in mlp.WEIGHTS)
     p, trace, grad_logits = traced_problem(case)  # backward consumed the first trace
-    assert np.array_equal(buf.flat, backward(p, trace, grad_logits).flat)
+    assert np.array_equal(materialised(buf).flat,
+                          materialised(backward(p, trace, grad_logits)).flat)
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -509,11 +515,11 @@ def forward_backward_eval(p, x, targets):
                             rng=np.random.default_rng(5))
     made = copy_trace(trace)
     _, grad_logits = ova_bce_loss(logits, targets)
-    return logits, made, backward(p, trace, grad_logits), forward(p, x)
+    return logits, made, materialised(backward(p, trace, grad_logits)), forward(p, x)
 
 
 @pytest.mark.parametrize("rows,hidden2,split_calls",
-                         [(21, 136, 13), (128, 136, 13), (21, 300, 7), (128, 300, 7)],
+                         [(21, 136, 11), (128, 136, 11), (21, 300, 6), (128, 300, 6)],
                          ids=["21", "128", "21-width300", "128-width300"])
 def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_switching,
                                                               rows, hidden2, split_calls):
@@ -521,7 +527,7 @@ def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_
     backward) give the bits of one part. 296 and 136 are multiples of 8 but
     not of 3, and 21 rows make the 2-part row cut uneven. BLAS rounds the
     last width % 8 columns of a row-cut product differently on some CPUs,
-    so the layer 300 wide, its backward and d1.T@dz2 must run in one part."""
+    so the layer 300 wide and its backward must run in one part."""
     monkeypatch.setattr(parallel, "GEMM_PART_FLOPS", 1)
     p = init_params(40, 5, seed=2, hidden1=296, hidden2=hidden2)
     p.flat[:] += 0.3 * np.random.default_rng(3).standard_normal(p.flat.size)
@@ -533,8 +539,8 @@ def test_layer_parts_keep_every_bit_whatever_the_worker_count(monkeypatch, fast_
         parts = record_parts(monkeypatch)
         runs[workers] = forward_backward_eval(p, x, targets)
         # 2 layers in train and 2 in eval, 3 passes in each of 2 layer-norm
-        # backwards, and the 3 backward GEMMs of parallel.matmul
-        assert len(parts) == 13 and parts.count(workers) == (13 if workers == 1 else split_calls)
+        # backwards, and backward's one parallel.matmul, dz2 @ w2.T
+        assert len(parts) == 11 and parts.count(workers) == (11 if workers == 1 else split_calls)
     want_logits, want_trace, want_grads, want_eval = runs[1]
     for workers in (2, 3):
         logits, trace, grads, eval_logits = runs[workers]
@@ -651,8 +657,8 @@ def test_lodo_desk_widths_split_no_layer(monkeypatch, rows):
     p = init_params(64, 6, hidden1=256, hidden2=128)
     x = np.random.default_rng(0).standard_normal((rows, 64))
     forward_backward_eval(p, x, one_hot(np.arange(rows) % 6, 6))
-    # 2 layers in train, 2 in eval, 3 passes in each layer-norm backward, 3 backward GEMMs
-    assert parts == [1] * 13
+    # 2 layers in train, 2 in eval, 3 passes in each layer-norm backward, 1 backward GEMM
+    assert parts == [1] * 11
 
 
 def test_backward_error_paths():
@@ -665,10 +671,10 @@ def test_backward_error_paths():
     other = init_params(6, 2, seed=0, hidden1=3, hidden2=4)
     with pytest.raises(ValueError, match="trace does not match"):
         backward(other, trace, np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="out buffer"):
-        backward(p, trace, np.zeros((3, 2)), out=MlpParams.zeros(other.dims))
-    with pytest.raises(ValueError, match="out buffer"):
-        backward(p, trace, np.zeros((3, 2)), out=MlpParams.zeros(p.dims, np.float32))
+    with pytest.raises(ValueError, match="do not match params"):
+        backward(p, trace, np.zeros((3, 2)), out=mlp.Gradients(other.dims))
+    with pytest.raises(ValueError, match="do not match params"):  # Gradients are float64
+        backward(tiny_params(dtype=np.float32), trace, np.zeros((3, 2)))
 
 
 def test_backward_matches_finite_differences_spot_check():
@@ -678,7 +684,7 @@ def test_backward_matches_finite_differences_spot_check():
     logits, trace = forward(p, x, mode="train", drop_prob=0.0,
                             rng=np.random.default_rng(0))
     _, grad_logits = ova_bce_loss(logits, targets)
-    grads = backward(p, trace, grad_logits)
+    grads = materialised(backward(p, trace, grad_logits))
 
     h = 1e-6
     rng = np.random.default_rng(9)
@@ -712,7 +718,7 @@ def test_fully_dropped_second_layer_blocks_upstream_gradient():
     logits, trace = forward(p, x, mode="train", drop_prob=0.9, rng=np.random.default_rng(seed))
     assert np.all(trace.d2 == 0.0)
     _, grad_logits = ova_bce_loss(logits, targets)
-    grads = backward(p, trace, grad_logits)
+    grads = materialised(backward(p, trace, grad_logits))
     for name in ("w1", "b1", "ln1_gain", "ln1_bias", "w2", "b2",
                  "ln2_gain", "ln2_bias", "head_w"):
         assert np.all(getattr(grads, name) == 0.0), name

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_features, make_manifest, record_parts, train_best
+from conftest import make_features, make_manifest, materialised, record_parts, train_best
 import driftbench.mlp as mlp
 from driftbench import dataset, parallel, training
 from driftbench.mlp import MlpParams, init_params, save_checkpoint
@@ -77,11 +77,23 @@ def test_train_config_defaults():
     assert cfg.drop_prob == 0.9
 
 
+def exact(full):
+    """The mlp.Gradients whose gradient is the MlpParams full, bit for bit for finite
+    entries: each weight gradient G as the operands (G, I), whose product is G."""
+    grads = mlp.Gradients(full.dims)
+    for name, g in full.tensors().items():
+        if name in mlp.WEIGHTS:
+            setattr(grads, name, (g, np.eye(g.shape[1])))
+        else:
+            getattr(grads, name)[...] = g
+    return grads
+
+
 def test_adam_zero_gradient_is_noop():
     params = init_params(3, 2, seed=0, hidden1=2, hidden2=2)
     before = {k: v.copy() for k, v in params.tensors().items()}
     state = AdamState.zeros_like(params)
-    grads = MlpParams.zeros(params.dims)
+    grads = exact(MlpParams.zeros(params.dims))
     params, state = adam_step(params, grads, state, TrainConfig())
     for name, t in params.tensors().items():
         assert np.array_equal(t, before[name]), name
@@ -96,7 +108,7 @@ def test_adam_first_step_magnitude():
     grads = MlpParams.zeros(params.dims)
     grads.w1[...] = np.array([[2.5]])
     cfg = TrainConfig(learning_rate=0.01)
-    adam_step(params, grads, state, cfg)
+    adam_step(params, exact(grads), state, cfg)
     delta = float(params.w1[0, 0] - before[0, 0])
     assert delta < 0
     assert abs(abs(delta) - cfg.learning_rate) < 1e-6
@@ -112,7 +124,7 @@ def test_adam_descends_quadratic():
     for _ in range(10):
         grads = MlpParams.zeros(params.dims)
         grads.w1[...] = 2.0 * params.w1
-        adam_step(params, grads, state, cfg)
+        adam_step(params, exact(grads), state, cfg)
         cur = abs(float(params.w1[0, 0]))
         assert cur < prev
         prev = cur
@@ -121,12 +133,12 @@ def test_adam_descends_quadratic():
 def test_adam_rejects_bad_gradients():
     params = init_params(2, 2, seed=0, hidden1=2, hidden2=2)
     state = AdamState.zeros_like(params)
-    grads = MlpParams.zeros((2, 2, 3, 2))  # b2 of width 3, not 2
+    grads = exact(MlpParams.zeros((2, 2, 3, 2)))  # b2 of width 3, not 2
     with pytest.raises(ValueError, match="gradient shape"):
         adam_step(params, grads, state, TrainConfig())
     assert state.step == 0
-    grads = MlpParams.zeros(params.dims)
-    grads.w2[0, 0] = np.inf
+    grads = exact(MlpParams.zeros(params.dims))
+    grads.w2 = (np.array([[np.inf, 0.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(ValueError, match="non-finite gradient in w2 at Adam step 1"):
         adam_step(params, grads, state, TrainConfig())
     assert state.step == 0
@@ -137,7 +149,7 @@ def test_adam_refuses_a_late_non_finite_block_before_any_update(monkeypatch):
     params = init_params(3, 2, seed=0, hidden1=4, hidden2=3)
     state = AdamState.zeros_like(params)
     state.m[:], state.v[:] = 0.5, 0.25
-    grads = MlpParams(params.dims, np.ones_like(params.flat))
+    grads = exact(MlpParams(params.dims, np.ones_like(params.flat)))
     grads.head_b[-1] = np.nan  # the last element, in the last block
     before = params.flat.copy()
     with pytest.raises(ValueError, match="non-finite gradient in head_b at Adam step 1"):
@@ -147,19 +159,47 @@ def test_adam_refuses_a_late_non_finite_block_before_any_update(monkeypatch):
     assert (state.m == 0.5).all() and (state.v == 0.25).all()
 
 
-def test_adam_step_checks_finiteness_one_block_at_a_time():
-    # 2.1 M elements: a whole-vector finite mask alone would be 2.0 MiB
+class Checked(Exception):
+    """Raised in place of adam_step's update, once its finite check has passed."""
+
+
+def test_adam_step_checks_finiteness_one_block_at_a_time(monkeypatch):
+    """2.1 M weight-gradient elements, streamed from B=128 operands. Where
+    the bounds pass, the check computes no weight block: it allocates only
+    the small tensors' masks (2 KiB here). Where w1's bound fails, it
+    computes w1 one block at a time into one scratch of a GRADIENT_BLOCK
+    (1 MiB), not the whole 8 MiB gradient."""
     params = init_params(1024, 2, seed=0, hidden1=2048, hidden2=4)
-    grads = MlpParams(params.dims, np.random.default_rng(0).standard_normal(params.flat.size))
+    rng = np.random.default_rng(0)
+    grads = mlp.Gradients(params.dims)
+    grads.small[:] = rng.standard_normal(grads.small.size)
+    grads.w1 = (rng.standard_normal((1024, 128)), rng.standard_normal((128, 2048)))
+    grads.w2 = (rng.standard_normal((2048, 128)), rng.standard_normal((128, 4)))
+
     state = AdamState.zeros_like(params)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        adam_step(params, grads, state, TrainConfig())
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * 2**20, peak
+
+    def check_peak():
+        """Bytes that adam_step allocated at most before its update began."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(Checked):
+                adam_step(params, grads, state, TrainConfig())
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def stop(*args):
+        raise Checked
+
+    monkeypatch.setattr(training, "_parts", stop)
+    assert check_peak() < 16 * 2**10
+    a, b = grads.w1
+    a[0, 0], b[0, :], b[1, 0] = 1e300, 0.0, 1e300  # norms overflow, the product is finite
+    assert not training._bounded(a, b)
+    peak = check_peak()
+    block = 8 * training.GRADIENT_BLOCK
+    assert block <= peak < block + 256 * 2**10, peak
 
 
 def reference_adam_step(tensors, grads, m, v, t, lr):
@@ -192,7 +232,7 @@ def test_adam_step_matches_per_tensor_reference_bitwise(case):
         grads.flat[rng.random(params.flat.size) < 0.1] = 0.0
         ref_grads = {k: g.copy() for k, g in grads.tensors().items()}
         reference_adam_step(ref, ref_grads, ref_m, ref_v, t, cfg.learning_rate)
-        adam_step(params, grads, state, cfg)
+        adam_step(params, exact(grads), state, cfg)
         assert state.step == t
         for got, want in ((params.flat, ref), (state.m, ref_m), (state.v, ref_v)):
             assert np.array_equal(got, np.concatenate([w.ravel() for w in want.values()]))
@@ -216,16 +256,16 @@ def test_adam_step_in_parts_matches_the_reference_and_refuses_late(monkeypatch, 
         grads = MlpParams(params.dims, rng.standard_normal(params.flat.size))
         reference_adam_step(ref, {k: g.copy() for k, g in grads.tensors().items()},
                             ref_m, ref_v, t, 0.01)
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, exact(grads), state, TrainConfig())
         for got, want in ((params.flat, ref), (state.m, ref_m), (state.v, ref_v)):
             assert np.array_equal(got, np.concatenate([w.ravel() for w in want.values()]))
-    assert parts == [workers] * 6
-    grads = MlpParams(params.dims, np.ones_like(params.flat))
+    assert parts == [workers] * 3  # one update walk a step
+    grads = exact(MlpParams(params.dims, np.ones_like(params.flat)))
     grads.head_b[-1] = np.inf  # the last element, in the last part
     before = [params.flat.copy(), state.m.copy(), state.v.copy()]
     with pytest.raises(ValueError, match="non-finite gradient in head_b at Adam step 4"):
         adam_step(params, grads, state, TrainConfig())
-    assert state.step == 3
+    assert state.step == 3 and parts == [workers] * 3  # a refusal runs no part
     for got, want in zip((params.flat, state.m, state.v), before):
         assert np.array_equal(got, want)
 
@@ -269,6 +309,16 @@ def copies(params, state):
     return params.copy(), AdamState(state.m.copy(), state.v.copy(), state.step)
 
 
+def reference_step(params, state, full):
+    """Copies of params and state after reference_adam_step on the MlpParams gradient full."""
+    params = params.copy()
+    m, v = (MlpParams(params.dims, a.copy()).tensors() for a in (state.m, state.v))
+    reference_adam_step(params.tensors(), full.tensors(), m, v, state.step + 1,
+                        TrainConfig().learning_rate)
+    m, v = (np.concatenate([a.ravel() for a in d.values()]) for d in (m, v))
+    return params, AdamState(m, v, state.step + 1)
+
+
 def assert_same_step(got, want):
     (params, state), (want_params, want_state) = got, want
     assert state.step == want_state.step
@@ -282,15 +332,15 @@ def assert_same_step(got, want):
 def test_a_streamed_step_matches_adam_on_the_materialised_gradient(monkeypatch, fast_switching,
                                                                    dims, rows):
     """Weight gradients computed a row block at a time inside adam_step give
-    the bits of backward's whole products, in 1, 2 and 3 parts. The
-    lodo-desk vector is cut into parts by a smaller ADAM_PART; 300 is not a
-    multiple of 8, so that w2 is one block. backward consumes its trace, so
-    each backward gets a fresh one from the same seed."""
+    the bits of Adam on the whole products, in 1, 2 and 3 parts, each step
+    one run_parts call. The lodo-desk vector is cut into parts by a smaller
+    ADAM_PART; 300 is not a multiple of 8, so that w2 is one block.
+    backward consumes its trace, so each backward gets a fresh one from
+    the same seed."""
     params, trace, grad_logits, state = step_problem(dims, rows)
     monkeypatch.setattr(training, "ADAM_PART", min(training.ADAM_PART, params.flat.size // 6))
     monkeypatch.setattr(parallel, "WORKERS", 1)
-    want = copies(params, state)
-    adam_step(want[0], mlp.backward(params, trace, grad_logits), want[1], TrainConfig())
+    want = reference_step(params, state, materialised(streamed(params, trace, grad_logits)))
     for workers in (1, 2, 3):
         monkeypatch.setattr(parallel, "WORKERS", workers)
         params, trace, grad_logits, state = step_problem(dims, rows)
@@ -298,15 +348,7 @@ def test_a_streamed_step_matches_adam_on_the_materialised_gradient(monkeypatch, 
         calls = record_parts(monkeypatch)
         adam_step(got[0], grads, got[1], TrainConfig())
         assert_same_step(got, want)
-        assert calls == [workers] * 2, workers  # the check walk, then the update
-
-
-def materialised(grads):
-    """The MlpParams of an mlp.Gradients: each weight gradient as its whole product."""
-    out = MlpParams.zeros(grads.dims)
-    for name, g in grads.tensors().items():
-        getattr(out, name)[...] = np.matmul(*g) if isinstance(g, tuple) else g
-    return out
+        assert calls == [workers], workers  # the update walk only
 
 
 def counting_products(monkeypatch):
@@ -343,8 +385,7 @@ def test_a_weight_gradient_whose_bound_fails_is_checked_in_the_same_blocks(monke
     assert not training._bounded(a, b)
     reference = materialised(grads)
     assert np.isfinite(reference.flat).all()
-    want = copies(params, state)
-    adam_step(want[0], reference, want[1], TrainConfig())
+    want = reference_step(params, state, reference)
     products.clear()
     got = copies(params, state)
     adam_step(got[0], grads, got[1], TrainConfig())
@@ -376,7 +417,7 @@ def test_a_non_finite_weight_gradient_is_refused_before_any_change(monkeypatch, 
     calls = record_parts(monkeypatch)
     with pytest.raises(ValueError, match=f"^non-finite gradient in {name} at Adam step 5$"):
         adam_step(params, grads, state, TrainConfig())
-    assert calls == [workers]  # the check walk only
+    assert calls == []  # the check walk is serial, and no update ran
     assert_same_step((params, state), before)
 
 
